@@ -16,7 +16,6 @@ from .numerics import (
     GRAM_COND_LIMIT,
     DegeneratePointError,
     Jet2,
-    _gram,
     apply_J,
     herm_pair,
     real_pair,
@@ -109,63 +108,97 @@ class FrameSplit:
     fiber_defect: float
 
 
-def second_form_split(lift: Jet2, space: AmbientSpace) -> FrameSplit:
-    """Split d_uv psi over the adapted frame by an explicit Gram solve.
+def _norm(a):
+    # Euclidean norm over the last axis, real and imaginary parts alike
+    flat = np.ascontiguousarray(a, dtype=complex).view(float)
+    return np.sqrt(np.einsum("...i,...i->...", flat, flat))
 
-    Basis: (d1, d2, J d1, J d2) plus (psi, i psi) over a lifted target.  The
-    Gram matrix uses the signature pairing and is solved as-is; no
-    orthogonality is assumed.  Three consistency numbers come back with the
-    split: the Euclidean residual of the reconstruction (the basis must
-    actually span the second derivatives), the deviation of the position
-    coefficient from -g_uv / nu, and the size of the fiber coefficient,
-    which vanishes precisely when the lift is horizontal and Lagrangian.
-    All three are relative, normalized by 1 + the local scale (second
-    derivative magnitude, respectively |g_uv|), so they stay meaningful
-    where the immersion stretches.
+
+def gram_condition(g11, g22, t12, c1=None, c2=None, nu=None):
+    """Condition number of the real frame Gram matrix, in closed form.
+
+    That matrix realifies the Hermitian Gram matrix of (d1, d2[, psi]) and
+    shares its eigenvalues: those of the tangent block T = [[g11, t12],
+    [conj t12, g22]], and over a lifted target the Schur complement
+    nu - c^H T^-1 c of psi, c = (c1, c2) = herm(d_i, psi).  The complement
+    is exact where psi is horizontal (c = 0) and vanishes exactly where the
+    full matrix is singular.  Degenerate input gives inf or nan.
+    """
+    mean = 0.5 * (g11 + g22)
+    abs_t12_sq = t12.real ** 2 + t12.imag ** 2
+    det_t = g11 * g22 - abs_t12_sq
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hi = mean + np.sqrt((0.5 * (g11 - g22)) ** 2 + abs_t12_sq)
+        eig = [np.abs(hi), np.abs(det_t / hi)]
+        if nu is not None:
+            quad = (g22 * np.abs(c1) ** 2 + g11 * np.abs(c2) ** 2
+                    - 2.0 * (np.conj(c1) * t12 * c2).real)
+            eig.append(np.abs(nu - quad / det_t))
+        return np.maximum.reduce(eig) / np.minimum.reduce(eig)
+
+
+def second_form_split(lift: Jet2, space: AmbientSpace) -> FrameSplit:
+    """Split d_uv psi over the adapted frame in closed form.
+
+    The real frame (d1, d2, J d1, J d2[, psi, i psi]) realifies the complex
+    basis (d1, d2[, psi]); its Gram matrix is diag(g, g, nu*I) up to the
+    off-block terms that lagrangian_defect and horizontality_defect
+    measure.  So with h = herm(d_uv psi, b), g^-1 h on (d1, d2) gives the
+    tangent (real part) and normal (imaginary part, on J d1, J d2)
+    coefficients, and h / nu on psi (nu the model's lift norm) gives
+    position + i * fiber.  The gate is gram_condition, off-block terms
+    included.  Also returned, each relative to 1 + the local scale: the
+    residual of the full reconstruction against d_uv psi, which certifies
+    the split and picks up any neglected coupling; the deviation of the
+    position coefficient from -g_uv / nu; and the fiber coefficient, which
+    vanishes precisely when the lift is horizontal and Lagrangian.
     """
     sig = space.sig
-    basis = [lift.d1, lift.d2, apply_J(lift.d1), apply_J(lift.d2)]
-    if space.is_lifted:
-        basis += [lift.v, apply_J(lift.v)]
-    gram, stacked = _gram(basis, sig)
-
-    cond = np.linalg.cond(gram)
+    d1, d2, psi = lift.d1, lift.d2, lift.v
+    g11 = real_pair(d1, d1, sig)
+    g22 = real_pair(d2, d2, sig)
+    t12 = herm_pair(d1, d2, sig)
+    g12 = t12.real
+    off_block = ((herm_pair(d1, psi, sig), herm_pair(d2, psi, sig),
+                  real_pair(psi, psi, sig)) if space.is_lifted else ())
+    cond = gram_condition(g11, g22, t12, *off_block)
     if np.any(~np.isfinite(cond)) or np.any(cond > GRAM_COND_LIMIT):
         raise DegeneratePointError(
             f"frame Gram condition number {np.max(cond):.3e} exceeds "
             f"{GRAM_COND_LIMIT:.0e}; singular or non-immersed point")
 
     second = np.stack([lift.d11, lift.d12, lift.d22], axis=-2)  # (..., 3, m)
-    rhs = np.einsum("...pm,...am->...pa",
-                    second * sig, np.conj(stacked)).real
-    # one solve per point, all three right-hand sides as matrix columns
-    coeffs = np.swapaxes(np.linalg.solve(gram, np.swapaxes(rhs, -1, -2)),
-                         -1, -2)
+    basis = [d1, d2, psi] if space.is_lifted else [d1, d2]
+    h = [np.einsum("...pm,...m->...p", second, np.conj(b) * sig)
+         for b in basis]
+    # g^-1 h by the closed-form 2x2 inverse, broadcast over the pairs
+    m11, m12, m22 = (x[..., None] for x in (g11, g12, g22))
+    det = m11 * m22 - m12 * m12
+    z1 = (m22 * h[0] - m12 * h[1]) / det
+    z2 = (m11 * h[1] - m12 * h[0]) / det
 
-    recon = np.einsum("...pa,...am->...pm", coeffs.astype(complex), stacked)
-    scale = 1.0 + np.sqrt(np.sum(np.abs(second) ** 2, axis=-1))
-    residual = np.sqrt(np.sum(np.abs(second - recon) ** 2, axis=-1)) / scale
-
-    normal = np.einsum("...pa,...am->...pm",
-                       coeffs[..., 2:4].astype(complex), stacked[..., 2:4, :])
-    tangent = coeffs[..., 0:2]
-
+    # normal part and reconstruction gap share one temporary buffer
+    b1, b2 = d1[..., None, :], d2[..., None, :]
+    normal = z1.imag[..., None] * apply_J(b1)
+    part = z2.imag[..., None] * apply_J(b2)
+    normal += part
+    gap = second - z1[..., None] * b1
+    gap -= np.multiply(z2[..., None], b2, out=part)
+    position = fiber = None
+    position_defect = fiber_defect = 0.0
     if space.is_lifted:
-        position = coeffs[..., 4]
-        fiber = coeffs[..., 5]
-        g = np.stack([real_pair(lift.d1, lift.d1, sig),
-                      real_pair(lift.d1, lift.d2, sig),
-                      real_pair(lift.d2, lift.d2, sig)], axis=-1)
+        z_psi = h[2] / space.lift_norm
+        gap -= np.multiply(z_psi[..., None], psi[..., None, :], out=part)
+        position, fiber = z_psi.real, z_psi.imag
+        g = np.stack([g11, g12, g22], axis=-1)
         gscale = 1.0 + np.abs(g)
         position_defect = float(
             np.max(np.abs(position + g / space.lift_norm) / gscale))
         fiber_defect = float(np.max(np.abs(fiber) / gscale))
-    else:
-        position = fiber = None
-        position_defect = fiber_defect = 0.0
 
-    return FrameSplit(tangent=tangent, normal=normal, position=position,
-                      fiber=fiber,
+    residual = _norm(gap) / (1.0 + _norm(second))
+    return FrameSplit(tangent=np.stack([z1.real, z2.real], axis=-1),
+                      normal=normal, position=position, fiber=fiber,
                       split_residual=float(np.max(residual)),
                       position_defect=position_defect,
                       fiber_defect=fiber_defect)

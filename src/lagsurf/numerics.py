@@ -78,42 +78,6 @@ def apply_J(a):
     return 1j * np.asarray(a, dtype=complex)
 
 
-def _gram(basis, sig):
-    stacked = np.stack(basis, axis=-2)  # (..., k, m)
-    prod = np.einsum("...am,...bm->...ab", stacked * np.asarray(sig),
-                     np.conj(stacked))
-    return prod.real, stacked
-
-
-def span_coefficients(v, basis, sig):
-    """Real coefficients x with v ~ sum_a x_a basis_a under real_pair.
-
-    Solves the (possibly indefinite) Gram system explicitly; orthonormality
-    of the basis is never assumed.  Raises DegeneratePointError when the
-    Gram condition number exceeds GRAM_COND_LIMIT.
-    """
-    gram, stacked = _gram(basis, sig)
-    cond = np.linalg.cond(gram)
-    if np.any(~np.isfinite(cond)) or np.any(cond > GRAM_COND_LIMIT):
-        raise DegeneratePointError(
-            f"Gram condition number {np.max(cond):.3e} exceeds "
-            f"{GRAM_COND_LIMIT:.0e}; singular or non-immersed point")
-    rhs = np.einsum("...m,...am->...a",
-                    np.asarray(v) * np.asarray(sig), np.conj(stacked)).real
-    return np.linalg.solve(gram, rhs)
-
-
-def project_onto_span(v, basis, sig):
-    """Orthogonal projection of v onto the real span of basis under real_pair.
-
-    Returns the unique w in span(basis) with real_pair(v - w, b) = 0 for all
-    basis vectors b.  Idempotent.
-    """
-    coeffs = span_coefficients(v, basis, sig)
-    stacked = np.stack(basis, axis=-2)
-    return np.einsum("...a,...am->...m", coeffs.astype(complex), stacked)
-
-
 @dataclass(frozen=True)
 class Jet2:
     """Second-order jet of a map of two real chart parameters.

@@ -7,12 +7,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from lagsurf.ambient import (C2, CH2, CP2, lagrangian_defect,
+from gram_reference import frame_condition, reference_split
+from lagsurf.ambient import (C2, CH2, CP2, gram_condition, lagrangian_defect,
                              horizontality_defect, membership_defect,
                              second_form_split, space_by_model)
 from lagsurf.atlas import build_grid
 from lagsurf.catalog import SurfaceSpec, lift_at
-from lagsurf.numerics import DegeneratePointError, Jet2
+from lagsurf.cli import TOLERANCES
+from lagsurf.numerics import (GRAM_COND_LIMIT, DegeneratePointError, Jet2,
+                              herm_pair, real_pair)
 
 ALL_SPECS = [
     SurfaceSpec("whitney-c2"),
@@ -49,14 +52,18 @@ def test_catalog_lifts_satisfy_all_constraints(spec):
     assert lagrangian_defect(lift, space) < 1e-12
 
 
-def test_non_lagrangian_control_map():
+def _control_map(x, y):
     # (x, y) -> (zeta, conj(zeta)^2 + zeta) in the flat target:
     # Im herm(d1, d2) = 4|zeta|^2 - 2, so it vanishes only on |zeta|^2 = 1/2
-    x = np.array([0.0, 0.5, 1.0, 1.3])
-    y = np.array([0.0, 0.5, 0.0, -0.2])
     j1, j2 = Jet2.variables(x, y)
     zeta = j1 + j2 * 1j
-    lift = Jet2.stack([zeta, zeta.conj() * zeta.conj() + zeta])
+    return Jet2.stack([zeta, zeta.conj() * zeta.conj() + zeta])
+
+
+def test_non_lagrangian_control_map():
+    x = np.array([0.0, 0.5, 1.0, 1.3])
+    y = np.array([0.0, 0.5, 0.0, -0.2])
+    lift = _control_map(x, y)
     zsq = x * x + y * y
     expected = np.max(np.abs(4.0 * zsq - 2.0))
     assert lagrangian_defect(lift, C2) == pytest.approx(expected, rel=1e-12)
@@ -115,3 +122,101 @@ def test_rank_deficient_point_raises():
     collapsed = dataclasses.replace(lift, d2=lift.d1)
     with pytest.raises(DegeneratePointError):
         second_form_split(collapsed, CP2)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form split against the general 6x6 Gram solve
+
+# the surfaces of the CLI goldens in tests/golden
+GOLDEN_SPECS = [
+    SurfaceSpec("whitney-c2"),
+    SurfaceSpec("whitney-cp2", t=0.5),
+    SurfaceSpec("whitney-ch2", t=0.5),
+    SurfaceSpec("totally-geodesic-cp2"),
+    SurfaceSpec("psi-ch2", s=0.3),
+    SurfaceSpec("eta-ch2"),
+    SurfaceSpec("clifford-torus"),
+    SurfaceSpec("product-torus-c2", r1=1.0, r2=2.0),
+]
+
+
+@pytest.mark.parametrize("spec", GOLDEN_SPECS, ids=lambda s: s.label())
+def test_split_matches_general_gram_solve(spec):
+    lift = _grid_lift(spec, n=181)
+    split = second_form_split(lift, spec.ambient)
+    tangent, normal, position, fiber = reference_split(lift, spec.ambient)
+    pairs = [(split.tangent, tangent, tangent), (split.normal, normal, normal)]
+    if spec.ambient.is_lifted:
+        # the fiber coefficient vanishes; it is measured on the position scale
+        pairs += [(split.position, position, position),
+                  (split.fiber, fiber, position)]
+    else:
+        assert split.position is None and split.fiber is None
+    for got, want, scale in pairs:
+        assert got.shape == want.shape
+        gap = np.max(np.abs(got - want)) / (1.0 + np.max(np.abs(scale)))
+        assert gap <= 1e-11
+
+
+def _closed_form_condition(lift, space):
+    sig = space.sig
+    args = [real_pair(lift.d1, lift.d1, sig), real_pair(lift.d2, lift.d2, sig),
+            herm_pair(lift.d1, lift.d2, sig)]
+    if space.is_lifted:
+        args += [herm_pair(lift.d1, lift.v, sig),
+                 herm_pair(lift.d2, lift.v, sig),
+                 real_pair(lift.v, lift.v, sig)]
+    return gram_condition(*args)
+
+
+GATE_CASES = [
+    SurfaceSpec("whitney-cp2", t=9.0),
+    SurfaceSpec("whitney-ch2", t=8.5),
+    SurfaceSpec("whitney-ch2", t=12.0),
+    SurfaceSpec("psi-ch2", s=0.78),
+    SurfaceSpec("product-torus-c2", r1=1.0, r2=1e-9),
+    SurfaceSpec("whitney-cp2", t=0.5),
+]
+
+
+@pytest.mark.parametrize("spec", GATE_CASES, ids=lambda s: s.label())
+def test_gate_matches_svd_condition(spec):
+    lift = _grid_lift(spec, n=32)
+    space = spec.ambient
+    want = frame_condition(lift, space)
+    got = _closed_form_condition(lift, space)
+    # both routes lose about eps * cond relative, past 1e-6 only far
+    # beyond the gate
+    rel = np.abs(got - want) / want
+    assert np.all(rel <= np.maximum(1e-6, 1e-15 * want))
+    if np.all(want <= GRAM_COND_LIMIT):
+        second_form_split(lift, space)
+    else:
+        with pytest.raises(DegeneratePointError):
+            second_form_split(lift, space)
+
+
+def test_gate_sees_complex_tangent_plane():
+    # at zeta = 0 the control map has d2 = i d1: the real metric is 2*I,
+    # yet the tangent plane is complex and the frame Gram singular
+    lift = _control_map(np.array([0.0]), np.array([0.0]))
+    assert real_pair(lift.d1, lift.d2, C2.sig) == 0.0
+    assert frame_condition(lift, C2)[0] > GRAM_COND_LIMIT
+    assert not np.isfinite(_closed_form_condition(lift, C2)[0])
+    with pytest.raises(DegeneratePointError):
+        second_form_split(lift, C2)
+
+
+def test_residual_reports_neglected_lagrangian_coupling():
+    # off zeta = 0 and off |zeta|^2 = 1/2 the control map is immersed but
+    # not Lagrangian.  The general solve still spans d_uv psi exactly; the
+    # block split neglects Im herm(d1, d2) and its residual says so.
+    lift = _control_map(np.array([1.0, 1.3]), np.array([0.0, -0.2]))
+    assert lagrangian_defect(lift, C2) > TOLERANCES["lagrangian"]
+    tangent, normal, _, _ = reference_split(lift, C2)
+    second = np.stack([lift.d11, lift.d12, lift.d22], axis=-2)
+    recon = (tangent[..., 0, None] * lift.d1[..., None, :]
+             + tangent[..., 1, None] * lift.d2[..., None, :] + normal)
+    assert np.max(np.abs(second - recon)) < 1e-12
+    split = second_form_split(lift, C2)
+    assert split.split_residual > TOLERANCES["split_residual"]

@@ -90,6 +90,13 @@ def test_exit_code_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_exit_code_degenerate_frame(capsys):
+    # the frame Gram gate rejects this stretched sphere: a domain error
+    assert main(["verify", "--surface", "whitney-cp2(10)",
+                 "--grid", "32x32"]) == 2
+    assert "condition number" in capsys.readouterr().err
+
+
 def test_exit_code_check_failure(capsys):
     # an absurdly tight tolerance flips a passing check to failing: exit 1
     code, out = run_cli(capsys, ["verify", "--surface", "clifford-torus",

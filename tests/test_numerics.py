@@ -1,4 +1,4 @@
-"""Pairings, projections, and jet arithmetic against independent oracles."""
+"""Pairings and jet arithmetic against independent oracles."""
 
 from __future__ import annotations
 
@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lagsurf.numerics import (SIG_C2, SIG_H51, SIG_S5, DegeneratePointError,
-                              Jet2, apply_J, complex_from_reals, herm_pair,
-                              jet_cos, jet_sin, norm_sq, project_onto_span,
-                              real_pair, reals_from_complex,
-                              span_coefficients)
+from lagsurf.numerics import (SIG_C2, SIG_H51, SIG_S5, Jet2, apply_J,
+                              complex_from_reals, herm_pair, jet_cos, jet_sin,
+                              norm_sq, real_pair, reals_from_complex)
 
 SIGS = {"c2": SIG_C2, "s5": SIG_S5, "h51": SIG_H51}
 
@@ -85,35 +83,6 @@ def test_complex_real_round_trip():
     rng = np.random.default_rng(13)
     z = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
     assert np.array_equal(complex_from_reals(reals_from_complex(z)), z)
-
-
-def test_projection_idempotent_and_orthogonal():
-    rng = np.random.default_rng(17)
-    for name, sig in SIGS.items():
-        basis = list(_vectors(rng, sig, 2))
-        v = _vectors(rng, sig, 1)[0]
-        p = project_onto_span(v, basis, sig)
-        p2 = project_onto_span(p, basis, sig)
-        assert np.max(np.abs(p - p2)) < 1e-10, name
-        for b in basis:
-            assert abs(real_pair(v - p, b, sig)) < 1e-10, name
-
-
-def test_projection_recovers_span_member():
-    rng = np.random.default_rng(19)
-    basis = list(_vectors(rng, SIG_S5, 2))
-    x = rng.normal(size=2)
-    v = x[0] * basis[0] + x[1] * basis[1]
-    coeffs = span_coefficients(v, basis, SIG_S5)
-    assert np.max(np.abs(coeffs - x)) < 1e-12
-    p = project_onto_span(v, basis, SIG_S5)
-    assert np.max(np.abs(p - v)) < 1e-12
-
-
-def test_degenerate_basis_raises():
-    b = np.array([1.0 + 0j, 0.0, 0.0])
-    with pytest.raises(DegeneratePointError):
-        span_coefficients(b, [b, b * (1.0 + 1e-14)], SIG_S5)
 
 
 # ---------------------------------------------------------------------------
