@@ -53,17 +53,6 @@ C2 = AmbientSpace("c2", 0.0, (1.0, 1.0), None)
 CP2 = AmbientSpace("cp2", 4.0, (1.0, 1.0, 1.0), 1.0)
 CH2 = AmbientSpace("ch2", -4.0, (1.0, 1.0, -1.0), -1.0)
 
-_BY_MODEL = {s.model: s for s in (C2, CP2, CH2)}
-
-
-def space_by_model(model: str) -> AmbientSpace:
-    try:
-        return _BY_MODEL[model]
-    except KeyError:
-        raise ValueError(f"unknown ambient model {model!r}; "
-                         f"expected one of {sorted(_BY_MODEL)}") from None
-
-
 def membership_defect(lift: Jet2, space: AmbientSpace) -> float:
     """Max deviation of herm(psi, psi) from the required lift norm."""
     if not space.is_lifted:

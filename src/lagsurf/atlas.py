@@ -145,11 +145,6 @@ class TorusChart:
         return Jet2.variables(t1, t2)
 
 
-def sphere_chart(phi, theta):
-    """Jets of (x, y, z) = (sin phi cos theta, sin phi sin theta, cos phi)."""
-    return SphereChart().coords(phi, theta)
-
-
 def _axis(chart, i, n, margin):
     lo, hi = chart.bounds[i]
     if chart.periodic[i]:
@@ -233,14 +228,3 @@ def torus_quadrature(n1: int, n2: int) -> QuadratureRule:
     g1, g2 = np.meshgrid(t1, t2, indexing="ij")
     w = np.full(n1 * n2, (2.0 * np.pi / n1) * (2.0 * np.pi / n2))
     return QuadratureRule("torus", g1.ravel(), g2.ravel(), w, (n1, n2))
-
-
-def integrate(f, rule: QuadratureRule) -> float:
-    """Weighted sum of f over the rule nodes; f maps (a1, a2) -> values."""
-    vals = np.asarray(f(rule.nodes1, rule.nodes2), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        i = int(np.argmin(np.isfinite(vals)))
-        raise ValueError(
-            f"non-finite integrand at node {i}: "
-            f"(a1, a2) = ({rule.nodes1[i]!r}, {rule.nodes2[i]!r})")
-    return float(np.sum(rule.weights * vals))

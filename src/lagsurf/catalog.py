@@ -3,12 +3,16 @@
 Each entry maps domain coordinates (sphere points, a complex plane
 coordinate, torus angles) to a second-order jet of the immersion into C^2,
 or of its horizontal lift when the target is curved.  All formulas are
-closed-form; derivatives come from jet arithmetic, not differencing.
+closed-form; derivatives come from jet arithmetic, not differencing.  Every
+other fact about a kind (target, chart, parameter domain, compactness,
+closed-form curvature range and energy) lives in its ``Family`` record in
+``FAMILIES``.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,41 +27,37 @@ from .atlas import (
 )
 from .numerics import Jet2, jet_cos, jet_sin
 
-KINDS = (
-    "whitney-c2",
-    "whitney-cp2",
-    "whitney-ch2",
-    "totally-geodesic-cp2",
-    "psi-ch2",
-    "eta-ch2",
-    "clifford-torus",
-    "product-torus-c2",
-)
-
-SPHERE_KINDS = ("whitney-c2", "whitney-cp2", "whitney-ch2",
-                "totally-geodesic-cp2")
-TORUS_KINDS = ("clifford-torus", "product-torus-c2")
-
-AMBIENT_BY_KIND = {
-    "whitney-c2": C2,
-    "whitney-cp2": CP2,
-    "whitney-ch2": CH2,
-    "totally-geodesic-cp2": CP2,
-    "psi-ch2": CH2,
-    "eta-ch2": CH2,
-    "clifford-torus": CP2,
-    "product-torus-c2": C2,
-}
-
-# parameters each family actually reads; the rest must stay at defaults
-PARAM_NAMES = {
-    "whitney-cp2": ("t",),
-    "whitney-ch2": ("t",),
-    "psi-ch2": ("s",),
-    "product-torus-c2": ("r1", "r2"),
-}
-
 _DEFAULTS = {"t": 0.0, "s": 0.0, "r1": 1.0, "r2": 1.0}
+
+
+@dataclass(frozen=True)
+class Family:
+    """Every fact about one catalog kind, in one record.
+
+    ``params`` are the parameters the kind reads; the rest must stay at
+    their defaults.  ``domain`` is the parameter predicate (None: every
+    finite value) and ``domain_error`` the message when it fails.  ``chi``
+    is the Euler characteristic of a compact domain (None: noncompact).
+    ``quadrature`` names the atlas rule (``"sphere"`` or ``"torus"``) the
+    Willmore integral runs on (None: no integral).  ``k_range`` and
+    ``willmore`` give the closed-form Gauss curvature range and (energy,
+    tolerance name) where the paper has one.  ``circular`` is False for
+    the one family whose ellipse must never be a circle.
+    """
+
+    ambient: AmbientSpace
+    chart: type
+    evaluator: Callable[..., Jet2]
+    n_coords: int
+    note: str
+    params: tuple[str, ...] = ()
+    domain: Callable[[SurfaceSpec], bool] | None = None
+    domain_error: str = ""
+    chi: int | None = None
+    quadrature: str | None = None
+    k_range: Callable[[SurfaceSpec], tuple[float, float]] | None = None
+    willmore: Callable[[SurfaceSpec], tuple[float, str]] | None = None
+    circular: bool = True
 
 
 @dataclass(frozen=True)
@@ -71,25 +71,23 @@ class SurfaceSpec:
     r2: float = 1.0
 
     @property
-    def ambient(self) -> AmbientSpace:
+    def family(self) -> Family:
         validate_params(self)
-        return AMBIENT_BY_KIND[self.kind]
+        return FAMILIES[self.kind]
+
+    @property
+    def ambient(self) -> AmbientSpace:
+        return self.family.ambient
 
     @property
     def default_chart(self):
-        validate_params(self)
-        if self.kind in SPHERE_KINDS:
-            return SphereChart()
-        if self.kind == "psi-ch2":
-            return PolarAnnulusChart()
-        if self.kind == "eta-ch2":
-            return PlanarChart()
-        return TorusChart()
+        return self.family.chart()
 
     def params(self) -> dict[str, float]:
         """The parameters this kind reads, for display and reports."""
+        family = FAMILIES.get(self.kind)
         return {name: getattr(self, name)
-                for name in PARAM_NAMES.get(self.kind, ())}
+                for name in (family.params if family else ())}
 
     def label(self) -> str:
         values = self.params()
@@ -99,24 +97,21 @@ class SurfaceSpec:
 
 
 def validate_params(spec: SurfaceSpec) -> None:
-    """Reject unknown kinds, stray parameters, and out-of-range values."""
-    if spec.kind not in KINDS:
+    """Reject unknown kinds, stray or non-finite parameters, and values
+    outside the family's domain."""
+    family = FAMILIES.get(spec.kind)
+    if family is None:
         raise ValueError(f"unknown surface kind {spec.kind!r}; expected one "
                          f"of: {', '.join(KINDS)}")
-    wanted = PARAM_NAMES.get(spec.kind, ())
     for name, default in _DEFAULTS.items():
-        if name not in wanted and getattr(spec, name) != default:
+        if name not in family.params and getattr(spec, name) != default:
             raise ValueError(f"{spec.kind} takes no parameter {name!r}")
-    if spec.kind == "whitney-cp2" and spec.t < 0.0:
-        raise ValueError("whitney-cp2 needs t >= 0")
-    if spec.kind == "whitney-ch2" and spec.t <= 0.0:
-        raise ValueError("whitney-ch2 needs t > 0; the family degenerates "
-                         "at t = 0")
-    if spec.kind == "psi-ch2" and not 0.0 <= spec.s < math.pi / 4.0:
-        raise ValueError("psi-ch2 needs 0 <= s < pi/4; the denominator "
-                         "loses positivity at s = pi/4")
-    if spec.kind == "product-torus-c2" and min(spec.r1, spec.r2) <= 0.0:
-        raise ValueError("product-torus-c2 needs positive radii r1, r2")
+    for name in family.params:
+        if not math.isfinite(getattr(spec, name)):
+            raise ValueError(f"{spec.kind} needs a finite {name}, got "
+                             f"{getattr(spec, name)!r}")
+    if family.domain is not None and not family.domain(spec):
+        raise ValueError(family.domain_error)
 
 
 def _re(j: Jet2) -> Jet2:
@@ -191,26 +186,80 @@ def _product_torus_c2(spec, t1, t2):
                        _unit_circle(t2) * spec.r2])
 
 
-_EVALUATORS = {
-    "whitney-c2": (_whitney_c2, 3),
-    "whitney-cp2": (_whitney_cp2, 3),
-    "whitney-ch2": (_whitney_ch2, 3),
-    "totally-geodesic-cp2": (_totally_geodesic_cp2, 3),
-    "psi-ch2": (_psi_ch2, 2),
-    "eta-ch2": (_eta_ch2, 2),
-    "clifford-torus": (_clifford_torus, 2),
-    "product-torus-c2": (_product_torus_c2, 2),
+def _sphere_energy(spec):
+    # the energy bound is an equality on the Whitney-type spheres
+    return 8.0 * math.pi, "willmore"
+
+
+def _product_torus_energy(spec):
+    ratio = spec.r1 / spec.r2 + spec.r2 / spec.r1
+    return math.pi ** 2 * ratio, "willmore_torus"
+
+
+def _sphere(ambient, evaluator, note, k_range, **facts) -> Family:
+    return Family(ambient, SphereChart, evaluator, 3, note, chi=2,
+                  quadrature="sphere", k_range=k_range,
+                  willmore=_sphere_energy, **facts)
+
+
+FAMILIES: dict[str, Family] = {
+    "whitney-c2": _sphere(
+        C2, _whitney_c2,
+        "flat-target sphere immersion; Gauss curvature spans [0, 1]",
+        lambda spec: (0.0, 1.0)),
+    "whitney-cp2": _sphere(
+        CP2, _whitney_cp2,
+        "sphere family in the positively curved target; t >= 0",
+        lambda spec: (1.0, 1.0 + 2.0 * math.sinh(spec.t) ** 2),
+        params=("t",), domain=lambda spec: spec.t >= 0.0,
+        domain_error="whitney-cp2 needs t >= 0"),
+    "whitney-ch2": _sphere(
+        CH2, _whitney_ch2,
+        "sphere family in the negatively curved target; t > 0",
+        lambda spec: (-1.0, -1.0 + 2.0 * math.cosh(spec.t) ** 2),
+        params=("t",), domain=lambda spec: spec.t > 0.0,
+        domain_error="whitney-ch2 needs t > 0; the family degenerates "
+                     "at t = 0"),
+    "totally-geodesic-cp2": _sphere(
+        CP2, _totally_geodesic_cp2,
+        "real form; the second fundamental form vanishes",
+        lambda spec: (1.0, 1.0)),
+    "psi-ch2": Family(
+        CH2, PolarAnnulusChart, _psi_ch2, 2,
+        "complete noncompact family on the punctured plane",
+        params=("s",), domain=lambda spec: 0.0 <= spec.s < math.pi / 4.0,
+        domain_error="psi-ch2 needs 0 <= s < pi/4; the denominator "
+                     "loses positivity at s = pi/4"),
+    "eta-ch2": Family(
+        CH2, PlanarChart, _eta_ch2, 2,
+        "complete noncompact example on the plane"),
+    "clifford-torus": Family(
+        CP2, TorusChart, _clifford_torus, 2,
+        "minimal flat torus; ellipse radius 1/sqrt(2) everywhere",
+        chi=0, k_range=lambda spec: (0.0, 0.0)),
+    "product-torus-c2": Family(
+        C2, TorusChart, _product_torus_c2, 2,
+        "circle product; the ellipse degenerates to a segment",
+        params=("r1", "r2"), domain=lambda spec: min(spec.r1, spec.r2) > 0.0,
+        domain_error="product-torus-c2 needs positive radii r1, r2",
+        chi=0, quadrature="torus", k_range=lambda spec: (0.0, 0.0),
+        willmore=_product_torus_energy, circular=False),
 }
+
+KINDS = tuple(FAMILIES)
 
 
 def evaluate_lift(spec: SurfaceSpec, coords) -> Jet2:
     """Jet of the (lifted) immersion from domain-coordinate jets."""
-    validate_params(spec)
-    fn, n = _EVALUATORS[spec.kind]
-    if len(coords) != n:
-        raise ValueError(f"{spec.kind} expects {n} domain coordinates, "
-                         f"got {len(coords)}")
-    return fn(spec, *coords)
+    family = spec.family
+    if len(coords) != family.n_coords:
+        raise ValueError(f"{spec.kind} expects {family.n_coords} domain "
+                         f"coordinates, got {len(coords)}")
+    try:
+        return family.evaluator(spec, *coords)
+    except OverflowError:
+        raise ValueError(f"{spec.label()}: the closed-form lift overflows "
+                         f"at these parameters") from None
 
 
 def lift_at(spec: SurfaceSpec, a1, a2, chart=None) -> Jet2:

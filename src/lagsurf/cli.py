@@ -9,24 +9,24 @@ byte-identical reruns are part of the contract.
 from __future__ import annotations
 
 import argparse
+import ast
 import csv
 import io
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .atlas import ChartDomainError, build_grid, random_points
-from .catalog import (AMBIENT_BY_KIND, KINDS, PARAM_NAMES, SPHERE_KINDS,
-                      SurfaceSpec, validate_params)
+from .atlas import build_grid, random_points
+from .catalog import FAMILIES, KINDS, SurfaceSpec, validate_params
 from .geom import (circularity_route_gap, density_moduli_gap, ellipse_samples,
                    gauss_curvature_intrinsic, point_geometry,
                    product_identity_check, radius_route_gap,
                    scaled_circularity)
-from .numerics import DegeneratePointError
-from .scans import UnsupportedDomainError, curvature_scan, pinching_report, willmore
+from .scans import curvature_scan, pinching_report, willmore
 
 # Default thresholds for every named check; --tol NAME=VALUE overrides one.
 TOLERANCES: dict[str, float] = {
@@ -54,19 +54,6 @@ TOLERANCES: dict[str, float] = {
 
 _CONFIG_KEYS = ("surface", "t", "s", "r1", "r2", "grid", "quad", "tol",
                 "format", "out", "seed", "angles")
-
-# One-line summaries shown by `lagsurf list`.
-_KIND_NOTES = {
-    "whitney-c2": "flat-target sphere immersion; Gauss curvature spans [0, 1]",
-    "whitney-cp2": "sphere family in the positively curved target; t >= 0",
-    "whitney-ch2": "sphere family in the negatively curved target; t > 0",
-    "totally-geodesic-cp2": "real form; the second fundamental form vanishes",
-    "psi-ch2": "complete noncompact family on the punctured plane",
-    "eta-ch2": "complete noncompact example on the plane",
-    "clifford-torus": "minimal flat torus; ellipse radius 1/sqrt(2) everywhere",
-    "product-torus-c2": "circle product; the ellipse degenerates to a segment",
-}
-
 
 class ConfigError(ValueError):
     """The run configuration is malformed (unknown key, bad value)."""
@@ -108,42 +95,55 @@ class RunConfig:
 def parse_surface_token(token: str) -> tuple[str, dict[str, float]]:
     """Split ``kind`` or ``kind(a,b)`` into a kind and keyword parameters."""
     token = token.strip()
-    params: dict[str, float] = {}
+    values: list[str] = []
     if token.endswith(")"):
-        head, _, tail = token.partition("(")
-        head = head.strip()
-        if head == "product-torus":
-            head = "product-torus-c2"
+        token, _, tail = token.partition("(")
+        token = token.strip()
         values = [part.strip() for part in tail[:-1].split(",") if part.strip()]
-        names = PARAM_NAMES.get(head, ())
-        if len(values) > len(names):
-            raise ConfigError(
-                f"surface {head!r} takes at most {len(names)} parameters")
-        for name, text in zip(names, values):
-            params[name] = _parse_number(text)
-        token = head
     if token == "product-torus":
         token = "product-torus-c2"
-    if token not in KINDS:
+    family = FAMILIES.get(token)
+    names = family.params if family else ()
+    if len(values) > len(names):
+        raise ConfigError(
+            f"surface {token!r} takes at most {len(names)} parameters")
+    params = {name: _parse_number(text) for name, text in zip(names, values)}
+    if family is None:
         raise ConfigError(
             f"unknown surface {token!r}; choose one of {', '.join(KINDS)}")
     return token, params
 
 
+_CONSTANTS = {"pi": math.pi, "e": math.e}
+_OPERATORS = {ast.UAdd: operator.pos, ast.USub: operator.neg,
+              ast.Add: operator.add, ast.Sub: operator.sub,
+              ast.Mult: operator.mul, ast.Div: operator.truediv}
+
+
+def _arith(node) -> float:
+    """Value of a + - * / expression over numbers, pi and e, in floats."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return float(node.value)
+    if isinstance(node, ast.Name) and node.id in _CONSTANTS:
+        return _CONSTANTS[node.id]
+    op = _OPERATORS.get(type(getattr(node, "op", None)))
+    if isinstance(node, ast.UnaryOp) and op is not None:
+        return op(_arith(node.operand))
+    if isinstance(node, ast.BinOp) and op is not None:
+        return op(_arith(node.left), _arith(node.right))
+    raise ValueError("unsupported expression")
+
+
 def _parse_number(text: str) -> float:
-    """Parse a float, allowing simple arithmetic with pi (e.g. 'pi/3')."""
+    """Parse a finite number, allowing + - * / with pi and e ('pi/3')."""
     try:
-        return float(text)
-    except ValueError:
-        pass
-    allowed = set("0123456789.+-*/() pie")
-    if not text or set(text) - allowed:
-        raise ConfigError(f"cannot parse number {text!r}")
-    try:
-        value = eval(text, {"__builtins__": {}}, {"pi": math.pi, "e": math.e})
-    except Exception:
+        value = _arith(ast.parse(text.strip(), mode="eval").body)
+    except (SyntaxError, ValueError, ArithmeticError, RecursionError,
+            MemoryError):
         raise ConfigError(f"cannot parse number {text!r}") from None
-    return float(value)
+    if not math.isfinite(value):
+        raise ConfigError(f"cannot parse number {text!r}")
+    return value
 
 
 def _parse_pair(text: str) -> tuple[int, int]:
@@ -272,7 +272,7 @@ def _identity_checks(spec: SurfaceSpec, pg, cfg: RunConfig,
                product_identity_check(pg), cfg.tolerance("product_identity")),
     ]
     scaled = scaled_circularity(pg)
-    if spec.kind == "product-torus-c2":
+    if not spec.family.circular:
         checks.append(_check(
             "non_circularity",
             "min scaled |D| stays above tol: the ellipse is never a circle",
@@ -305,30 +305,6 @@ def _gauss_check(spec: SurfaceSpec, cfg: RunConfig, chart) -> dict:
                   float(gap), cfg.tolerance("gauss_routes"))
 
 
-def _expected_k_range(spec: SurfaceSpec):
-    if spec.kind in ("whitney-c2",):
-        return 0.0, 1.0
-    if spec.kind == "whitney-cp2":
-        return 1.0, 1.0 + 2.0 * math.sinh(spec.t) ** 2
-    if spec.kind == "whitney-ch2":
-        return -1.0, -1.0 + 2.0 * math.cosh(spec.t) ** 2
-    if spec.kind == "totally-geodesic-cp2":
-        return 1.0, 1.0
-    if spec.kind in ("clifford-torus", "product-torus-c2"):
-        return 0.0, 0.0
-    return None
-
-
-def _expected_willmore(spec: SurfaceSpec):
-    """(value, tolerance name) when the energy has a closed form."""
-    if spec.kind in SPHERE_KINDS:
-        return 8.0 * math.pi, "willmore"
-    if spec.kind == "product-torus-c2":
-        ratio = spec.r1 / spec.r2 + spec.r2 / spec.r1
-        return math.pi ** 2 * ratio, "willmore_torus"
-    return None
-
-
 def _willmore_payload(rep) -> dict:
     return {
         "integral_h2": rep.integral_h2,
@@ -347,25 +323,22 @@ def _willmore_payload(rep) -> dict:
 
 def _emit(text: str, cfg: RunConfig) -> None:
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(cfg.out, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot write report {cfg.out!r}: {exc}") from None
     else:
         print(text)
 
 
 def cmd_list(cfg: RunConfig, args: argparse.Namespace) -> int:
-    charts = {"psi-ch2": "polar-annulus", "eta-ch2": "planar"}
-    rows = []
-    for kind in KINDS:
-        chart = charts.get(kind, "spherical" if kind in SPHERE_KINDS
-                           else "torus")
-        rows.append({
-            "kind": kind,
-            "ambient": AMBIENT_BY_KIND[kind].model,
-            "parameters": list(PARAM_NAMES.get(kind, ())),
-            "chart": chart,
-            "note": _KIND_NOTES[kind],
-        })
+    rows = [{"kind": kind,
+             "ambient": family.ambient.model,
+             "parameters": list(family.params),
+             "chart": family.chart.kind,
+             "note": family.note} for kind, family in FAMILIES.items()]
     if getattr(args, "json", False):
         _emit(json.dumps(rows, indent=2), cfg)
         return 0
@@ -379,7 +352,7 @@ def cmd_list(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _probe_point(cfg: RunConfig, args: argparse.Namespace):
+def _probe_point(args: argparse.Namespace):
     a1 = _parse_number(args.a1)
     a2 = _parse_number(args.a2)
     return a1, a2
@@ -392,7 +365,7 @@ def _vector_payload(vec: np.ndarray) -> dict:
 
 def cmd_probe(cfg: RunConfig, args: argparse.Namespace) -> int:
     spec = cfg.spec()
-    a1, a2 = _probe_point(cfg, args)
+    a1, a2 = _probe_point(args)
     chart = spec.default_chart
     pg = point_geometry(spec, a1, a2, chart=chart)
     checks = _identity_checks(spec, pg, cfg, cfg.angles)
@@ -446,10 +419,10 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     checks = _identity_checks(spec, pg, cfg, cfg.angles)
     checks.append(_gauss_check(spec, cfg, chart))
 
+    family = spec.family
     k_lo, k_hi = float(np.min(pg.K)), float(np.max(pg.K))
-    expected = _expected_k_range(spec)
-    if expected is not None:
-        lo, hi = expected
+    if family.k_range is not None:
+        lo, hi = family.k_range(spec)
         gap = max(lo - k_lo, k_hi - hi, 0.0)
         checks.append(_check(
             "curvature_range",
@@ -465,9 +438,8 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
         "K_range": [k_lo, k_hi],
         "R_range": [float(np.min(pg.R)), float(np.max(pg.R))],
     }
-    closed_form = _expected_willmore(spec)
-    if closed_form is not None:
-        value, tol_name = closed_form
+    if family.willmore is not None:
+        value, tol_name = family.willmore(spec)
         rep = willmore(spec, orders=cfg.quad)
         checks.append(_check(
             "willmore", f"energy integral matches {value:.12g}",
@@ -480,7 +452,7 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_ellipse(cfg: RunConfig, args: argparse.Namespace) -> int:
     spec = cfg.spec()
-    a1, a2 = _probe_point(cfg, args)
+    a1, a2 = _probe_point(args)
     pg = point_geometry(spec, a1, a2, chart=spec.default_chart)
     samples, fit = ellipse_samples(pg, cfg.angles)
     if cfg.format == "csv":
@@ -627,11 +599,9 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args)
         return args.func(cfg, args)
-    except (ConfigError, ChartDomainError, DegeneratePointError,
-            UnsupportedDomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
+        # config, chart-domain, degenerate-point and unsupported-integral
+        # errors are all ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,10 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SIG_C2 = np.array([1.0, 1.0])
-SIG_S5 = np.array([1.0, 1.0, 1.0])
-SIG_H51 = np.array([1.0, 1.0, -1.0])
-
 # Gram systems with condition number above this mark a degenerate
 # (non-immersed or numerically singular) point.
 GRAM_COND_LIMIT = 1e8
@@ -30,26 +26,6 @@ GRAM_COND_LIMIT = 1e8
 
 class DegeneratePointError(ValueError):
     """Gram system too ill-conditioned to invert (singular point)."""
-
-
-def complex_from_reals(flat):
-    """Pair a flat real vector (..., 2m) into complex components (..., m).
-
-    Convention: consecutive reals pair as (r1 + i*r2, r3 + i*r4, ...).
-    """
-    flat = np.asarray(flat, dtype=float)
-    if flat.shape[-1] % 2:
-        raise ValueError("flat real vector must have even length")
-    return flat[..., 0::2] + 1j * flat[..., 1::2]
-
-
-def reals_from_complex(z):
-    """Flatten complex components (..., m) to interleaved reals (..., 2m)."""
-    z = np.asarray(z, dtype=complex)
-    out = np.empty(z.shape[:-1] + (2 * z.shape[-1],))
-    out[..., 0::2] = z.real
-    out[..., 1::2] = z.imag
-    return out
 
 
 def herm_pair(a, b, sig):
@@ -66,11 +42,6 @@ def herm_pair(a, b, sig):
 def real_pair(a, b, sig):
     """Real part of the Hermitian pairing: the (pseudo-)Riemannian metric."""
     return herm_pair(a, b, sig).real
-
-
-def norm_sq(a, sig):
-    """Signature-aware squared norm real_pair(a, a); may be negative."""
-    return real_pair(a, a, sig)
 
 
 def apply_J(a):

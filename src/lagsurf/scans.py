@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atlas import build_grid, sphere_quadrature, torus_quadrature
-from .catalog import SPHERE_KINDS, TORUS_KINDS, SurfaceSpec, validate_params
+from .catalog import SurfaceSpec
 from .geom import point_geometry, scaled_circularity
 
 PINCH_THRESHOLD = 1.0 / math.sqrt(2.0)
@@ -22,10 +22,6 @@ PINCH_THRESHOLD = 1.0 / math.sqrt(2.0)
 
 class UnsupportedDomainError(ValueError):
     """Raised for global integrals the surface's domain cannot support."""
-
-
-def _compact(spec: SurfaceSpec) -> bool:
-    return spec.kind in SPHERE_KINDS or spec.kind in TORUS_KINDS
 
 
 def _height_coordinate(chart, a1, a2):
@@ -73,7 +69,7 @@ def curvature_scan(spec: SurfaceSpec, grid=(64, 64), chart=None,
     height z where the chart lives on a sphere — the catalog's extremum
     structure is expressed in z.
     """
-    validate_params(spec)
+    compact = spec.family.chi is not None
     if chart is None:
         chart = spec.default_chart
     n1, n2 = grid
@@ -91,7 +87,7 @@ def curvature_scan(spec: SurfaceSpec, grid=(64, 64), chart=None,
     d_max_scaled = float(np.max(d_scaled))
 
     return ScanReport(
-        spec=spec, grid=(n1, n2), compact=_compact(spec),
+        spec=spec, grid=(n1, n2), compact=compact,
         k_min=float(k[i_min]), k_max=float(k[i_max]),
         argmin=(float(a1[i_min]), float(a2[i_min])),
         argmax=(float(a1[i_max]), float(a2[i_max])),
@@ -127,20 +123,17 @@ def willmore(spec: SurfaceSpec, orders=(128, 256)) -> WillmoreReport:
     rule.  The defect reported is |W - 4 pi chi|, which the energy bound
     turns into an equality exactly for the Whitney-type spheres.
     """
-    validate_params(spec)
-    if spec.kind in SPHERE_KINDS:
-        rule = sphere_quadrature(*orders)
-        chi = 2
-    elif spec.kind == "product-torus-c2":
-        rule = torus_quadrature(*orders)
-        chi = 0
-    elif spec.kind == "clifford-torus":
+    family = spec.family
+    if family.quadrature is None:
         raise UnsupportedDomainError(
-            "clifford-torus: the angle parametrization covers its projected "
+            f"{spec.kind}: noncompact domain has no Willmore integral here"
+            if family.chi is None else
+            f"{spec.kind}: the angle parametrization covers its projected "
             "image more than once, so the plain integral over-counts")
-    else:
-        raise UnsupportedDomainError(
-            f"{spec.kind}: noncompact domain has no Willmore integral here")
+    # built per call, so rebinding the module-level names (bench tracing)
+    # reaches every rule
+    rules = {"sphere": sphere_quadrature, "torus": torus_quadrature}
+    rule = rules[family.quadrature](*orders)
 
     pg = point_geometry(spec, rule.nodes1, rule.nodes2)
     det = pg.g[..., 0, 0] * pg.g[..., 1, 1] - pg.g[..., 0, 1] ** 2
@@ -149,8 +142,9 @@ def willmore(spec: SurfaceSpec, orders=(128, 256)) -> WillmoreReport:
     integral_h2 = float(np.sum(rule.weights * pg.H2 * area_element))
     w = integral_h2 + spec.ambient.c / 2.0 * area
     return WillmoreReport(spec=spec, integral_h2=integral_h2, area=area,
-                          c=spec.ambient.c, w=w, chi=chi,
-                          defect=abs(w - 4.0 * math.pi * chi), orders=orders)
+                          c=spec.ambient.c, w=w, chi=family.chi,
+                          defect=abs(w - 4.0 * math.pi * family.chi),
+                          orders=orders)
 
 
 def pinching_hypothesis(scan: ScanReport, tol: float = 1e-8) -> bool:

@@ -10,7 +10,7 @@ import pytest
 from gram_reference import frame_condition, reference_split
 from lagsurf.ambient import (C2, CH2, CP2, gram_condition, lagrangian_defect,
                              horizontality_defect, membership_defect,
-                             second_form_split, space_by_model)
+                             second_form_split)
 from lagsurf.atlas import build_grid
 from lagsurf.catalog import SurfaceSpec, lift_at
 from lagsurf.cli import TOLERANCES
@@ -38,9 +38,6 @@ def test_space_constants():
     assert C2.c == 0.0 and not C2.is_lifted
     assert CP2.c == 4.0 and CP2.lift_norm == 1.0
     assert CH2.c == -4.0 and CH2.lift_norm == -1.0
-    assert space_by_model("cp2") is CP2
-    with pytest.raises(ValueError):
-        space_by_model("cp3")
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label())
@@ -99,8 +96,7 @@ def test_position_coefficient_sign():
     spec = SurfaceSpec("clifford-torus")
     lift = lift_at(spec, 0.3, 1.2)
     split = second_form_split(lift, spec.ambient)
-    from lagsurf.numerics import SIG_S5, real_pair
-    g11 = real_pair(lift.d1, lift.d1, SIG_S5)
+    g11 = real_pair(lift.d1, lift.d1, CP2.sig)
     assert float(split.position[..., 0]) == pytest.approx(-float(g11),
                                                           abs=1e-12)
 

@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 
 from lagsurf.atlas import ChartDomainError, SphereChart, build_grid
-from lagsurf.catalog import (KINDS, PARAM_NAMES, SurfaceSpec, evaluate_lift,
+from lagsurf.catalog import (FAMILIES, KINDS, SurfaceSpec, evaluate_lift,
                              lift_at, validate_params)
 from lagsurf.numerics import Jet2
 
 
 def test_kind_inventory():
     assert len(KINDS) == 8
-    assert set(PARAM_NAMES) <= set(KINDS)
+    # every parameter a family reads is a SurfaceSpec field
+    assert all(hasattr(SurfaceSpec, name)
+               for family in FAMILIES.values() for name in family.params)
 
 
 def test_unknown_kind_lists_alternatives():
@@ -29,6 +31,9 @@ def test_unknown_kind_lists_alternatives():
     (SurfaceSpec("psi-ch2", s=-0.1), "pi/4"),
     (SurfaceSpec("product-torus-c2", r1=0.0), "positive radii"),
     (SurfaceSpec("product-torus-c2", r2=-1.0), "positive radii"),
+    (SurfaceSpec("whitney-cp2", t=float("nan")), "finite t"),
+    (SurfaceSpec("psi-ch2", s=float("nan")), "finite s"),
+    (SurfaceSpec("product-torus-c2", r1=float("inf")), "finite r1"),
 ])
 def test_out_of_range_parameters(spec, fragment):
     with pytest.raises(ValueError, match=fragment):

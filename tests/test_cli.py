@@ -10,8 +10,10 @@ import pathlib
 
 import pytest
 
-from lagsurf.cli import (TOLERANCES, ConfigError, main, parse_surface_token,
-                         read_config_file, resolve_config)
+from lagsurf.catalog import FAMILIES
+from lagsurf.cli import (TOLERANCES, ConfigError, _parse_number, main,
+                         parse_surface_token, read_config_file,
+                         resolve_config)
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -68,6 +70,26 @@ def test_config_file_round_trip(tmp_path):
     assert resolved.tolerance("membership") == TOLERANCES["membership"]
 
 
+@pytest.mark.parametrize("text, value", [
+    ("pi/3", math.pi / 3.0),
+    ("-pi/4", -math.pi / 4.0),
+    ("2*pi/5", 2.0 * math.pi / 5.0),
+    ("e", math.e),
+    ("(1+2)/3", 1.0),
+    ("0.25", 0.25),
+])
+def test_parse_number_arithmetic(text, value):
+    assert _parse_number(text) == value
+
+
+@pytest.mark.parametrize("text", ["2**3", "1/0", "nan", "inf", "1e999",
+                                  "abs(1)", "pi.real", "1j", ""])
+def test_parse_number_rejections_exit_2(text, capsys):
+    # the torus chart takes any angle, so only the parse can fail here
+    assert main(["probe", "--surface", "clifford-torus", text, "1"]) == 2
+    assert "cannot parse number" in capsys.readouterr().err
+
+
 def test_config_file_rejects_unknown_key(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("surfaze = clifford-torus\n")
@@ -88,6 +110,30 @@ def test_exit_code_usage_errors(capsys):
                  "--tol", "bogus=1"]) == 2
     assert main(["verify"]) == 2  # no surface selected
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["--surface", "whitney-cp2", "--t", "nan"], "needs a finite t, got nan"),
+    (["--surface", "whitney-cp2", "--t", "inf"], "needs a finite t, got inf"),
+    (["--surface", "psi-ch2", "--s=-inf"], "needs a finite s"),
+    (["--surface", "product-torus(1,2)", "--r2", "nan"], "finite r2"),
+    (["--surface", "whitney-cp2(1e3)"],
+     "whitney-cp2(1000): the closed-form lift overflows"),
+    (["--surface", "whitney-ch2(1e3)"], "the closed-form lift overflows"),
+])
+def test_exit_code_non_finite_or_overflowing_parameter(argv, fragment,
+                                                       capsys):
+    assert main(["verify"] + argv + ["--grid", "8x8"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err
+
+
+def test_exit_code_unwritable_out(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    assert main(["verify", "--surface", "clifford-torus", "--grid", "8x8",
+                 "--quad", "16x16", "--out", str(target)]) == 2
+    assert "cannot write report" in capsys.readouterr().err
+    assert not target.exists()
 
 
 def test_exit_code_degenerate_frame(capsys):
@@ -190,6 +236,30 @@ def test_scan_payload(capsys):
     assert payload["circular"] and payload["minimal"] and payload["compact"]
     assert payload["R_min"] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
     assert any("holds" in line for line in payload["pinching"])
+
+
+# one valid surface token per catalog kind
+_VALID_SURFACE = {"whitney-cp2": "whitney-cp2(0.5)",
+                  "whitney-ch2": "whitney-ch2(0.5)",
+                  "psi-ch2": "psi-ch2(0.3)",
+                  "product-torus-c2": "product-torus-c2(1,2)"}
+
+
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_registry_agrees_with_subcommands(kind, capsys):
+    family = FAMILIES[kind]
+    surface = ["--surface", _VALID_SURFACE.get(kind, kind)]
+    _, out = run_cli(capsys, ["list", "--json"])
+    listed = {row["kind"]: row for row in json.loads(out)}[kind]
+    code, out = run_cli(capsys, ["probe"] + surface + ["1.0", "0.5"])
+    assert code == 0
+    assert json.loads(out)["chart"] == listed["chart"]
+    code, out = run_cli(capsys, ["scan"] + surface + ["--grid", "8x8"])
+    assert code == 0
+    assert json.loads(out)["compact"] == (family.chi is not None)
+    code = main(["willmore"] + surface + ["--quad", "8x16"])
+    capsys.readouterr()
+    assert (code == 0) == (family.quadrature is not None)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from gram_reference import project_onto_span, span_coefficients
-from lagsurf.numerics import (SIG_C2, SIG_H51, SIG_S5, DegeneratePointError,
-                              real_pair)
+from lagsurf.ambient import C2, CH2, CP2
+from lagsurf.numerics import DegeneratePointError, real_pair
 
+SIG_C2, SIG_S5, SIG_H51 = C2.sig, CP2.sig, CH2.sig
 SIGS = {"c2": SIG_C2, "s5": SIG_S5, "h51": SIG_H51}
 
 
