@@ -81,13 +81,15 @@ def lagrangian_defect(lift: Jet2, space: AmbientSpace) -> float:
 class FrameSplit:
     """Decomposition of the three second derivatives of the lift.
 
-    The leading ``..., 3`` axis enumerates the parameter pairs (11, 12, 22).
+    ``metric`` is the induced metric g_ij (shape ``..., 2, 2``).  The
+    ``..., 3`` axis of the rest enumerates the parameter pairs (11, 12, 22).
     ``tangent`` holds the coefficients on (d1, d2); ``normal`` is the
     component in the span of (J d1, J d2) as an ambient vector; ``position``
     and ``fiber`` are the coefficients on the lift itself and on i*psi
     (None when the target is flat).
     """
 
+    metric: np.ndarray
     tangent: np.ndarray
     normal: np.ndarray
     position: np.ndarray | None
@@ -135,8 +137,9 @@ def second_form_split(lift: Jet2, space: AmbientSpace) -> FrameSplit:
     measure.  So with h = herm(d_uv psi, b), g^-1 h on (d1, d2) gives the
     tangent (real part) and normal (imaginary part, on J d1, J d2)
     coefficients, and h / nu on psi (nu the model's lift norm) gives
-    position + i * fiber.  The gate is gram_condition, off-block terms
-    included.  Also returned, each relative to 1 + the local scale: the
+    position + i * fiber.  Gates, in order: g positive definite, then
+    gram_condition (off-block terms included) under GRAM_COND_LIMIT.
+    Also returned: g and, each relative to 1 + the local scale, the
     residual of the full reconstruction against d_uv psi, which certifies
     the split and picks up any neglected coupling; the deviation of the
     position coefficient from -g_uv / nu; and the fiber coefficient, which
@@ -144,13 +147,19 @@ def second_form_split(lift: Jet2, space: AmbientSpace) -> FrameSplit:
     """
     sig = space.sig
     d1, d2, psi = lift.d1, lift.d2, lift.v
-    g11 = real_pair(d1, d1, sig)
-    g22 = real_pair(d2, d2, sig)
-    t12 = herm_pair(d1, d2, sig)
-    g12 = t12.real
-    off_block = ((herm_pair(d1, psi, sig), herm_pair(d2, psi, sig),
-                  real_pair(psi, psi, sig)) if space.is_lifted else ())
-    cond = gram_condition(g11, g22, t12, *off_block)
+    # a huge jet overflows here; the Gram gate reports the inf or nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        g11 = real_pair(d1, d1, sig)
+        g22 = real_pair(d2, d2, sig)
+        t12 = herm_pair(d1, d2, sig)
+        g12 = t12.real
+        det = g11 * g22 - g12 * g12
+        if np.any(g11 <= 0.0) or np.any(det <= 0.0):
+            raise DegeneratePointError(
+                "induced metric is not positive definite")
+        off_block = ((herm_pair(d1, psi, sig), herm_pair(d2, psi, sig),
+                      real_pair(psi, psi, sig)) if space.is_lifted else ())
+        cond = gram_condition(g11, g22, t12, *off_block)
     if np.any(~np.isfinite(cond)) or np.any(cond > GRAM_COND_LIMIT):
         raise DegeneratePointError(
             f"frame Gram condition number {np.max(cond):.3e} exceeds "
@@ -161,10 +170,9 @@ def second_form_split(lift: Jet2, space: AmbientSpace) -> FrameSplit:
     h = [np.einsum("...pm,...m->...p", second, np.conj(b) * sig)
          for b in basis]
     # g^-1 h by the closed-form 2x2 inverse, broadcast over the pairs
-    m11, m12, m22 = (x[..., None] for x in (g11, g12, g22))
-    det = m11 * m22 - m12 * m12
-    z1 = (m22 * h[0] - m12 * h[1]) / det
-    z2 = (m11 * h[1] - m12 * h[0]) / det
+    m11, m12, m22, mdet = (x[..., None] for x in (g11, g12, g22, det))
+    z1 = (m22 * h[0] - m12 * h[1]) / mdet
+    z2 = (m11 * h[1] - m12 * h[0]) / mdet
 
     # normal part and reconstruction gap share one temporary buffer
     b1, b2 = d1[..., None, :], d2[..., None, :]
@@ -186,7 +194,10 @@ def second_form_split(lift: Jet2, space: AmbientSpace) -> FrameSplit:
         fiber_defect = float(np.max(np.abs(fiber) / gscale))
 
     residual = _norm(gap) / (1.0 + _norm(second))
-    return FrameSplit(tangent=np.stack([z1.real, z2.real], axis=-1),
+    metric = np.stack([np.stack([g11, g12], axis=-1),
+                       np.stack([g12, g22], axis=-1)], axis=-2)
+    return FrameSplit(metric=metric,
+                      tangent=np.stack([z1.real, z2.real], axis=-1),
                       normal=normal, position=position, fiber=fiber,
                       split_residual=float(np.max(residual)),
                       position_defect=position_defect,

@@ -43,6 +43,10 @@ class SphereChart:
         st, ct = jet_sin(jt), jet_cos(jt)
         return sp * ct, sp * st, cp
 
+    def height(self, phi, theta):
+        """The sphere height z = cos(phi) of chart points."""
+        return np.cos(phi)
+
 
 class StereographicChart:
     """Stereographic plane chart (u, v) -> (x, y, z).
@@ -103,17 +107,13 @@ class PolarAnnulusChart:
     """Polar chart (r, theta) -> (Re z, Im z) on the punctured plane.
 
     The puncture z = 0 is a chart boundary: r > 0 always, and grids keep
-    r >= r_min (default 0.2) so conditioning stays healthy.
+    0.2 <= r <= 5 so conditioning stays healthy.
     """
 
     kind = "polar-annulus"
     periodic = (False, True)
+    bounds = ((0.2, 5.0), (0.0, 2.0 * np.pi))
     default_margins = (0.0, 0.0)
-
-    def __init__(self, r_min: float = 0.2, r_max: float = 5.0):
-        if not 0.0 < r_min < r_max:
-            raise ValueError("need 0 < r_min < r_max")
-        self.bounds = ((r_min, r_max), (0.0, 2.0 * np.pi))
 
     def contains(self, r, theta):
         return np.asarray(r, dtype=float) > 0.0
@@ -158,24 +158,24 @@ def _axis(chart, i, n, margin):
     return np.linspace(lo, hi, n)
 
 
-def build_grid(chart, n1, n2, margins=None):
+def build_grid(chart, n1, n2):
     """Deterministic n1 x n2 lattice of chart points, away from excluded sets.
 
-    Returns two flat arrays of length n1*n2.  Margins are fractions of the
-    non-periodic axis spans; periodic axes ignore them.
+    Returns two flat arrays of length n1*n2.  The chart's default margins
+    are fractions of the non-periodic axis spans; periodic axes ignore them.
     """
     if n1 < 2 or n2 < 2:
         raise ValueError("grid needs n1, n2 >= 2")
-    m1, m2 = chart.default_margins if margins is None else margins
+    m1, m2 = chart.default_margins
     a1 = _axis(chart, 0, n1, m1)
     a2 = _axis(chart, 1, n2, m2)
     g1, g2 = np.meshgrid(a1, a2, indexing="ij")
     return g1.ravel(), g2.ravel()
 
 
-def random_points(chart, n, rng, margins=None):
+def random_points(chart, n, rng):
     """Seeded uniform sample of n interior chart points."""
-    m1, m2 = chart.default_margins if margins is None else margins
+    m1, m2 = chart.default_margins
     out = []
     for i, m in ((0, m1), (1, m2)):
         lo, hi = chart.bounds[i]

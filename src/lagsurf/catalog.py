@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,9 +26,6 @@ from .atlas import (
     TorusChart,
 )
 from .numerics import Jet2, jet_cos, jet_sin
-
-_DEFAULTS = {"t": 0.0, "s": 0.0, "r1": 1.0, "r2": 1.0}
-
 
 @dataclass(frozen=True)
 class Family:
@@ -103,8 +100,9 @@ def validate_params(spec: SurfaceSpec) -> None:
     if family is None:
         raise ValueError(f"unknown surface kind {spec.kind!r}; expected one "
                          f"of: {', '.join(KINDS)}")
-    for name, default in _DEFAULTS.items():
-        if name not in family.params and getattr(spec, name) != default:
+    for param in fields(SurfaceSpec)[1:]:  # every field after kind
+        name = param.name
+        if name not in family.params and getattr(spec, name) != param.default:
             raise ValueError(f"{spec.kind} takes no parameter {name!r}")
     for name in family.params:
         if not math.isfinite(getattr(spec, name)):
@@ -256,8 +254,9 @@ def evaluate_lift(spec: SurfaceSpec, coords) -> Jet2:
         raise ValueError(f"{spec.kind} expects {family.n_coords} domain "
                          f"coordinates, got {len(coords)}")
     try:
-        return family.evaluator(spec, *coords)
-    except OverflowError:
+        with np.errstate(over="raise", invalid="raise"):
+            return family.evaluator(spec, *coords)
+    except (OverflowError, FloatingPointError):
         raise ValueError(f"{spec.label()}: the closed-form lift overflows "
                          f"at these parameters") from None
 

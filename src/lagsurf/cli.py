@@ -16,7 +16,7 @@ import json
 import math
 import operator
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -26,31 +26,8 @@ from .geom import (circularity_route_gap, density_moduli_gap, ellipse_samples,
                    gauss_curvature_intrinsic, point_geometry,
                    product_identity_check, radius_route_gap,
                    scaled_circularity)
+from .numerics import TOLERANCES
 from .scans import curvature_scan, pinching_report, willmore
-
-# Default thresholds for every named check; --tol NAME=VALUE overrides one.
-TOLERANCES: dict[str, float] = {
-    "membership": 1e-10,
-    "horizontality": 1e-10,
-    "lagrangian": 1e-10,
-    "split_residual": 1e-10,
-    "position_coeff": 1e-10,
-    "fiber_coeff": 1e-10,
-    "c_symmetry": 1e-10,
-    "circularity_routes": 1e-10,
-    "gauss_routes": 1e-4,
-    "density_moduli": 1e-8,
-    "product_identity": 1e-9,
-    "radius_routes": 1e-8,
-    "ellipse_fit": 1e-8,
-    "circularity": 1e-8,
-    # margin, not an error bound: min scaled |D| must stay above this
-    "non_circularity": 1e-2,
-    "minimality": 1e-8,
-    "curvature_range": 1e-6,
-    "willmore": 1e-5,
-    "willmore_torus": 1e-6,
-}
 
 _CONFIG_KEYS = ("surface", "t", "s", "r1", "r2", "grid", "quad", "tol",
                 "format", "out", "seed", "angles")
@@ -83,10 +60,10 @@ class RunConfig:
         if self.surface is None:
             raise ConfigError("no surface selected; pass --surface KIND")
         kind, inline = parse_surface_token(self.surface)
-        for name in ("t", "s", "r1", "r2"):
-            value = getattr(self, name)
+        for param in fields(SurfaceSpec)[1:]:  # every field after kind
+            value = getattr(self, param.name)
             if value is not None:
-                inline[name] = value
+                inline[param.name] = value
         spec = SurfaceSpec(kind, **inline)
         validate_params(spec)
         return spec
@@ -237,8 +214,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 # check construction
 
 
-def _check(name: str, detail: str, defect: float, tol: float,
-           exceed: bool = False) -> dict:
+def _check(name: str, detail: str, defect: float, cfg: RunConfig,
+           tol_name: str | None = None, exceed: bool = False) -> dict:
+    """One report row, judged by the tolerance named tol_name or name."""
+    tol = cfg.tolerance(tol_name or name)
     defect = float(defect)
     ok = defect > tol if exceed else defect <= tol
     return {"name": name, "detail": detail, "max_defect": defect,
@@ -250,46 +229,43 @@ def _identity_checks(spec: SurfaceSpec, pg, cfg: RunConfig,
     """The pointwise checks shared by `verify` (on a grid) and `probe`."""
     checks = [
         _check("membership", "lift lies on the model quadric",
-               pg.membership, cfg.tolerance("membership")),
+               pg.membership, cfg),
         _check("horizontality", "lift tangents are horizontal",
-               pg.horizontality, cfg.tolerance("horizontality")),
+               pg.horizontality, cfg),
         _check("lagrangian", "tangent plane is Lagrangian",
-               pg.lagrangian, cfg.tolerance("lagrangian")),
+               pg.lagrangian, cfg),
         _check("split_residual", "second derivatives recombine from the split",
-               pg.split_residual, cfg.tolerance("split_residual")),
+               pg.split_residual, cfg),
         _check("position_coeff", "position coefficient matches -g/nu",
-               pg.position_defect, cfg.tolerance("position_coeff")),
+               pg.position_defect, cfg),
         _check("fiber_coeff", "no fiber component in second derivatives",
-               pg.fiber_defect, cfg.tolerance("fiber_coeff")),
+               pg.fiber_defect, cfg),
         _check("c_symmetry", "cubic tensor is fully symmetric",
-               pg.c_symmetry_defect, cfg.tolerance("c_symmetry")),
+               pg.c_symmetry_defect, cfg),
         _check("circularity_routes",
                "|D| route agrees with the cubic-tensor expansion",
-               circularity_route_gap(pg), cfg.tolerance("circularity_routes")),
+               circularity_route_gap(pg), cfg),
         _check("density_moduli", "|Hc| = |H| and |F|^2 = c/2 + |H|^2 - 2K",
-               density_moduli_gap(pg), cfg.tolerance("density_moduli")),
+               density_moduli_gap(pg), cfg),
         _check("product_identity", "F * conj(Hc) matches D up to the Im sign",
-               product_identity_check(pg), cfg.tolerance("product_identity")),
+               product_identity_check(pg), cfg),
     ]
     scaled = scaled_circularity(pg)
     if not spec.family.circular:
         checks.append(_check(
             "non_circularity",
             "min scaled |D| stays above tol: the ellipse is never a circle",
-            float(np.min(scaled)), cfg.tolerance("non_circularity"),
-            exceed=True))
+            float(np.min(scaled)), cfg, exceed=True))
     else:
         checks.append(_check("circularity", "max scaled |D| over the sample",
-                             float(np.max(scaled)),
-                             cfg.tolerance("circularity")))
+                             float(np.max(scaled)), cfg))
         checks.append(_check("radius_routes",
                              "R from the invariants matches both sigma routes",
-                             radius_route_gap(pg),
-                             cfg.tolerance("radius_routes")))
+                             radius_route_gap(pg), cfg))
         _, fit = ellipse_samples(pg, n_angles)
         checks.append(_check("ellipse_fit",
                              "sampled curve fits a circle in the normal plane",
-                             fit, cfg.tolerance("ellipse_fit")))
+                             fit, cfg))
     return checks
 
 
@@ -302,7 +278,7 @@ def _gauss_check(spec: SurfaceSpec, cfg: RunConfig, chart) -> dict:
     gap = np.max(np.abs(k_int - pg.K) / (1.0 + np.abs(pg.K)))
     return _check("gauss_routes",
                   "metric-only curvature agrees at 200 seeded points",
-                  float(gap), cfg.tolerance("gauss_routes"))
+                  float(gap), cfg)
 
 
 def _willmore_payload(rep) -> dict:
@@ -373,7 +349,7 @@ def cmd_probe(cfg: RunConfig, args: argparse.Namespace) -> int:
     gap = abs(float(k_int) - float(pg.K)) / (1.0 + abs(float(pg.K)))
     checks.append(_check("gauss_routes",
                          "metric-only curvature agrees at the probe point",
-                         gap, cfg.tolerance("gauss_routes")))
+                         gap, cfg))
     report = {
         "surface": spec.kind,
         "params": spec.params(),
@@ -424,10 +400,8 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     if family.k_range is not None:
         lo, hi = family.k_range(spec)
         gap = max(lo - k_lo, k_hi - hi, 0.0)
-        checks.append(_check(
-            "curvature_range",
-            f"K stays inside [{lo:g}, {hi:g}]",
-            gap, cfg.tolerance("curvature_range")))
+        checks.append(_check("curvature_range",
+                             f"K stays inside [{lo:g}, {hi:g}]", gap, cfg))
 
     report = {
         "surface": spec.kind,
@@ -443,7 +417,7 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
         rep = willmore(spec, orders=cfg.quad)
         checks.append(_check(
             "willmore", f"energy integral matches {value:.12g}",
-            abs(rep.w - value), cfg.tolerance(tol_name)))
+            abs(rep.w - value), cfg, tol_name=tol_name))
         report["willmore"] = _willmore_payload(rep)
     report["pass"] = all(c["pass"] for c in checks)
     _emit(json.dumps(report, indent=2), cfg)

@@ -5,7 +5,7 @@ fundamental form on that frame -> mean/Gauss curvature, the cubic
 coefficient tensor, and the ellipse-of-curvature data (circularity defect,
 frame densities, radius).  Every quantity is batched: evaluating a grid is
 one call.  Cross-route consistency checks are never folded into each other;
-each has its own defect number.
+each has its own defect number.  Gates read their limits from TOLERANCES.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from . import ambient as amb
 from .ambient import AmbientSpace
 from .catalog import SurfaceSpec, lift_at
-from .numerics import DegeneratePointError, Jet2, apply_J, real_pair
+from .numerics import TOLERANCES, Jet2, apply_J, real_pair
 
 
 @dataclass(frozen=True)
@@ -114,17 +114,12 @@ def geometry_from_jet(lift: Jet2, space: AmbientSpace) -> PointGeometry:
     The jet can come from the catalog, from a rescaled catalog jet, or from
     any hand-built map; nothing here assumes more than an immersed surface
     with the stated lift constraints (and it measures those rather than
-    assuming them).
+    assuming them).  Degenerate points are rejected by the split's gates.
     """
-    sig = space.sig
-    g11 = real_pair(lift.d1, lift.d1, sig)
-    g12 = real_pair(lift.d1, lift.d2, sig)
-    g22 = real_pair(lift.d2, lift.d2, sig)
+    split = amb.second_form_split(lift, space)
+    g = split.metric
+    g11, g12, g22 = g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]
     det = g11 * g22 - g12 * g12
-    if np.any(g11 <= 0.0) or np.any(det <= 0.0):
-        raise DegeneratePointError("induced metric is not positive definite")
-    g = np.stack([np.stack([g11, g12], axis=-1),
-                  np.stack([g12, g22], axis=-1)], axis=-2)
 
     # Gram-Schmidt in chart order fixes the frame orientation
     p = 1.0 / np.sqrt(g11)
@@ -133,7 +128,6 @@ def geometry_from_jet(lift: Jet2, space: AmbientSpace) -> PointGeometry:
     e1 = p[..., None] * lift.d1
     e2 = q[..., None] * lift.d1 + r[..., None] * lift.d2
 
-    split = amb.second_form_split(lift, space)
     sc11 = split.normal[..., 0, :]
     sc12 = split.normal[..., 1, :]
     sc22 = split.normal[..., 2, :]
@@ -214,12 +208,13 @@ def circularity_route_gap(pg: PointGeometry) -> float:
     return float(np.max(np.abs(expanded - pg.D) / _sigma_scale(pg)))
 
 
-def circularity_defect(pg: PointGeometry, route_tol: float = 1e-10):
+def circularity_defect(pg: PointGeometry):
     """The complex circularity defect D, after both routes agree.
 
     D = (|s11 - s22|^2 / 4 - |s12|^2) + i <s11 - s22, s12> vanishes exactly
     when the ellipse of curvature is a circle (a point counts).
     """
+    route_tol = TOLERANCES["circularity_routes"]
     gap = circularity_route_gap(pg)
     if gap > route_tol:
         raise RuntimeError(
@@ -235,13 +230,14 @@ def density_moduli_gap(pg: PointGeometry) -> float:
     return float(max(np.max(hc_gap), np.max(f_gap)))
 
 
-def frame_densities(pg: PointGeometry, tol: float = 1e-8):
+def frame_densities(pg: PointGeometry):
     """The cubic density F and mean density Hc, with their moduli enforced.
 
     |Hc|^2 must equal |H|^2, and |F|^2 must equal c/2 + |H|^2 - 2K; both are
     checked relative to their own scale.  F == 0 characterizes the
     Whitney-type examples, Hc == 0 the minimal ones.
     """
+    tol = TOLERANCES["density_moduli"]
     worst = density_moduli_gap(pg)
     if worst > tol:
         raise RuntimeError(
@@ -282,14 +278,15 @@ def radius_route_gap(pg: PointGeometry) -> float:
     return float(worst / (1.0 + np.max(pg.R)))
 
 
-def radius(pg: PointGeometry, circ_tol: float = 1e-8,
-           route_tol: float = 1e-8) -> np.ndarray:
+def radius(pg: PointGeometry) -> np.ndarray:
     """Radius of the (circular) ellipse of curvature, three routes checked.
 
     Defined only where the ellipse is a circle; a non-circular point raises,
     carrying the scaled |D| that failed the gate.  The returned value is the
     curvature-identity route; the direct routes must agree with it.
     """
+    circ_tol = TOLERANCES["circularity"]
+    route_tol = TOLERANCES["radius_routes"]
     circ = float(np.max(np.abs(pg.D) / _sigma_scale(pg)))
     if circ > circ_tol:
         raise ValueError(

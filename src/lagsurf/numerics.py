@@ -23,9 +23,33 @@ import numpy as np
 # (non-immersed or numerically singular) point.
 GRAM_COND_LIMIT = 1e8
 
+# Default thresholds for every named check; --tol NAME=VALUE overrides one.
+TOLERANCES: dict[str, float] = {
+    "membership": 1e-10,
+    "horizontality": 1e-10,
+    "lagrangian": 1e-10,
+    "split_residual": 1e-10,
+    "position_coeff": 1e-10,
+    "fiber_coeff": 1e-10,
+    "c_symmetry": 1e-10,
+    "circularity_routes": 1e-10,
+    "gauss_routes": 1e-4,
+    "density_moduli": 1e-8,
+    "product_identity": 1e-9,
+    "radius_routes": 1e-8,
+    "ellipse_fit": 1e-8,
+    "circularity": 1e-8,
+    # margin, not an error bound: min scaled |D| must stay above this
+    "non_circularity": 1e-2,
+    "minimality": 1e-8,
+    "curvature_range": 1e-6,
+    "willmore": 1e-5,
+    "willmore_torus": 1e-6,
+}
+
 
 class DegeneratePointError(ValueError):
-    """Gram system too ill-conditioned to invert (singular point)."""
+    """Indefinite induced metric or ill-conditioned frame Gram system."""
 
 
 def herm_pair(a, b, sig):

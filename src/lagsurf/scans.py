@@ -16,24 +16,15 @@ import numpy as np
 from .atlas import build_grid, sphere_quadrature, torus_quadrature
 from .catalog import SurfaceSpec
 from .geom import point_geometry, scaled_circularity
+from .numerics import TOLERANCES
 
 PINCH_THRESHOLD = 1.0 / math.sqrt(2.0)
+# grid round-off allowed below the threshold, and above K = 0 for "flat"
+_PINCH_SLACK = 1e-8
 
 
 class UnsupportedDomainError(ValueError):
     """Raised for global integrals the surface's domain cannot support."""
-
-
-def _height_coordinate(chart, a1, a2):
-    """The sphere height z of chart points, when the chart has one."""
-    kind = getattr(chart, "kind", "")
-    if kind == "spherical":
-        return np.cos(a1)
-    if kind.startswith("stereographic"):
-        rr = a1 ** 2 + a2 ** 2
-        z = (rr - 1.0) / (rr + 1.0)
-        return -z if chart.pole == "south" else z
-    return None
 
 
 @dataclass(frozen=True)
@@ -56,22 +47,23 @@ class ScanReport:
     h_max: float
     circular: bool
     minimal: bool
-    circ_tol: float
-    minimal_tol: float
 
 
-def curvature_scan(spec: SurfaceSpec, grid=(64, 64), chart=None,
-                   circ_tol: float = 1e-8,
-                   minimal_tol: float = 1e-8) -> ScanReport:
+def curvature_scan(spec: SurfaceSpec, grid=(64, 64),
+                   circ_tol: float | None = None,
+                   minimal_tol: float | None = None) -> ScanReport:
     """Sample the invariants over a chart grid and aggregate the extremes.
 
     The curvature arg-extrema come back as chart points, plus the sphere
-    height z where the chart lives on a sphere — the catalog's extremum
-    structure is expressed in z.
+    height z where the chart has one — the catalog's extremum structure is
+    expressed in z.  Unset tolerances come from TOLERANCES.
     """
+    if circ_tol is None:
+        circ_tol = TOLERANCES["circularity"]
+    if minimal_tol is None:
+        minimal_tol = TOLERANCES["minimality"]
     compact = spec.family.chi is not None
-    if chart is None:
-        chart = spec.default_chart
+    chart = spec.default_chart
     n1, n2 = grid
     a1, a2 = build_grid(chart, n1, n2)
     pg = point_geometry(spec, a1, a2, chart=chart)
@@ -79,7 +71,7 @@ def curvature_scan(spec: SurfaceSpec, grid=(64, 64), chart=None,
     k = np.asarray(pg.K)
     i_min = int(np.argmin(k))
     i_max = int(np.argmax(k))
-    z = _height_coordinate(chart, a1, a2)
+    z = chart.height(a1, a2) if hasattr(chart, "height") else None
 
     d_abs = np.abs(pg.D)
     d_scaled = scaled_circularity(pg)
@@ -97,8 +89,7 @@ def curvature_scan(spec: SurfaceSpec, grid=(64, 64), chart=None,
         d_max=float(np.max(d_abs)), d_max_scaled=d_max_scaled,
         h_max=h_max,
         circular=bool(d_max_scaled < circ_tol),
-        minimal=bool(h_max < minimal_tol),
-        circ_tol=circ_tol, minimal_tol=minimal_tol)
+        minimal=bool(h_max < minimal_tol))
 
 
 @dataclass(frozen=True)
@@ -147,14 +138,14 @@ def willmore(spec: SurfaceSpec, orders=(128, 256)) -> WillmoreReport:
                           orders=orders)
 
 
-def pinching_hypothesis(scan: ScanReport, tol: float = 1e-8) -> bool:
+def pinching_hypothesis(scan: ScanReport) -> bool:
     """Whether the scanned surface satisfies: compact, circular ellipse,
-    and radius >= 1/sqrt(2) grid-wide (up to tol)."""
+    and radius >= 1/sqrt(2) grid-wide (up to round-off)."""
     return (scan.compact and scan.circular
-            and scan.r_min >= PINCH_THRESHOLD - tol)
+            and scan.r_min >= PINCH_THRESHOLD - _PINCH_SLACK)
 
 
-def pinching_report(scan: ScanReport, tol: float = 1e-8) -> str:
+def pinching_report(scan: ScanReport) -> str:
     """Human-readable audit of the radius-pinching classification.
 
     States whether the hypothesis (compact + circular + R >= 1/sqrt(2))
@@ -162,7 +153,7 @@ def pinching_report(scan: ScanReport, tol: float = 1e-8) -> str:
     whether the outcome agrees with the catalog ground truth, where the
     minimal flat torus is the only member expected to pass.
     """
-    holds = pinching_hypothesis(scan, tol)
+    holds = pinching_hypothesis(scan)
     expected = scan.spec.kind == "clifford-torus"
     lines = [
         f"surface: {scan.spec.label()}   grid: {scan.grid[0]}x{scan.grid[1]}",
@@ -170,12 +161,13 @@ def pinching_report(scan: ScanReport, tol: float = 1e-8) -> str:
         f"(max scaled |D| = {scan.d_max_scaled:.3e})",
         f"R range: [{scan.r_min:.9f}, {scan.r_max:.9f}]   "
         f"threshold 1/sqrt(2) = {PINCH_THRESHOLD:.9f}",
-        f"pinching hypothesis (compact, circular, R >= threshold - {tol:g}):"
+        f"pinching hypothesis (compact, circular, R >= threshold - "
+        f"{_PINCH_SLACK:g}):"
         f" {'holds' if holds else 'fails'}",
         f"minimal: {scan.minimal} (max |H| = {scan.h_max:.3e})   "
         f"K range: [{scan.k_min:.9f}, {scan.k_max:.9f}]",
     ]
-    if holds and scan.minimal and scan.k_max <= tol:
+    if holds and scan.minimal and scan.k_max <= _PINCH_SLACK:
         lines.append("flat minimal case: surface matches the pinched "
                      "classification target")
     agree = holds == expected

@@ -120,6 +120,21 @@ def test_rank_deficient_point_raises():
         second_form_split(collapsed, CP2)
 
 
+@pytest.mark.parametrize("space, d1, d2", [
+    (C2, [1.0, 0.0], [2.0, 0.0]),             # d2 = 2 d1: det g = 0
+    (CH2, [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]),  # timelike d1: g11 = -1
+])
+def test_split_gates_a_metric_that_is_not_positive_definite(space, d1, d2):
+    zero = np.zeros(space.dim, dtype=complex)
+    value = zero.copy()
+    value[0] = 1.0
+    lift = Jet2(value, np.asarray(d1, dtype=complex),
+                np.asarray(d2, dtype=complex), zero, zero, zero)
+    with pytest.raises(DegeneratePointError,
+                       match="induced metric is not positive definite"):
+        second_form_split(lift, space)
+
+
 # ---------------------------------------------------------------------------
 # the closed-form split against the general 6x6 Gram solve
 

@@ -7,9 +7,11 @@ import io
 import json
 import math
 import pathlib
+import warnings
 
 import pytest
 
+from lagsurf import numerics
 from lagsurf.catalog import FAMILIES
 from lagsurf.cli import (TOLERANCES, ConfigError, _parse_number, main,
                          parse_surface_token, read_config_file,
@@ -126,6 +128,23 @@ def test_exit_code_non_finite_or_overflowing_parameter(argv, fragment,
     assert main(["verify"] + argv + ["--grid", "8x8"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and fragment in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--surface", "eta-ch2", "1e200", "1"],
+    ["--surface", "whitney-cp2(300)", "1", "1"],
+    ["--surface", "product-torus(1e300,1)", "0.1", "0.2"],
+])
+def test_exit_code_overflow_prints_one_line_and_no_warning(argv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["probe"] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_cli_reads_the_library_tolerance_table():
+    assert TOLERANCES is numerics.TOLERANCES
 
 
 def test_exit_code_unwritable_out(tmp_path, capsys):

@@ -13,6 +13,7 @@ from lagsurf.geom import (circularity_defect, circularity_route_gap,
                           geometry_from_jet, point_geometry,
                           product_identity_check, radius, radius_route_gap,
                           rotate_frame, scaled_circularity)
+from lagsurf.numerics import TOLERANCES
 
 CIRCULAR_SPECS = [
     SurfaceSpec("whitney-c2"),
@@ -223,6 +224,29 @@ def test_radius_gate_rejects_non_circular():
                         0.1, 0.2)
     with pytest.raises(ValueError, match="not circular"):
         radius(pg)
+
+
+@pytest.mark.parametrize("name, gate, message", [
+    ("circularity_routes", circularity_defect, "circularity routes disagree"),
+    ("density_moduli", frame_densities, "density modulus identity"),
+    ("circularity", radius, "not circular"),
+    ("radius_routes", radius, "radius routes disagree"),
+])
+def test_library_gates_read_the_tolerance_table(name, gate, message,
+                                                monkeypatch):
+    pg = _grid_geometry(SurfaceSpec("clifford-torus"), n=9)
+    gate(pg)
+    monkeypatch.setitem(TOLERANCES, name, -1.0)
+    with pytest.raises((ValueError, RuntimeError), match=message):
+        gate(pg)
+
+
+def test_radius_gate_widens_with_the_tolerance_table(monkeypatch):
+    pg = point_geometry(SurfaceSpec("product-torus-c2", r1=1.0, r2=2.0),
+                        0.1, 0.2)
+    monkeypatch.setitem(TOLERANCES, "circularity", 10.0)
+    monkeypatch.setitem(TOLERANCES, "radius_routes", 10.0)
+    assert np.isfinite(radius(pg))
 
 
 def test_ellipse_samples_period_pi():

@@ -1,4 +1,5 @@
-"""No public module-level name in src/ exists only for the tests.
+"""No public module-level name in src/ exists only for the tests, and no
+defaulted parameter in src/ is left at its default by every caller.
 
 A public function, class or constant must be exported in
 ``lagsurf.__all__``, be the console-script entry point, or be used by
@@ -64,3 +65,83 @@ def unused_public_names() -> list[str]:
 
 def test_no_test_only_code_in_src():
     assert unused_public_names() == []
+
+
+# ---------------------------------------------------------------------------
+# no defaulted parameter that no caller sets
+
+CALLERS = (SRC, ROOT / "tests", ROOT / "demos")
+
+
+def _defaulted(func, method: bool) -> list[tuple[str, int | None]]:
+    """(name, positional index or None) of each parameter with a default."""
+    positional = [a.arg for a in func.args.posonlyargs + func.args.args]
+    if method:
+        positional = positional[1:]  # self or cls, never passed explicitly
+    out = [(name, i) for i, name in enumerate(positional)
+           if i >= len(positional) - len(func.args.defaults)]
+    out += [(a.arg, None) for a, d in zip(func.args.kwonlyargs,
+                                          func.args.kw_defaults)
+            if d is not None]
+    return out
+
+
+def _src_defaults():
+    """(label, callable name, parameter, positional index) over src/."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        classes = {id(f): cls for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) for f in cls.body}
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            cls = classes.get(id(func))
+            if cls is None:
+                called = label = func.name
+            elif func.name == "__init__":
+                called = label = cls.name
+            else:
+                called, label = func.name, f"{cls.name}.{func.name}"
+            for name, index in _defaulted(func, cls is not None):
+                found.append((f"{label}.{name}", called, name, index))
+    return found
+
+
+def _calls() -> dict[str, list[ast.Call]]:
+    """Every call in src/, tests/ and demos/, by the name it calls."""
+    calls: dict[str, list[ast.Call]] = {}
+    for folder in CALLERS:
+        for path in sorted(folder.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = (func.id if isinstance(func, ast.Name) else
+                            func.attr if isinstance(func, ast.Attribute)
+                            else None)
+                    calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _sets(call: ast.Call, name: str, index: int | None) -> bool:
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if any(k.arg is None or k.arg == name for k in call.keywords):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def unset_parameters() -> list[str]:
+    """Defaulted src/ parameters that no call in src/, tests/ or demos/
+    sets, by keyword or by position.  ``__init__`` is called by its class
+    name; a call passing ``*args`` or ``**kwargs`` sets every parameter.
+    Calls match by name alone, so a same-named callee also counts."""
+    calls = _calls()
+    return [label for label, called, name, index in _src_defaults()
+            if not any(_sets(call, name, index)
+                       for call in calls.get(called, ()))]
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    assert unset_parameters() == []
