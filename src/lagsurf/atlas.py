@@ -28,8 +28,8 @@ class SphereChart:
 
     kind = "spherical"
     periodic = (False, True)
-    bounds = ((0.0, np.pi), (0.0, 2.0 * np.pi))
-    default_margins = (0.02, 0.0)
+    # grids keep 2% of the colatitude span away from each pole
+    bounds = ((0.02 * np.pi, np.pi - 0.02 * np.pi), (0.0, 2.0 * np.pi))
 
     def contains(self, phi, theta):
         phi = np.asarray(phi, dtype=float)
@@ -57,7 +57,6 @@ class StereographicChart:
 
     periodic = (False, False)
     bounds = ((-4.0, 4.0), (-4.0, 4.0))
-    default_margins = (0.0, 0.0)
 
     def __init__(self, pole: str = "north"):
         if pole not in ("north", "south"):
@@ -93,7 +92,6 @@ class PlanarChart:
     kind = "planar"
     periodic = (False, False)
     bounds = ((-3.0, 3.0), (-3.0, 3.0))
-    default_margins = (0.0, 0.0)
 
     def contains(self, x, y):
         return np.ones(np.broadcast(np.asarray(x), np.asarray(y)).shape,
@@ -113,7 +111,6 @@ class PolarAnnulusChart:
     kind = "polar-annulus"
     periodic = (False, True)
     bounds = ((0.2, 5.0), (0.0, 2.0 * np.pi))
-    default_margins = (0.0, 0.0)
 
     def contains(self, r, theta):
         return np.asarray(r, dtype=float) > 0.0
@@ -135,7 +132,6 @@ class TorusChart:
     kind = "torus"
     periodic = (True, True)
     bounds = ((0.0, 2.0 * np.pi), (0.0, 2.0 * np.pi))
-    default_margins = (0.0, 0.0)
 
     def contains(self, t1, t2):
         return np.ones(np.broadcast(np.asarray(t1), np.asarray(t2)).shape,
@@ -145,45 +141,32 @@ class TorusChart:
         return Jet2.variables(t1, t2)
 
 
-def _axis(chart, i, n, margin):
+def _axis(chart, i, n):
     lo, hi = chart.bounds[i]
     if chart.periodic[i]:
         return np.linspace(lo, hi, n, endpoint=False)
-    span = hi - lo
-    lo, hi = lo + margin * span, hi - margin * span
-    if hi <= lo:
-        raise ValueError("empty grid axis after margins")
     if hasattr(chart, "grid_axis1") and i == 0:
         return chart.grid_axis1(n, lo, hi)
     return np.linspace(lo, hi, n)
 
 
 def build_grid(chart, n1, n2):
-    """Deterministic n1 x n2 lattice of chart points, away from excluded sets.
+    """Deterministic n1 x n2 lattice over the chart's sampling box.
 
-    Returns two flat arrays of length n1*n2.  The chart's default margins
-    are fractions of the non-periodic axis spans; periodic axes ignore them.
+    Returns two flat arrays of length n1*n2.  The box (``chart.bounds``)
+    keeps away from excluded sets; periodic axes omit the endpoint.
     """
     if n1 < 2 or n2 < 2:
         raise ValueError("grid needs n1, n2 >= 2")
-    m1, m2 = chart.default_margins
-    a1 = _axis(chart, 0, n1, m1)
-    a2 = _axis(chart, 1, n2, m2)
-    g1, g2 = np.meshgrid(a1, a2, indexing="ij")
+    g1, g2 = np.meshgrid(_axis(chart, 0, n1), _axis(chart, 1, n2),
+                         indexing="ij")
     return g1.ravel(), g2.ravel()
 
 
 def random_points(chart, n, rng):
-    """Seeded uniform sample of n interior chart points."""
-    m1, m2 = chart.default_margins
-    out = []
-    for i, m in ((0, m1), (1, m2)):
-        lo, hi = chart.bounds[i]
-        if not chart.periodic[i]:
-            span = hi - lo
-            lo, hi = lo + m * span, hi - m * span
-        out.append(rng.uniform(lo, hi, size=n))
-    return out[0], out[1]
+    """Seeded uniform sample of n points in the chart's sampling box."""
+    (lo1, hi1), (lo2, hi2) = chart.bounds
+    return rng.uniform(lo1, hi1, size=n), rng.uniform(lo2, hi2, size=n)
 
 
 @dataclass(frozen=True)

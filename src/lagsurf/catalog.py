@@ -258,7 +258,7 @@ def evaluate_lift(spec: SurfaceSpec, coords) -> Jet2:
             return family.evaluator(spec, *coords)
     except (OverflowError, FloatingPointError):
         raise ValueError(f"{spec.label()}: the closed-form lift overflows "
-                         f"at these parameters") from None
+                         f"at these parameters or chart coordinates") from None
 
 
 def lift_at(spec: SurfaceSpec, a1, a2, chart=None) -> Jet2:

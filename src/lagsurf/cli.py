@@ -16,7 +16,9 @@ import json
 import math
 import operator
 import sys
-from dataclasses import dataclass, field, fields
+from collections.abc import Callable
+from dataclasses import dataclass, fields
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -29,44 +31,16 @@ from .geom import (circularity_route_gap, density_moduli_gap, ellipse_samples,
 from .numerics import TOLERANCES
 from .scans import curvature_scan, pinching_report, willmore
 
-_CONFIG_KEYS = ("surface", "t", "s", "r1", "r2", "grid", "quad", "tol",
-                "format", "out", "seed", "angles")
 
 class ConfigError(ValueError):
     """The run configuration is malformed (unknown key, bad value)."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved options for one subcommand invocation."""
-
-    surface: str | None = None
-    t: float | None = None
-    s: float | None = None
-    r1: float | None = None
-    r2: float | None = None
-    grid: tuple[int, int] = (64, 64)
-    quad: tuple[int, int] = (128, 256)
-    tol: dict[str, float] = field(default_factory=dict)
-    format: str = "json"
-    out: str | None = None
-    seed: int = 0
-    angles: int = 64
+class RunConfig(SimpleNamespace):
+    """One subcommand's resolved options, plus ``spec`` and ``point``."""
 
     def tolerance(self, name: str) -> float:
         return self.tol.get(name, TOLERANCES[name])
-
-    def spec(self) -> SurfaceSpec:
-        if self.surface is None:
-            raise ConfigError("no surface selected; pass --surface KIND")
-        kind, inline = parse_surface_token(self.surface)
-        for param in fields(SurfaceSpec)[1:]:  # every field after kind
-            value = getattr(self, param.name)
-            if value is not None:
-                inline[param.name] = value
-        spec = SurfaceSpec(kind, **inline)
-        validate_params(spec)
-        return spec
 
 
 def parse_surface_token(token: str) -> tuple[str, dict[str, float]]:
@@ -124,11 +98,8 @@ def _parse_number(text: str) -> float:
 
 
 def _parse_pair(text: str) -> tuple[int, int]:
-    parts = text.lower().split("x")
-    if len(parts) != 2:
-        raise ConfigError(f"expected N1xN2, got {text!r}")
     try:
-        n1, n2 = int(parts[0]), int(parts[1])
+        n1, n2 = (int(part) for part in text.lower().split("x"))
     except ValueError:
         raise ConfigError(f"expected N1xN2, got {text!r}") from None
     if n1 < 2 or n2 < 2:
@@ -136,24 +107,75 @@ def _parse_pair(text: str) -> tuple[int, int]:
     return n1, n2
 
 
-def _parse_tol(text: str) -> tuple[str, float]:
+def _parse_tol(text: str) -> dict[str, float]:
     name, sep, value = text.partition("=")
     name = name.strip()
     if not sep or name not in TOLERANCES:
         known = ", ".join(sorted(TOLERANCES))
         raise ConfigError(f"bad tolerance {text!r}; known names: {known}")
     try:
-        return name, float(value)
+        tol = float(value)
     except ValueError:
-        raise ConfigError(f"bad tolerance value in {text!r}") from None
+        tol = math.nan
+    if not 0.0 <= tol < math.inf:  # finite and non-negative; nan fails
+        raise ConfigError(f"bad tolerance value in {text!r}")
+    return {name: tol}
 
 
-def read_config_file(path: str) -> dict:
-    """Parse a key=value config file; '#' starts a comment."""
-    data: dict = {}
-    tols: dict[str, float] = {}
+def _parse_format(text: str) -> str:
+    if text not in ("json", "csv"):
+        raise ConfigError("format must be 'json' or 'csv'")
+    return text
+
+
+@dataclass(frozen=True)
+class Option:
+    """One ``--name`` flag, also a config-file key unless ``convert`` is
+    None (an on/off switch).  ``default`` is text converted like a given
+    value (None: unset); the entries of a ``repeat`` option merge by name."""
+
+    convert: Callable[[str], object] | None
+    default: str | None
+    help: str
+    metavar: str | None = None
+    repeat: bool = False
+
+
+OPTIONS = {
+    "surface": Option(str, None, "kind, or kind(v1,v2)"),
+    "t": Option(float, None, "family parameter t"),
+    "s": Option(float, None, "family parameter s"),
+    "r1": Option(float, None, "first circle radius"),
+    "r2": Option(float, None, "second circle radius"),
+    "grid": Option(_parse_pair, "64x64", "sample grid", "N1xN2"),
+    "quad": Option(_parse_pair, "128x256", "quadrature orders", "N1xN2"),
+    "angles": Option(int, "64", "ellipse sample count"),
+    "tol": Option(_parse_tol, None, "override one named tolerance",
+                  "NAME=VALUE", repeat=True),
+    "seed": Option(int, "0", "seed for sampled checks"),
+    "format": Option(_parse_format, "json", "output format, json or csv"),
+    "out": Option(str, None, "write the report to this path"),
+    "json": Option(None, None, "emit the catalog as JSON"),
+}
+_SURFACE = ("surface", "t", "s", "r1", "r2")
+
+
+def _convert(name: str, text: str):
     try:
-        lines = open(path, encoding="utf-8").read().splitlines()
+        return OPTIONS[name].convert(text)
+    except ConfigError:
+        raise
+    except ValueError:
+        raise ConfigError(f"bad value {text!r} for {name!r}") from None
+
+
+def read_config_file(path: str) -> list[tuple[str, object]]:
+    """(key, converted value) per line of a key=value config file ('#' starts
+    a comment); every line is checked, whichever subcommand runs."""
+    pairs = []
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None
     for lineno, raw in enumerate(lines, start=1):
@@ -164,50 +186,47 @@ def read_config_file(path: str) -> dict:
         key, value = key.strip(), value.strip()
         if not sep or not key:
             raise ConfigError(f"{path}:{lineno}: expected key=value")
-        if key == "tol":
-            name, tol = _parse_tol(value)
-            tols[name] = tol
-        elif key in _CONFIG_KEYS:
-            data[key] = value
-        else:
+        if key not in OPTIONS or OPTIONS[key].convert is None:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-    if tols:
-        data["tol"] = tols
-    return data
+        pairs.append((key, _convert(key, value)))
+    return pairs
+
+
+def _surface_spec(values: dict) -> SurfaceSpec:
+    if values["surface"] is None:
+        raise ConfigError("no surface selected; pass --surface KIND")
+    kind, inline = parse_surface_token(values["surface"])
+    inline.update({f.name: values[f.name] for f in fields(SurfaceSpec)[1:]
+                   if values[f.name] is not None})  # every field after kind
+    spec = SurfaceSpec(kind, **inline)
+    validate_params(spec)
+    return spec
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge config-file values with command-line flags (flags win)."""
-    data: dict = {}
-    if getattr(args, "config", None):
-        data.update(read_config_file(args.config))
-    tols = dict(data.pop("tol", {}))
-
-    converters = {
-        "surface": str,
-        "t": float, "s": float, "r1": float, "r2": float,
-        "grid": _parse_pair, "quad": _parse_pair,
-        "format": str, "out": str, "seed": int, "angles": int,
-    }
-    resolved: dict = {}
-    for key, conv in converters.items():
-        if key in data:
-            try:
-                resolved[key] = conv(data[key])
-            except ConfigError:
-                raise
-            except (TypeError, ValueError):
-                raise ConfigError(
-                    f"bad config value {data[key]!r} for {key!r}") from None
-        cli_value = getattr(args, key, None)
-        if cli_value is not None:
-            resolved[key] = cli_value
-    for text in getattr(args, "tol", None) or ():
-        name, tol = _parse_tol(text)
-        tols[name] = tol
-    if resolved.get("format") not in (None, "json", "csv"):
-        raise ConfigError("format must be 'json' or 'csv'")
-    return RunConfig(tol=tols, **resolved)
+    """The options the subcommand reads: the table default, then the config
+    file, then the flags.  Later values win; tolerances merge by name."""
+    command = COMMANDS[args.command]
+    given = read_config_file(args.config) if args.config else []
+    values = {}
+    for name in command.options:
+        opt = OPTIONS[name]
+        if opt.convert is None:
+            values[name] = getattr(args, name)
+            continue
+        values[name] = {} if opt.repeat else (
+            None if opt.default is None else _convert(name, opt.default))
+        given += [(name, _convert(name, text))
+                  for text in getattr(args, name) or ()]
+    for name, value in given:
+        if name in values:
+            values[name] = (values[name] | value if OPTIONS[name].repeat
+                            else value)
+    if "surface" in values:
+        values["spec"] = _surface_spec(values)
+    if command.point:
+        values["point"] = (_parse_number(args.a1), _parse_number(args.a2))
+    return RunConfig(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +243,7 @@ def _check(name: str, detail: str, defect: float, cfg: RunConfig,
             "tol": tol, "pass": bool(ok)}
 
 
-def _identity_checks(spec: SurfaceSpec, pg, cfg: RunConfig,
-                     n_angles: int) -> list[dict]:
+def _identity_checks(spec: SurfaceSpec, pg, cfg: RunConfig) -> list[dict]:
     """The pointwise checks shared by `verify` (on a grid) and `probe`."""
     checks = [
         _check("membership", "lift lies on the model quadric",
@@ -262,7 +280,7 @@ def _identity_checks(spec: SurfaceSpec, pg, cfg: RunConfig,
         checks.append(_check("radius_routes",
                              "R from the invariants matches both sigma routes",
                              radius_route_gap(pg), cfg))
-        _, fit = ellipse_samples(pg, n_angles)
+        _, fit = ellipse_samples(pg, cfg.angles)
         checks.append(_check("ellipse_fit",
                              "sampled curve fits a circle in the normal plane",
                              fit, cfg))
@@ -271,8 +289,7 @@ def _identity_checks(spec: SurfaceSpec, pg, cfg: RunConfig,
 
 def _gauss_check(spec: SurfaceSpec, cfg: RunConfig, chart) -> dict:
     """Intrinsic-vs-extrinsic curvature agreement at seeded random points."""
-    rng = np.random.default_rng(cfg.seed)
-    a1, a2 = random_points(chart, 200, rng)
+    a1, a2 = random_points(chart, 200, np.random.default_rng(cfg.seed))
     pg = point_geometry(spec, a1, a2, chart=chart)
     k_int = gauss_curvature_intrinsic(spec, a1, a2, chart=chart)
     gap = np.max(np.abs(k_int - pg.K) / (1.0 + np.abs(pg.K)))
@@ -282,15 +299,8 @@ def _gauss_check(spec: SurfaceSpec, cfg: RunConfig, chart) -> dict:
 
 
 def _willmore_payload(rep) -> dict:
-    return {
-        "integral_h2": rep.integral_h2,
-        "area": rep.area,
-        "c": rep.c,
-        "w": rep.w,
-        "chi": rep.chi,
-        "defect": rep.defect,
-        "orders": list(rep.orders),
-    }
+    return {f.name: getattr(rep, f.name)
+            for f in fields(rep)[1:]}  # every field after spec
 
 
 # ---------------------------------------------------------------------------
@@ -309,13 +319,13 @@ def _emit(text: str, cfg: RunConfig) -> None:
         print(text)
 
 
-def cmd_list(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_list(cfg: RunConfig) -> int:
     rows = [{"kind": kind,
              "ambient": family.ambient.model,
              "parameters": list(family.params),
              "chart": family.chart.kind,
              "note": family.note} for kind, family in FAMILIES.items()]
-    if getattr(args, "json", False):
+    if cfg.json:
         _emit(json.dumps(rows, indent=2), cfg)
         return 0
     width = max(len(r["kind"]) for r in rows)
@@ -328,23 +338,17 @@ def cmd_list(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _probe_point(args: argparse.Namespace):
-    a1 = _parse_number(args.a1)
-    a2 = _parse_number(args.a2)
-    return a1, a2
-
-
 def _vector_payload(vec: np.ndarray) -> dict:
     return {"re": [float(x) for x in np.real(vec)],
             "im": [float(x) for x in np.imag(vec)]}
 
 
-def cmd_probe(cfg: RunConfig, args: argparse.Namespace) -> int:
-    spec = cfg.spec()
-    a1, a2 = _probe_point(args)
+def cmd_probe(cfg: RunConfig) -> int:
+    spec = cfg.spec
+    a1, a2 = cfg.point
     chart = spec.default_chart
     pg = point_geometry(spec, a1, a2, chart=chart)
-    checks = _identity_checks(spec, pg, cfg, cfg.angles)
+    checks = _identity_checks(spec, pg, cfg)
     k_int = gauss_curvature_intrinsic(spec, a1, a2, chart=chart)
     gap = abs(float(k_int) - float(pg.K)) / (1.0 + abs(float(pg.K)))
     checks.append(_check("gauss_routes",
@@ -355,8 +359,7 @@ def cmd_probe(cfg: RunConfig, args: argparse.Namespace) -> int:
         "params": spec.params(),
         "point": [a1, a2],
         "chart": chart.kind,
-        "g": [[float(pg.g[..., 0, 0]), float(pg.g[..., 0, 1])],
-              [float(pg.g[..., 1, 0]), float(pg.g[..., 1, 1])]],
+        "g": [[float(pg.g[..., i, j]) for j in (0, 1)] for i in (0, 1)],
         "K": float(pg.K),
         "K_intrinsic": float(k_int),
         "H2": float(pg.H2),
@@ -387,12 +390,12 @@ def cmd_probe(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0 if report["pass"] else 1
 
 
-def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
-    spec = cfg.spec()
+def cmd_verify(cfg: RunConfig) -> int:
+    spec = cfg.spec
     chart = spec.default_chart
     a1, a2 = build_grid(chart, *cfg.grid)
     pg = point_geometry(spec, a1, a2, chart=chart)
-    checks = _identity_checks(spec, pg, cfg, cfg.angles)
+    checks = _identity_checks(spec, pg, cfg)
     checks.append(_gauss_check(spec, cfg, chart))
 
     family = spec.family
@@ -424,10 +427,9 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0 if report["pass"] else 1
 
 
-def cmd_ellipse(cfg: RunConfig, args: argparse.Namespace) -> int:
-    spec = cfg.spec()
-    a1, a2 = _probe_point(args)
-    pg = point_geometry(spec, a1, a2, chart=spec.default_chart)
+def cmd_ellipse(cfg: RunConfig) -> int:
+    spec = cfg.spec
+    pg = point_geometry(spec, *cfg.point, chart=spec.default_chart)
     samples, fit = ellipse_samples(pg, cfg.angles)
     if cfg.format == "csv":
         buffer = io.StringIO()
@@ -447,7 +449,7 @@ def cmd_ellipse(cfg: RunConfig, args: argparse.Namespace) -> int:
     payload = {
         "surface": spec.kind,
         "params": spec.params(),
-        "point": [a1, a2],
+        "point": list(cfg.point),
         "fit_residual": fit,
         "samples": [{
             "theta": sample.theta,
@@ -461,17 +463,17 @@ def cmd_ellipse(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_willmore(cfg: RunConfig, args: argparse.Namespace) -> int:
-    spec = cfg.spec()
+def cmd_willmore(cfg: RunConfig) -> int:
+    spec = cfg.spec
     rep = willmore(spec, orders=cfg.quad)
-    payload = {"surface": spec.kind, "params": spec.params()}
-    payload.update(_willmore_payload(rep))
+    payload = {"surface": spec.kind, "params": spec.params(),
+               **_willmore_payload(rep)}
     _emit(json.dumps(payload, indent=2), cfg)
     return 0
 
 
-def cmd_scan(cfg: RunConfig, args: argparse.Namespace) -> int:
-    spec = cfg.spec()
+def cmd_scan(cfg: RunConfig) -> int:
+    spec = cfg.spec
     scan = curvature_scan(spec, grid=cfg.grid,
                           circ_tol=cfg.tolerance("circularity"),
                           minimal_tol=cfg.tolerance("minimality"))
@@ -503,76 +505,61 @@ def cmd_scan(cfg: RunConfig, args: argparse.Namespace) -> int:
 # argument parsing
 
 
-def _add_common(parser: argparse.ArgumentParser, point: bool = False) -> None:
-    parser.add_argument("--surface", help="kind, or kind(v1,v2)")
-    parser.add_argument("--t", type=float, help="family parameter t")
-    parser.add_argument("--s", type=float, help="family parameter s")
-    parser.add_argument("--r1", type=float, help="first circle radius")
-    parser.add_argument("--r2", type=float, help="second circle radius")
-    parser.add_argument("--grid", type=_parse_pair, metavar="N1xN2",
-                        help="sample grid (default 64x64)")
-    parser.add_argument("--quad", type=_parse_pair, metavar="N1xN2",
-                        help="quadrature orders (default 128x256)")
-    parser.add_argument("--angles", type=int,
-                        help="ellipse sample count (default 64)")
-    parser.add_argument("--tol", action="append", metavar="NAME=VALUE",
-                        help="override one named tolerance")
-    parser.add_argument("--seed", type=int, help="seed for sampled checks")
-    parser.add_argument("--format", choices=("json", "csv"),
-                        help="output format where both are supported")
-    parser.add_argument("--out", help="write the report to this path")
-    parser.add_argument("--config", help="key=value config file")
-    if point:
-        parser.add_argument("a1", help="first chart coordinate (pi allowed)")
-        parser.add_argument("a2", help="second chart coordinate (pi allowed)")
+@dataclass(frozen=True)
+class Command:
+    """A subcommand: handler, help line, the options it reads, and whether
+    it takes a chart point (two positional coordinates)."""
+
+    run: Callable[[RunConfig], int]
+    help: str
+    options: tuple[str, ...]
+    point: bool = False
+
+
+COMMANDS = {
+    "list": Command(cmd_list, "enumerate the surface catalog",
+                    ("json", "out")),
+    "probe": Command(cmd_probe, "all pointwise invariants at one point",
+                     _SURFACE + ("angles", "tol", "out"), point=True),
+    "verify": Command(cmd_verify, "run the named checks on a sample grid",
+                      _SURFACE + ("grid", "quad", "angles", "tol", "seed",
+                                  "out")),
+    "ellipse": Command(cmd_ellipse, "sample the curvature ellipse at a point",
+                       _SURFACE + ("angles", "format", "out"), point=True),
+    "willmore": Command(cmd_willmore, "energy integral over a closed surface",
+                        _SURFACE + ("quad", "out")),
+    "scan": Command(cmd_scan, "grid extrema of K, R, |D|, |H|",
+                    _SURFACE + ("grid", "tol", "out")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, with exactly the flags it reads; every
+    value is collected as text and converted by ``resolve_config``."""
     parser = argparse.ArgumentParser(
         prog="lagsurf",
         description="Catalog and verification tools for Lagrangian surfaces "
                     "with prescribed curvature-ellipse shape.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_list = sub.add_parser("list", help="enumerate the surface catalog")
-    p_list.add_argument("--json", action="store_true",
-                        help="emit the catalog as JSON")
-    _add_common(p_list)
-    p_list.set_defaults(func=cmd_list)
-
-    p_probe = sub.add_parser("probe",
-                             help="all pointwise invariants at one point")
-    _add_common(p_probe, point=True)
-    p_probe.set_defaults(func=cmd_probe)
-
-    p_verify = sub.add_parser("verify",
-                              help="run the named checks on a sample grid")
-    _add_common(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_ellipse = sub.add_parser("ellipse",
-                               help="sample the curvature ellipse at a point")
-    _add_common(p_ellipse, point=True)
-    p_ellipse.set_defaults(func=cmd_ellipse)
-
-    p_will = sub.add_parser("willmore",
-                            help="energy integral over a closed surface")
-    _add_common(p_will)
-    p_will.set_defaults(func=cmd_willmore)
-
-    p_scan = sub.add_parser("scan",
-                            help="grid extrema of K, R, |D|, |H|")
-    _add_common(p_scan)
-    p_scan.set_defaults(func=cmd_scan)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for key in command.options:
+            opt = OPTIONS[key]
+            shown = "" if opt.default is None else f" (default {opt.default})"
+            kind = ({"action": "store_true"} if opt.convert is None else
+                    {"action": "append", "metavar": opt.metavar})
+            p.add_argument(f"--{key}", help=opt.help + shown, **kind)
+        p.add_argument("--config", help="key=value config file")
+        if command.point:
+            p.add_argument("a1", help="first chart coordinate (pi allowed)")
+            p.add_argument("a2", help="second chart coordinate (pi allowed)")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = resolve_config(args)
-        return args.func(cfg, args)
+        return COMMANDS[args.command].run(resolve_config(args))
     except ValueError as exc:
         # config, chart-domain, degenerate-point and unsupported-integral
         # errors are all ValueErrors

@@ -345,22 +345,25 @@ def ellipse_samples(pg: PointGeometry, n_angles: int):
 
 
 def gauss_curvature_intrinsic(spec: SurfaceSpec, a1, a2, chart=None,
-                              step: float = 1e-3,
                               refine: bool = True) -> np.ndarray:
     """Intrinsic Gauss curvature by finite differences of the metric alone.
 
-    Central 3x3 stencil in the chart parameters feeds the classical
-    determinant formula for K in terms of E, F, G and their first/second
-    derivatives.  Completely independent of the second fundamental form,
+    Central 3x3 stencil (step 1e-3) in the chart parameters feeds the
+    classical determinant formula for K in terms of E, F, G and their
+    first/second derivatives.  Independent of the second fundamental form,
     so it cross-checks the ambient-identity route.  ``refine`` adds one
     step-halving extrapolation, cancelling the leading O(step^2) error.
     """
     if chart is None:
         chart = spec.default_chart
-    if refine:
-        k1 = gauss_curvature_intrinsic(spec, a1, a2, chart, step, False)
-        k2 = gauss_curvature_intrinsic(spec, a1, a2, chart, step / 2, False)
-        return (4.0 * k2 - k1) / 3.0
+    k1 = _metric_curvature(spec, a1, a2, chart, 1e-3)
+    if not refine:
+        return k1
+    return (4.0 * _metric_curvature(spec, a1, a2, chart, 5e-4) - k1) / 3.0
+
+
+def _metric_curvature(spec: SurfaceSpec, a1, a2, chart, step) -> np.ndarray:
+    """K from the metric on one central stencil of the given step."""
     a1 = np.asarray(a1, dtype=float)
     a2 = np.asarray(a2, dtype=float)
     offsets = (-step, 0.0, step)

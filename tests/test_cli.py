@@ -7,6 +7,7 @@ import io
 import json
 import math
 import pathlib
+import re
 import warnings
 
 import pytest
@@ -14,8 +15,7 @@ import pytest
 from lagsurf import numerics
 from lagsurf.catalog import FAMILIES
 from lagsurf.cli import (TOLERANCES, ConfigError, _parse_number, main,
-                         parse_surface_token, read_config_file,
-                         resolve_config)
+                         parse_surface_token, read_config_file)
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -55,21 +55,21 @@ def test_parse_surface_token_forms():
         parse_surface_token("whitney-cp2(1,2,3)")
 
 
-def test_config_file_round_trip(tmp_path):
+def test_config_file_round_trip(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("# comment\nsurface = clifford-torus\ngrid = 8x8\n"
-                   "tol = circularity=1e-6\nseed = 3\n")
-    data = read_config_file(str(cfg))
-    assert data["surface"] == "clifford-torus"
-    assert data["tol"] == {"circularity": 1e-6}
-
-    class Args:
-        config = str(cfg)
-    args = Args()
-    resolved = resolve_config(args)
-    assert resolved.grid == (8, 8) and resolved.seed == 3
-    assert resolved.tolerance("circularity") == 1e-6
-    assert resolved.tolerance("membership") == TOLERANCES["membership"]
+    cfg.write_text("# comment\nsurface = clifford-torus  # trailing\n"
+                   "grid = 8x8\nquad = 16x16\ntol = circularity=1e-6\n"
+                   "seed = 3\n")
+    assert read_config_file(str(cfg)) == [
+        ("surface", "clifford-torus"), ("grid", (8, 8)), ("quad", (16, 16)),
+        ("tol", {"circularity": 1e-6}), ("seed", 3)]
+    code, out = run_cli(capsys, ["verify", "--config", str(cfg)])
+    report = json.loads(out)
+    assert code == 0 and report["surface"] == "clifford-torus"
+    assert report["grid"] == [8, 8] and report["seed"] == 3
+    tol = {check["name"]: check["tol"] for check in report["checks"]}
+    assert tol["circularity"] == 1e-6
+    assert tol["membership"] == TOLERANCES["membership"]
 
 
 @pytest.mark.parametrize("text, value", [
@@ -141,6 +141,30 @@ def test_exit_code_overflow_prints_one_line_and_no_warning(argv, capsys):
         assert main(["probe"] + argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-9", "abc"])
+def test_exit_code_bad_tolerance_value(value, tmp_path, capsys):
+    surface = ["--surface", "clifford-torus", "--grid", "8x8"]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"tol = circularity={value}\n")
+    for argv in (["verify", "--quad", "16x16", f"--tol=circularity={value}"],
+                 ["scan", f"--tol=circularity={value}"],
+                 ["verify", "--quad", "16x16", "--config", str(cfg)],
+                 ["scan", "--config", str(cfg)]):
+        assert main(argv + surface) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: bad tolerance value in "
+                                f"'circularity={value}'\n")
+
+
+def test_overflow_message_names_chart_coordinates(capsys):
+    # eta-ch2 has no parameters: only the chart coordinate can overflow
+    assert main(["probe", "--surface", "eta-ch2", "1e200", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: eta-ch2: the closed-form lift overflows at these parameters "
+        "or chart coordinates\n")
 
 
 def test_cli_reads_the_library_tolerance_table():
@@ -325,3 +349,107 @@ def test_flag_overrides_config(tmp_path, capsys):
                                  "--grid", "12x12"])
     assert code == 0
     assert json.loads(out)["grid"] == [12, 12]
+
+
+# ---------------------------------------------------------------------------
+# the option table: each subcommand accepts only the options it reads
+
+_SURFACE_FLAGS = {"--surface", "--t", "--s", "--r1", "--r2"}
+FLAGS = {
+    "list": {"--json"},
+    "probe": _SURFACE_FLAGS | {"--angles", "--tol"},
+    "verify": _SURFACE_FLAGS | {"--grid", "--quad", "--angles", "--tol",
+                                "--seed"},
+    "ellipse": _SURFACE_FLAGS | {"--angles", "--format"},
+    "willmore": _SURFACE_FLAGS | {"--quad"},
+    "scan": _SURFACE_FLAGS | {"--grid", "--tol"},
+}
+# flags that some subcommand reads; every other subcommand rejects them
+_SHARED = _SURFACE_FLAGS | {"--grid", "--quad", "--angles", "--tol", "--seed",
+                            "--format"}
+_VALUE = {"--surface": "whitney-c2", "--grid": "8x8", "--quad": "8x16",
+          "--tol": "circularity=1e-6", "--format": "csv"}
+UNREAD = [(command, flag) for command in FLAGS
+          for flag in sorted(_SHARED - FLAGS[command])]  # 29 pairs
+
+
+@pytest.mark.parametrize("command, flag", UNREAD)
+def test_unread_flag_is_a_usage_error(command, flag, capsys):
+    read = ["--surface", "whitney-c2"] if command != "list" else []
+    point = ["0.4", "1.1"] if command in ("probe", "ellipse") else []
+    with pytest.raises(SystemExit) as exc:
+        main([command] + read + [flag, _VALUE.get(flag, "1")] + point)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", FLAGS)
+def test_help_lists_exactly_the_flags_the_subcommand_reads(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"(?<![\w-])--[a-z0-9]+", capsys.readouterr().out))
+    assert listed == FLAGS[command] | {"--help", "--out", "--config"}
+
+
+def test_one_config_file_serves_every_subcommand(tmp_path, capsys):
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text("surface = whitney-c2\ngrid = 8x8\nquad = 16x32\n"
+                   "angles = 8\ntol = circularity=1e-6\nseed = 3\n"
+                   "format = csv\n")
+    config = ["--config", str(cfg)]
+    code, out = run_cli(capsys, ["list"] + config)
+    assert code == 0 and len(out.splitlines()) == 8
+    code, out = run_cli(capsys, ["probe"] + config + ["0.4", "1.1"])
+    assert code == 0 and json.loads(out)["surface"] == "whitney-c2"
+    code, out = run_cli(capsys, ["verify"] + config)
+    report = json.loads(out)
+    assert code == 0 and report["grid"] == [8, 8] and report["seed"] == 3
+    assert report["willmore"]["orders"] == [16, 32]
+    code, out = run_cli(capsys, ["ellipse"] + config + ["0.4", "1.1"])
+    assert code == 0 and len(out.splitlines()) == 9  # CSV: header + 8
+    code, out = run_cli(capsys, ["willmore"] + config)
+    assert code == 0 and json.loads(out)["orders"] == [16, 32]
+    code, out = run_cli(capsys, ["scan"] + config)
+    assert code == 0 and json.loads(out)["grid"] == [8, 8]
+
+
+def test_config_file_values_are_checked_whichever_subcommand_runs(
+        tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("surface = clifford-torus\nquad = bogus\n")
+    assert main(["scan", "--config", str(cfg)]) == 2  # scan reads no quad
+    assert capsys.readouterr().err == "error: expected N1xN2, got 'bogus'\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--surface", "whitney-cp2", "--t", "abc"],
+     "bad value 'abc' for 't'"),
+    (["verify", "--surface", "clifford-torus", "--grid", "1x"],
+     "expected N1xN2, got '1x'"),
+    (["verify", "--surface", "clifford-torus", "--seed", "1.5"],
+     "bad value '1.5' for 'seed'"),
+    (["ellipse", "--surface", "clifford-torus", "--format", "xml", "0", "0"],
+     "format must be 'json' or 'csv'"),
+])
+def test_bad_flag_value_returns_2_with_one_error_line(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_surface_error_comes_before_point_error(capsys):
+    assert main(["probe", "--surface", "nope", "2**3", "1"]) == 2
+    assert "unknown surface 'nope'" in capsys.readouterr().err
+
+
+def test_flag_tolerances_merge_over_file_tolerances(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("surface = clifford-torus\ntol = circularity=1e-6\n"
+                   "tol = membership=1e-7\n")
+    code, out = run_cli(capsys, ["verify", "--config", str(cfg),
+                                 "--grid", "8x8", "--quad", "16x16",
+                                 "--tol", "membership=1e-8"])
+    tol = {check["name"]: check["tol"] for check in json.loads(out)["checks"]}
+    assert code == 0
+    assert tol["circularity"] == 1e-6 and tol["membership"] == 1e-8

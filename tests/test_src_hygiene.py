@@ -1,5 +1,5 @@
 """No public module-level name in src/ exists only for the tests, and no
-defaulted parameter in src/ is left at its default by every caller.
+defaulted parameter in src/ is left at its default by every other caller.
 
 A public function, class or constant must be exported in
 ``lagsurf.__all__``, be the console-script entry point, or be used by
@@ -87,7 +87,8 @@ def _defaulted(func, method: bool) -> list[tuple[str, int | None]]:
 
 
 def _src_defaults():
-    """(label, callable name, parameter, positional index) over src/."""
+    """(label, callable name, parameter, positional index, definition)
+    over src/; the definition is (path, line) of the function."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -104,23 +105,32 @@ def _src_defaults():
             else:
                 called, label = func.name, f"{cls.name}.{func.name}"
             for name, index in _defaulted(func, cls is not None):
-                found.append((f"{label}.{name}", called, name, index))
+                found.append((f"{label}.{name}", called, name, index,
+                              (path, func.lineno)))
     return found
 
 
-def _calls() -> dict[str, list[ast.Call]]:
+def _collect(node, path, owners, calls) -> None:
+    """Record each call under ``node`` with the (path, line) of every
+    function definition it sits inside."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        owners = owners | {(path, node.lineno)}
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = (func.id if isinstance(func, ast.Name) else
+                func.attr if isinstance(func, ast.Attribute) else None)
+        calls.setdefault(name, []).append((node, owners))
+    for child in ast.iter_child_nodes(node):
+        _collect(child, path, owners, calls)
+
+
+def _calls() -> dict[str, list[tuple[ast.Call, frozenset]]]:
     """Every call in src/, tests/ and demos/, by the name it calls."""
-    calls: dict[str, list[ast.Call]] = {}
+    calls: dict[str, list[tuple[ast.Call, frozenset]]] = {}
     for folder in CALLERS:
         for path in sorted(folder.glob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"))
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Call):
-                    func = node.func
-                    name = (func.id if isinstance(func, ast.Name) else
-                            func.attr if isinstance(func, ast.Attribute)
-                            else None)
-                    calls.setdefault(name, []).append(node)
+            _collect(tree, path, frozenset(), calls)
     return calls
 
 
@@ -136,11 +146,13 @@ def unset_parameters() -> list[str]:
     """Defaulted src/ parameters that no call in src/, tests/ or demos/
     sets, by keyword or by position.  ``__init__`` is called by its class
     name; a call passing ``*args`` or ``**kwargs`` sets every parameter.
-    Calls match by name alone, so a same-named callee also counts."""
+    Calls match by name alone, so a same-named callee also counts.  A call
+    inside the function's own body (recursion) does not count."""
     calls = _calls()
-    return [label for label, called, name, index in _src_defaults()
+    return [label for label, called, name, index, where in _src_defaults()
             if not any(_sets(call, name, index)
-                       for call in calls.get(called, ()))]
+                       for call, owners in calls.get(called, ())
+                       if where not in owners)]
 
 
 def test_every_defaulted_parameter_is_set_by_some_call():
