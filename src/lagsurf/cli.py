@@ -15,6 +15,7 @@ import io
 import json
 import math
 import operator
+import os
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, fields
@@ -122,6 +123,12 @@ def _parse_tol(text: str) -> dict[str, float]:
     return {name: tol}
 
 
+def _parse_seed(text: str) -> int:
+    if int(text) < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _parse_format(text: str) -> str:
     if text not in ("json", "csv"):
         raise ConfigError("format must be 'json' or 'csv'")
@@ -152,7 +159,7 @@ OPTIONS = {
     "angles": Option(int, "64", "ellipse sample count"),
     "tol": Option(_parse_tol, None, "override one named tolerance",
                   "NAME=VALUE", repeat=True),
-    "seed": Option(int, "0", "seed for sampled checks"),
+    "seed": Option(_parse_seed, "0", "seed for sampled checks"),
     "format": Option(_parse_format, "json", "output format, json or csv"),
     "out": Option(str, None, "write the report to this path"),
     "json": Option(None, None, "emit the catalog as JSON"),
@@ -315,8 +322,12 @@ def _emit(text: str, cfg: RunConfig) -> None:
         except OSError as exc:
             raise ConfigError(
                 f"cannot write report {cfg.out!r}: {exc}") from None
-    else:
-        print(text)
+        return
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader left: what is still buffered goes to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def cmd_list(cfg: RunConfig) -> int:
@@ -564,6 +575,10 @@ def main(argv=None) -> int:
         # config, chart-domain, degenerate-point and unsupported-integral
         # errors are all ValueErrors
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: not enough memory for this grid or quadrature",
+              file=sys.stderr)
         return 2
 
 

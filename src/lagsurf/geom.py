@@ -333,14 +333,18 @@ def ellipse_samples(pg: PointGeometry, n_angles: int):
     half_diff = coords2(0.5 * (pg.sigma11 - pg.sigma22))
     cross = coords2(pg.sigma12)
 
-    samples = []
-    residual = 0.0
-    for theta in np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False):
-        normal = (center + np.cos(2.0 * theta) * half_diff
-                  + np.sin(2.0 * theta) * cross)
-        dist = np.sqrt(np.sum((normal - center) ** 2, axis=-1))
-        residual = max(residual, float(np.max(np.abs(dist - pg.R))))
-        samples.append(EllipseSample(float(theta), normal, center))
+    thetas = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
+    # one row per angle; scalar cos and sin per angle, as in a loop over them
+    shape = (n_angles,) + (1,) * center.ndim
+    cos2, sin2 = (np.array([f(2.0 * t) for t in thetas]).reshape(shape)
+                  for f in (np.cos, np.sin))
+    normals = center + cos2 * half_diff + sin2 * cross
+    # by coordinate: a full-shape temporary is n_angles times the batch
+    dist = (normals[..., 0] - center[..., 0]) ** 2
+    dist += (normals[..., 1] - center[..., 1]) ** 2
+    residual = float(np.max(np.abs(np.sqrt(dist) - pg.R)))
+    samples = [EllipseSample(float(theta), normal, center)
+               for theta, normal in zip(thetas, normals)]
     return samples, residual
 
 

@@ -56,11 +56,14 @@ def herm_pair(a, b, sig):
     """Hermitian pairing sum_k eps_k * a_k * conj(b_k).
 
     Conjugate-symmetric: herm_pair(a, b) == conj(herm_pair(b, a)).  The
-    second slot carries the conjugation.
+    second slot carries the conjugation.  Summed component by component,
+    in order: a reduction over a length-2 or 3 axis is slow in numpy.
     """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    return np.sum(np.asarray(sig) * a * np.conj(b), axis=-1)
+    a, b, sig = np.asarray(a), np.asarray(b), np.asarray(sig)
+    total = sig[0] * a[..., 0] * np.conj(b[..., 0])
+    for k in range(1, len(sig)):
+        total = total + sig[k] * a[..., k] * np.conj(b[..., k])
+    return total
 
 
 def real_pair(a, b, sig):

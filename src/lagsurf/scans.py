@@ -21,6 +21,13 @@ from .numerics import TOLERANCES
 PINCH_THRESHOLD = 1.0 / math.sqrt(2.0)
 # grid round-off allowed below the threshold, and above K = 0 for "flat"
 _PINCH_SLACK = 1e-8
+# points per point_geometry call in scans: a chunk's temporaries stay in
+# cache, and memory holds only the per-point scalars the reductions read
+_CHUNK = 4096
+
+
+def _chunks(n: int):
+    return (slice(i, i + _CHUNK) for i in range(0, n, _CHUNK))
 
 
 class UnsupportedDomainError(ValueError):
@@ -66,17 +73,16 @@ def curvature_scan(spec: SurfaceSpec, grid=(64, 64),
     chart = spec.default_chart
     n1, n2 = grid
     a1, a2 = build_grid(chart, n1, n2)
-    pg = point_geometry(spec, a1, a2, chart=chart)
+    k, r, d_abs, d_scaled, h = np.empty((5, a1.size))
+    for s in _chunks(a1.size):
+        pg = point_geometry(spec, a1[s], a2[s], chart=chart)
+        k[s], r[s], d_abs[s] = pg.K, pg.R, np.abs(pg.D)
+        d_scaled[s] = scaled_circularity(pg)
+        h[s] = np.sqrt(np.clip(pg.H2, 0.0, None))
 
-    k = np.asarray(pg.K)
-    i_min = int(np.argmin(k))
-    i_max = int(np.argmax(k))
+    i_min, i_max = int(np.argmin(k)), int(np.argmax(k))
     z = chart.height(a1, a2) if hasattr(chart, "height") else None
-
-    d_abs = np.abs(pg.D)
-    d_scaled = scaled_circularity(pg)
-    h_max = float(np.max(np.sqrt(np.clip(pg.H2, 0.0, None))))
-    d_max_scaled = float(np.max(d_scaled))
+    h_max, d_max_scaled = float(np.max(h)), float(np.max(d_scaled))
 
     return ScanReport(
         spec=spec, grid=(n1, n2), compact=compact,
@@ -85,7 +91,7 @@ def curvature_scan(spec: SurfaceSpec, grid=(64, 64),
         argmax=(float(a1[i_max]), float(a2[i_max])),
         argmin_z=None if z is None else float(z[i_min]),
         argmax_z=None if z is None else float(z[i_max]),
-        r_min=float(np.min(pg.R)), r_max=float(np.max(pg.R)),
+        r_min=float(np.min(r)), r_max=float(np.max(r)),
         d_max=float(np.max(d_abs)), d_max_scaled=d_max_scaled,
         h_max=h_max,
         circular=bool(d_max_scaled < circ_tol),
@@ -126,11 +132,13 @@ def willmore(spec: SurfaceSpec, orders=(128, 256)) -> WillmoreReport:
     rules = {"sphere": sphere_quadrature, "torus": torus_quadrature}
     rule = rules[family.quadrature](*orders)
 
-    pg = point_geometry(spec, rule.nodes1, rule.nodes2)
-    det = pg.g[..., 0, 0] * pg.g[..., 1, 1] - pg.g[..., 0, 1] ** 2
-    area_element = np.sqrt(det)
+    area_element, h2 = np.empty((2, rule.weights.size))
+    for s in _chunks(rule.weights.size):
+        pg = point_geometry(spec, rule.nodes1[s], rule.nodes2[s])
+        det = pg.g[..., 0, 0] * pg.g[..., 1, 1] - pg.g[..., 0, 1] ** 2
+        area_element[s], h2[s] = np.sqrt(det), pg.H2
     area = float(np.sum(rule.weights * area_element))
-    integral_h2 = float(np.sum(rule.weights * pg.H2 * area_element))
+    integral_h2 = float(np.sum(rule.weights * h2 * area_element))
     w = integral_h2 + spec.ambient.c / 2.0 * area
     return WillmoreReport(spec=spec, integral_h2=integral_h2, area=area,
                           c=spec.ambient.c, w=w, chi=family.chi,

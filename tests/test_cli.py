@@ -6,18 +6,22 @@ import csv
 import io
 import json
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import warnings
 
 import pytest
 
-from lagsurf import numerics
+from lagsurf import numerics, scans
 from lagsurf.catalog import FAMILIES
 from lagsurf.cli import (TOLERANCES, ConfigError, _parse_number, main,
                          parse_surface_token, read_config_file)
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 # argv fragments that produced each golden report (grid/quad/seed pinned)
 GOLDEN_CONFIGS = [
@@ -431,11 +435,54 @@ def test_config_file_values_are_checked_whichever_subcommand_runs(
      "bad value '1.5' for 'seed'"),
     (["ellipse", "--surface", "clifford-torus", "--format", "xml", "0", "0"],
      "format must be 'json' or 'csv'"),
+    (["verify", "--surface", "clifford-torus", "--seed", "-1"],
+     "seed must be a non-negative integer, got '-1'"),
 ])
 def test_bad_flag_value_returns_2_with_one_error_line(argv, message, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_negative_seed_in_config_file_names_the_option(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("surface = clifford-torus\nseed = -3\n")
+    assert main(["verify", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "error: seed must be a non-negative integer, got '-3'\n")
+
+
+@pytest.mark.parametrize("argv, sampler", [
+    (["scan", "--surface", "whitney-c2", "--grid", "8x8"], "build_grid"),
+    (["willmore", "--surface", "whitney-c2", "--quad", "8x8"],
+     "sphere_quadrature"),
+])
+def test_allocation_failure_exits_2_with_one_error_line(argv, sampler,
+                                                        monkeypatch, capsys):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(scans, sampler, exhausted)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "error: not enough memory for this grid or quadrature\n")
+
+
+def test_closed_reader_is_not_an_error():
+    # the read end is closed before the CLI writes, so every write to
+    # stdout fails with EPIPE, as under `lagsurf scan ... | head -1`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lagsurf.cli", "scan", "--surface",
+             "whitney-cp2(0.5)", "--grid", "8x8"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, check=False)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 def test_surface_error_comes_before_point_error(capsys):

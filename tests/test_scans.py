@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from lagsurf.atlas import build_grid, sphere_quadrature, torus_quadrature
 from lagsurf.catalog import SurfaceSpec
+from lagsurf.geom import point_geometry, scaled_circularity
 from lagsurf.scans import (PINCH_THRESHOLD, UnsupportedDomainError,
                            curvature_scan, pinching_hypothesis,
                            pinching_report, willmore)
@@ -78,6 +81,75 @@ def test_scan_radius_extrema():
     scan = curvature_scan(SurfaceSpec("clifford-torus"), grid=(32, 32))
     assert scan.r_min == pytest.approx(PINCH_THRESHOLD, abs=1e-12)
     assert scan.r_max == pytest.approx(PINCH_THRESHOLD, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# chunked evaluation against one whole-grid batch
+
+# both spread over several 4096-point chunks with a ragged last one
+CHUNKED_GRIDS = [(100, 77), (97, 131)]
+CHUNKED_SPECS = [SurfaceSpec("whitney-cp2", t=0.5),
+                 SurfaceSpec("product-torus-c2", r1=1.0, r2=2.0)]
+
+
+def _whole_grid_scan(spec, grid):
+    """curvature_scan's reductions over one point_geometry call."""
+    chart = spec.default_chart
+    a1, a2 = build_grid(chart, *grid)
+    pg = point_geometry(spec, a1, a2, chart=chart)
+    i_min, i_max = int(np.argmin(pg.K)), int(np.argmax(pg.K))
+    z = chart.height(a1, a2) if hasattr(chart, "height") else None
+    h_max = float(np.max(np.sqrt(np.clip(pg.H2, 0.0, None))))
+    d_max_scaled = float(np.max(scaled_circularity(pg)))
+    return (float(pg.K[i_min]), float(pg.K[i_max]),
+            (float(a1[i_min]), float(a2[i_min])),
+            (float(a1[i_max]), float(a2[i_max])),
+            None if z is None else (float(z[i_min]), float(z[i_max])),
+            float(np.min(pg.R)), float(np.max(pg.R)),
+            float(np.max(np.abs(pg.D))), d_max_scaled, h_max)
+
+
+@pytest.mark.parametrize("grid", CHUNKED_GRIDS, ids=str)
+@pytest.mark.parametrize("spec", CHUNKED_SPECS, ids=lambda s: s.label())
+def test_chunked_scan_equals_whole_grid_batch(spec, grid):
+    scan = curvature_scan(spec, grid=grid)
+    heights = (None if scan.argmin_z is None
+               else (scan.argmin_z, scan.argmax_z))
+    assert (scan.k_min, scan.k_max, scan.argmin, scan.argmax, heights,
+            scan.r_min, scan.r_max, scan.d_max, scan.d_max_scaled,
+            scan.h_max) == _whole_grid_scan(spec, grid)
+
+
+@pytest.mark.parametrize("orders", CHUNKED_GRIDS, ids=str)
+@pytest.mark.parametrize("spec", CHUNKED_SPECS, ids=lambda s: s.label())
+def test_chunked_willmore_equals_whole_grid_batch(spec, orders):
+    rules = {"sphere": sphere_quadrature, "torus": torus_quadrature}
+    rule = rules[spec.family.quadrature](*orders)
+    pg = point_geometry(spec, rule.nodes1, rule.nodes2)
+    det = pg.g[..., 0, 0] * pg.g[..., 1, 1] - pg.g[..., 0, 1] ** 2
+    area_element = np.sqrt(det)
+    rep = willmore(spec, orders=orders)
+    assert rep.area == float(np.sum(rule.weights * area_element))
+    assert rep.integral_h2 == float(
+        np.sum(rule.weights * pg.H2 * area_element))
+
+
+def test_scan_memory_is_flat_in_grid_size():
+    spec = SurfaceSpec("whitney-cp2", t=0.5)
+    curvature_scan(spec, grid=(8, 8))  # first-call caches out of the count
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            curvature_scan(spec, grid=(n, n))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # one chunk's temporaries are a constant; per point only the scalars
+    # the reductions read remain (about 1.45 KB per point unchunked)
+    per_point = (peak(256) - peak(64)) / (256 ** 2 - 64 ** 2)
+    assert per_point < 200
 
 
 # ---------------------------------------------------------------------------
