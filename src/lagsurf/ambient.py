@@ -41,10 +41,6 @@ class AmbientSpace:
         return np.asarray(self.signature)
 
     @property
-    def dim(self) -> int:
-        return len(self.signature)
-
-    @property
     def is_lifted(self) -> bool:
         return self.lift_norm is not None
 
@@ -137,7 +133,8 @@ def second_form_split(lift: Jet2, space: AmbientSpace) -> FrameSplit:
     measure.  So with h = herm(d_uv psi, b), g^-1 h on (d1, d2) gives the
     tangent (real part) and normal (imaginary part, on J d1, J d2)
     coefficients, and h / nu on psi (nu the model's lift norm) gives
-    position + i * fiber.  Gates, in order: g positive definite, then
+    position + i * fiber; each d_uv psi is split on its own, on arrays of
+    the batch shape.  Gates, in order: g positive definite, then
     gram_condition (off-block terms included) under GRAM_COND_LIMIT.
     Also returned: g and, each relative to 1 + the local scale, the
     residual of the full reconstruction against d_uv psi, which certifies
@@ -165,27 +162,29 @@ def second_form_split(lift: Jet2, space: AmbientSpace) -> FrameSplit:
             f"frame Gram condition number {np.max(cond):.3e} exceeds "
             f"{GRAM_COND_LIMIT:.0e}; singular or non-immersed point")
 
-    second = np.stack([lift.d11, lift.d12, lift.d22], axis=-2)  # (..., 3, m)
+    # one second derivative x at a time, on arrays of the batch shape
     basis = [d1, d2, psi] if space.is_lifted else [d1, d2]
-    h = [np.einsum("...pm,...m->...p", second, np.conj(b) * sig)
-         for b in basis]
-    # g^-1 h by the closed-form 2x2 inverse, broadcast over the pairs
-    m11, m12, m22, mdet = (x[..., None] for x in (g11, g12, g22, det))
-    z1 = (m22 * h[0] - m12 * h[1]) / mdet
-    z2 = (m11 * h[1] - m12 * h[0]) / mdet
+    jd1, jd2 = apply_J(d1), apply_J(d2)
+    tangent, normal, coeff, residual = [], [], [], []
+    for x in (lift.d11, lift.d12, lift.d22):
+        h = [herm_pair(x, b, sig) for b in basis]
+        # g^-1 (h1, h2) by the closed-form 2x2 inverse
+        z1 = (g22 * h[0] - g12 * h[1]) / det
+        z2 = (g11 * h[1] - g12 * h[0]) / det
+        tangent.append(np.stack([z1.real, z2.real], axis=-1))
+        normal.append(z1.imag[..., None] * jd1)
+        normal[-1] += z2.imag[..., None] * jd2
+        gap = x - z1[..., None] * d1
+        gap -= z2[..., None] * d2
+        if space.is_lifted:
+            coeff.append(h[2] / space.lift_norm)
+            gap -= coeff[-1][..., None] * psi
+        residual.append(np.max(_norm(gap) / (1.0 + _norm(x))))
 
-    # normal part and reconstruction gap share one temporary buffer
-    b1, b2 = d1[..., None, :], d2[..., None, :]
-    normal = z1.imag[..., None] * apply_J(b1)
-    part = z2.imag[..., None] * apply_J(b2)
-    normal += part
-    gap = second - z1[..., None] * b1
-    gap -= np.multiply(z2[..., None], b2, out=part)
     position = fiber = None
     position_defect = fiber_defect = 0.0
     if space.is_lifted:
-        z_psi = h[2] / space.lift_norm
-        gap -= np.multiply(z_psi[..., None], psi[..., None, :], out=part)
+        z_psi = np.stack(coeff, axis=-1)
         position, fiber = z_psi.real, z_psi.imag
         g = np.stack([g11, g12, g22], axis=-1)
         gscale = 1.0 + np.abs(g)
@@ -193,12 +192,12 @@ def second_form_split(lift: Jet2, space: AmbientSpace) -> FrameSplit:
             np.max(np.abs(position + g / space.lift_norm) / gscale))
         fiber_defect = float(np.max(np.abs(fiber) / gscale))
 
-    residual = _norm(gap) / (1.0 + _norm(second))
     metric = np.stack([np.stack([g11, g12], axis=-1),
                        np.stack([g12, g22], axis=-1)], axis=-2)
     return FrameSplit(metric=metric,
-                      tangent=np.stack([z1.real, z2.real], axis=-1),
-                      normal=normal, position=position, fiber=fiber,
+                      tangent=np.stack(tangent, axis=-2),
+                      normal=np.stack(normal, axis=-2),
+                      position=position, fiber=fiber,
                       split_residual=float(np.max(residual)),
                       position_defect=position_defect,
                       fiber_defect=fiber_defect)

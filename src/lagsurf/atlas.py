@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Jet2, jet_cos, jet_sin
+from .numerics import Jet2, jet_sin_cos
 
 
 class ChartDomainError(ValueError):
@@ -39,8 +39,8 @@ class SphereChart:
         if not np.all(self.contains(phi, theta)):
             raise ChartDomainError("spherical chart excludes the poles phi in {0, pi}")
         jp, jt = Jet2.variables(phi, theta)
-        sp, cp = jet_sin(jp), jet_cos(jp)
-        st, ct = jet_sin(jt), jet_cos(jt)
+        sp, cp = jet_sin_cos(jp)
+        st, ct = jet_sin_cos(jt)
         return sp * ct, sp * st, cp
 
     def height(self, phi, theta):
@@ -78,13 +78,6 @@ class StereographicChart:
             z = -z
         return x, y, z
 
-    def from_xyz(self, x, y, z):
-        """Inverse chart; undefined at the projection pole."""
-        z = np.asarray(z, dtype=float)
-        if self.pole == "north":
-            return x / (1.0 - z), y / (1.0 - z)
-        return x / (1.0 + z), y / (1.0 + z)
-
 
 class PlanarChart:
     """Identity chart (x, y) on the plane."""
@@ -119,7 +112,8 @@ class PolarAnnulusChart:
         if not np.all(self.contains(r, theta)):
             raise ChartDomainError("polar chart requires r > 0")
         jr, jt = Jet2.variables(r, theta)
-        return jr * jet_cos(jt), jr * jet_sin(jt)
+        st, ct = jet_sin_cos(jt)
+        return jr * ct, jr * st
 
     def grid_axis1(self, n1, lo, hi):
         # geometric spacing covers the annulus scales evenly

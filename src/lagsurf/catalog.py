@@ -25,7 +25,7 @@ from .atlas import (
     SphereChart,
     TorusChart,
 )
-from .numerics import Jet2, jet_cos, jet_sin
+from .numerics import Jet2, jet_sin_cos
 
 @dataclass(frozen=True)
 class Family:
@@ -118,7 +118,8 @@ def _re(j: Jet2) -> Jet2:
 
 
 def _unit_circle(angle: Jet2) -> Jet2:
-    return jet_cos(angle) + 1j * jet_sin(angle)
+    sin, cos = jet_sin_cos(angle)
+    return cos + 1j * sin
 
 
 def _whitney_c2(spec, x, y, z):
@@ -129,17 +130,19 @@ def _whitney_c2(spec, x, y, z):
 
 def _whitney_cp2(spec, x, y, z):
     ct, st = math.cosh(spec.t), math.sinh(spec.t)
-    den = (st * st) * (z * z) + ct * ct
-    f = (ct + (1j * st) * z) / den
-    third = (z + (1j * st * ct) * (z * z + 1.0)) / den
+    zz = z * z
+    inv = ((st * st) * zz + ct * ct).reciprocal()
+    f = (ct + (1j * st) * z) * inv
+    third = (z + (1j * st * ct) * (zz + 1.0)) * inv
     return Jet2.stack([x * f, y * f, third])
 
 
 def _whitney_ch2(spec, x, y, z):
     ct, st = math.cosh(spec.t), math.sinh(spec.t)
-    den = (ct * ct) * (z * z) + st * st
-    f = (st + (1j * ct) * z) / den
-    third = (z - (1j * st * ct) * (z * z + 1.0)) / den
+    zz = z * z
+    inv = ((ct * ct) * zz + st * st).reciprocal()
+    f = (st + (1j * ct) * z) * inv
+    third = (z - (1j * st * ct) * (zz + 1.0)) * inv
     return Jet2.stack([x * f, y * f, third])
 
 

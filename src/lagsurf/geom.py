@@ -10,7 +10,9 @@ each has its own defect number.  Gates read their limits from TOLERANCES.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -18,6 +20,10 @@ from . import ambient as amb
 from .ambient import AmbientSpace
 from .catalog import SurfaceSpec, lift_at
 from .numerics import TOLERANCES, Jet2, apply_J, real_pair
+
+# angles x points per broadcast of the ellipse fit residual: a group's
+# temporaries stay a few MB, and one point takes all angles at once
+_ELLIPSE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -313,12 +319,28 @@ class EllipseSample:
     center: np.ndarray
 
 
+class _Samples(Sequence):
+    """The EllipseSample list, built on first read: a caller that wants
+    only the fit residual keeps no n_angles x N normals."""
+
+    def __init__(self, build):
+        self._items = cache(build)
+
+    def __len__(self):
+        return len(self._items())
+
+    def __getitem__(self, k):
+        return self._items()[k]
+
+
 def ellipse_samples(pg: PointGeometry, n_angles: int):
     """Sample sigma(v, v) on a uniform angle grid; also the circle residual.
 
     Returns (samples, fit_residual) with fit_residual =
     max_theta | |sigma(v,v) - H| - R |; tiny exactly when the ellipse is the
-    circle of radius pg.R.
+    circle of radius pg.R.  The residual runs over groups of angles, so
+    its memory does not grow with n_angles x N; the samples are built
+    only when read.
     """
     if n_angles < 8:
         raise ValueError("need n_angles >= 8 to see the ellipse")
@@ -338,14 +360,24 @@ def ellipse_samples(pg: PointGeometry, n_angles: int):
     shape = (n_angles,) + (1,) * center.ndim
     cos2, sin2 = (np.array([f(2.0 * t) for t in thetas]).reshape(shape)
                   for f in (np.cos, np.sin))
-    normals = center + cos2 * half_diff + sin2 * cross
-    # by coordinate: a full-shape temporary is n_angles times the batch
-    dist = (normals[..., 0] - center[..., 0]) ** 2
-    dist += (normals[..., 1] - center[..., 1]) ** 2
-    residual = float(np.max(np.abs(np.sqrt(dist) - pg.R)))
-    samples = [EllipseSample(float(theta), normal, center)
-               for theta, normal in zip(thetas, normals)]
-    return samples, residual
+
+    def normals(rows):
+        return center + cos2[rows] * half_diff + sin2[rows] * cross
+
+    def group_residual(rows):
+        group = normals(rows)
+        # by coordinate: a full-shape temporary is the group times the batch
+        dist = (group[..., 0] - center[..., 0]) ** 2
+        dist += (group[..., 1] - center[..., 1]) ** 2
+        return np.max(np.abs(np.sqrt(dist) - pg.R))
+
+    step = max(1, _ELLIPSE_BLOCK // max(1, np.size(pg.R)))
+    worst = [group_residual(slice(start, start + step))
+             for start in range(0, n_angles, step)]
+    samples = _Samples(lambda: [
+        EllipseSample(float(theta), normal, center)
+        for theta, normal in zip(thetas, normals(slice(None)))])
+    return samples, float(np.max(worst))
 
 
 def gauss_curvature_intrinsic(spec: SurfaceSpec, a1, a2, chart=None,

@@ -56,13 +56,17 @@ def herm_pair(a, b, sig):
     """Hermitian pairing sum_k eps_k * a_k * conj(b_k).
 
     Conjugate-symmetric: herm_pair(a, b) == conj(herm_pair(b, a)).  The
-    second slot carries the conjugation.  Summed component by component,
-    in order: a reduction over a length-2 or 3 axis is slow in numpy.
+    second slot carries the conjugation.  Summed in component order, each
+    term added or subtracted by the sign of eps_k: numpy is slow to reduce
+    a length-2 or 3 axis, and a product with +-1 is one more pass.
     """
     a, b, sig = np.asarray(a), np.asarray(b), np.asarray(sig)
-    total = sig[0] * a[..., 0] * np.conj(b[..., 0])
+    total = a[..., 0] * np.conj(b[..., 0])
+    if sig[0] < 0:
+        total = -total
     for k in range(1, len(sig)):
-        total = total + sig[k] * a[..., k] * np.conj(b[..., k])
+        term = a[..., k] * np.conj(b[..., k])
+        total = total - term if sig[k] < 0 else total + term
     return total
 
 
@@ -201,9 +205,8 @@ class Jet2:
         )
 
 
-def jet_sin(j: Jet2) -> Jet2:
-    return j.compose_scalar(np.sin, np.cos, lambda x: -np.sin(x))
-
-
-def jet_cos(j: Jet2) -> Jet2:
-    return j.compose_scalar(np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x))
+def jet_sin_cos(j: Jet2) -> tuple[Jet2, Jet2]:
+    """(sin j, cos j), with one sin and one cos pass over the values."""
+    s, c = np.sin(j.v), np.cos(j.v)
+    return (j.compose_scalar(lambda _: s, lambda _: c, lambda _: -s),
+            j.compose_scalar(lambda _: c, lambda _: -s, lambda _: -c))

@@ -81,7 +81,9 @@ def curvature_scan(spec: SurfaceSpec, grid=(64, 64),
         h[s] = np.sqrt(np.clip(pg.H2, 0.0, None))
 
     i_min, i_max = int(np.argmin(k)), int(np.argmax(k))
-    z = chart.height(a1, a2) if hasattr(chart, "height") else None
+    # the height is read at the two extrema only
+    ends = [i_min, i_max]
+    z = chart.height(a1[ends], a2[ends]) if hasattr(chart, "height") else None
     h_max, d_max_scaled = float(np.max(h)), float(np.max(d_scaled))
 
     return ScanReport(
@@ -89,8 +91,8 @@ def curvature_scan(spec: SurfaceSpec, grid=(64, 64),
         k_min=float(k[i_min]), k_max=float(k[i_max]),
         argmin=(float(a1[i_min]), float(a2[i_min])),
         argmax=(float(a1[i_max]), float(a2[i_max])),
-        argmin_z=None if z is None else float(z[i_min]),
-        argmax_z=None if z is None else float(z[i_max]),
+        argmin_z=None if z is None else float(z[0]),
+        argmax_z=None if z is None else float(z[1]),
         r_min=float(np.min(r)), r_max=float(np.max(r)),
         d_max=float(np.max(d_abs)), d_max_scaled=d_max_scaled,
         h_max=h_max,

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from helpers import stereographic_from_xyz
 from lagsurf.atlas import StereographicChart, build_grid, random_points
 from lagsurf.catalog import SurfaceSpec, lift_at
 from lagsurf.cli import main
@@ -243,7 +244,7 @@ def test_criterion_10_reproducibility_and_chart_overlap(tmp_path):
     y = np.sin(phi) * np.sin(theta)
     z = np.cos(phi)
     stereo = StereographicChart("north")
-    u, v = stereo.from_xyz(x, y, z)
+    u, v = stereographic_from_xyz(stereo, x, y, z)
     pg_a = point_geometry(spec, phi, theta, chart=sphere)
     pg_b = point_geometry(spec, u, v, chart=stereo)
     overlap = max(

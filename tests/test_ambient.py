@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from gram_reference import frame_condition, reference_split
+from helpers import ambient_dim
 from lagsurf.ambient import (C2, CH2, CP2, gram_condition, lagrangian_defect,
                              horizontality_defect, membership_defect,
                              second_form_split)
@@ -125,7 +126,7 @@ def test_rank_deficient_point_raises():
     (CH2, [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]),  # timelike d1: g11 = -1
 ])
 def test_split_gates_a_metric_that_is_not_positive_definite(space, d1, d2):
-    zero = np.zeros(space.dim, dtype=complex)
+    zero = np.zeros(ambient_dim(space), dtype=complex)
     value = zero.copy()
     value[0] = 1.0
     lift = Jet2(value, np.asarray(d1, dtype=complex),
@@ -167,6 +168,39 @@ def test_split_matches_general_gram_solve(spec):
         assert got.shape == want.shape
         gap = np.max(np.abs(got - want)) / (1.0 + np.max(np.abs(scale)))
         assert gap <= 1e-11
+
+
+@pytest.mark.parametrize("spec", [SurfaceSpec("whitney-ch2", t=0.5),
+                                  SurfaceSpec("whitney-c2")],
+                         ids=lambda s: s.label())
+def test_split_of_one_point_is_its_row_of_a_batch(spec):
+    # a 2-d batch and each of its points alone: every array field of the
+    # single split is, bitwise, that point's row of the batched one, and
+    # the batch maxima are the maxima over the single points
+    a1, a2 = np.meshgrid(np.linspace(0.4, 2.7, 3), np.linspace(0.1, 5.9, 4),
+                         indexing="ij")
+    lift = lift_at(spec, a1, a2)
+    batch = second_form_split(lift, spec.ambient)
+    arrays = [f.name for f in dataclasses.fields(batch)
+              if isinstance(getattr(batch, f.name), np.ndarray)]
+    assert arrays == (["metric", "tangent", "normal", "position", "fiber"]
+                      if spec.ambient.is_lifted else
+                      ["metric", "tangent", "normal"])
+    scalars = ("split_residual", "position_defect", "fiber_defect")
+    worst = dict.fromkeys(scalars, 0.0)
+    for index in np.ndindex(a1.shape):
+        point = Jet2(*(f[index] for f in lift._fields()))
+        single = second_form_split(point, spec.ambient)
+        for name in arrays:
+            got, row = getattr(single, name), getattr(batch, name)[index]
+            assert got.shape == row.shape, name
+            assert np.array_equal(got, row), name
+        if not spec.ambient.is_lifted:
+            assert single.position is None and single.fiber is None
+        for name in scalars:
+            worst[name] = max(worst[name], getattr(single, name))
+    for name in scalars:
+        assert worst[name] == getattr(batch, name), name
 
 
 def _closed_form_condition(lift, space):

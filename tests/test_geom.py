@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,7 @@ from lagsurf.geom import (circularity_defect, circularity_route_gap,
                           geometry_from_jet, point_geometry,
                           product_identity_check, radius, radius_route_gap,
                           rotate_frame, scaled_circularity)
-from lagsurf.numerics import TOLERANCES
+from lagsurf.numerics import TOLERANCES, apply_J, real_pair
 
 CIRCULAR_SPECS = [
     SurfaceSpec("whitney-c2"),
@@ -274,6 +277,76 @@ def test_ellipse_fit_residual_degenerate_segment():
     _, fit = ellipse_samples(pg, 64)
     assert fit == pytest.approx(0.5, abs=1e-10)
     assert fit > 0.3
+
+
+@pytest.mark.parametrize("spec", [SurfaceSpec("whitney-ch2", t=0.5),
+                                  SurfaceSpec("whitney-c2")],
+                         ids=lambda s: s.label())
+def test_one_point_is_its_row_of_a_batch(spec):
+    # probe at a point and scan over a grid agree bitwise there
+    a1, a2 = np.array([0.4, 1.1, 2.0]), np.array([0.3, 1.7, 4.0])
+    batch = point_geometry(spec, a1, a2)
+    for i in range(a1.size):
+        single = point_geometry(spec, a1[i], a2[i])
+        for field in dataclasses.fields(single):
+            got = getattr(single, field.name)
+            if isinstance(got, np.ndarray):
+                row = getattr(batch, field.name)[i]
+                assert np.array_equal(got, row), field.name
+
+
+def _one_broadcast_fit_residual(pg, n_angles):
+    # reference route: every angle's normals in one full-shape array
+    sig = pg.space.sig
+    je = (apply_J(pg.e1), apply_J(pg.e2))
+
+    def coords2(vec):
+        return np.stack([real_pair(vec, je[0], sig),
+                         real_pair(vec, je[1], sig)], axis=-1)
+
+    center = coords2(pg.H)
+    thetas = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
+    shape = (n_angles,) + (1,) * center.ndim
+    cos2, sin2 = (np.array([f(2.0 * t) for t in thetas]).reshape(shape)
+                  for f in (np.cos, np.sin))
+    normals = (center + cos2 * coords2(0.5 * (pg.sigma11 - pg.sigma22))
+               + sin2 * coords2(pg.sigma12))
+    dist = ((normals[..., 0] - center[..., 0]) ** 2
+            + (normals[..., 1] - center[..., 1]) ** 2)
+    return float(np.max(np.abs(np.sqrt(dist) - pg.R)))
+
+
+@pytest.mark.parametrize("spec", [SurfaceSpec("whitney-cp2", t=0.5),
+                                  SurfaceSpec("product-torus-c2",
+                                              r1=1.0, r2=2.0)],
+                         ids=lambda s: s.label())
+def test_ellipse_fit_residual_equals_one_broadcast(spec):
+    # 4,096 points: 64 and 200 angles run in several groups, 200 with a
+    # ragged last one; a single point runs in one
+    grid = _grid_geometry(spec, n=64)
+    single = point_geometry(spec, 0.7, 1.3)
+    for pg in (grid, single):
+        for n_angles in (8, 64, 200):
+            _, fit = ellipse_samples(pg, n_angles)
+            assert fit == _one_broadcast_fit_residual(pg, n_angles)
+
+
+def test_ellipse_fit_residual_memory_is_flat_in_angles():
+    pg = _grid_geometry(SurfaceSpec("whitney-cp2", t=0.5), n=32)
+    ellipse_samples(pg, 8)  # first-call caches out of the count
+
+    def peak(n_angles):
+        tracemalloc.start()
+        try:
+            ellipse_samples(pg, n_angles)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # the 448 extra angles' normals at once would take 448 x 1,024 x 16 B
+    # (7.3 MB); the residual's memory must not grow with angles x points
+    extra_normals = (512 - 64) * np.size(pg.R) * 16
+    assert peak(512) - peak(64) < 0.01 * extra_normals
 
 
 def test_ellipse_needs_enough_angles():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lagsurf.ambient import C2, CH2, CP2
-from lagsurf.numerics import (Jet2, apply_J, herm_pair, jet_cos, jet_sin,
+from lagsurf.numerics import (Jet2, apply_J, herm_pair, jet_sin_cos,
                               real_pair)
 
 SIG_C2, SIG_S5, SIG_H51 = C2.sig, CP2.sig, CH2.sig
@@ -46,6 +46,33 @@ def test_herm_pair_sesquilinear():
         lhs = herm_pair(a, alpha * b + c, sig)
         rhs = np.conj(alpha) * herm_pair(a, b, sig) + herm_pair(a, c, sig)
         assert abs(lhs - rhs) < 1e-12, name
+
+
+def _signed_product_sum(a, b, sig):
+    # sig[k] * a_k * conj(b_k), summed in component order
+    total = sig[0] * a[..., 0] * np.conj(b[..., 0])
+    for k in range(1, len(sig)):
+        total = total + sig[k] * a[..., k] * np.conj(b[..., k])
+    return total
+
+
+@pytest.mark.parametrize("space", [C2, CP2, CH2], ids=lambda s: s.model)
+@pytest.mark.parametrize("batch", [(), (7,), (4, 5)])
+def test_herm_pair_sign_terms_equal_signed_products(space, batch):
+    # adding or subtracting each term by the sign of eps_k equals the
+    # product with eps_k, so the two sums agree exactly.  A single vector
+    # is compared as a one-row batch: on 0-d input the products above are
+    # numpy scalars, whose complex multiply rounds differently from the
+    # array loop that herm_pair and every batch row use
+    rng = np.random.default_rng(17)
+    shape = batch + (len(space.signature),)
+    for _ in range(50):
+        a, b = (rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                for _ in range(2))
+        got = herm_pair(a, b, space.sig)
+        want = _signed_product_sum(a[None], b[None], space.sig)[0]
+        assert np.shape(got) == batch
+        assert np.all(got == want)
 
 
 def test_signature_signs():
@@ -95,8 +122,9 @@ def test_jet_double_angle_identity():
     # sin(x)cos(x) and sin(2x)/2 share every derivative up to order two
     a1 = np.linspace(-2.0, 2.0, 9)
     j1, _ = Jet2.variables(a1, 0.0)
-    lhs = jet_sin(j1) * jet_cos(j1)
-    rhs = jet_sin(j1 * 2.0) * 0.5
+    sin, cos = jet_sin_cos(j1)
+    lhs = sin * cos
+    rhs = jet_sin_cos(j1 * 2.0)[0] * 0.5
     for l, r in zip(lhs._fields(), rhs._fields()):
         assert np.max(np.abs(l - r)) < 1e-12
 

@@ -1,10 +1,12 @@
-"""No public module-level name in src/ exists only for the tests, and no
-defaulted parameter in src/ is left at its default by every other caller.
+"""No public name in src/ exists only for the tests, and no defaulted
+parameter in src/ is left at its default by every other caller.
 
 A public function, class or constant must be exported in
 ``lagsurf.__all__``, be the console-script entry point, or be used by
 other src/ code: loaded as a name, read as an attribute, or imported.  A
-reference inside the name's own definition (recursion) does not count.
+public method or property of a src/ class must be read as an attribute by
+src/ code; being on an exported class does not count.  A reference inside
+the name's own definition (recursion) does not count.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import ast
 import pathlib
 import re
+from collections import Counter
 
 import lagsurf
 
@@ -65,6 +68,36 @@ def unused_public_names() -> list[str]:
 
 def test_no_test_only_code_in_src():
     assert unused_public_names() == []
+
+
+def _attribute_reads(node) -> Counter:
+    return Counter(sub.attr for sub in ast.walk(node)
+                   if isinstance(sub, ast.Attribute))
+
+
+def unused_public_members() -> list[str]:
+    """module.Class.name for every public method or property that no src/
+    code outside its own definition reads as an attribute."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    reads = sum(map(_attribute_reads, trees.values()), Counter())
+    unused = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for member in cls.body:
+                if (isinstance(member, (ast.FunctionDef,
+                                        ast.AsyncFunctionDef))
+                        and not member.name.startswith("_")
+                        and reads[member.name]
+                        == _attribute_reads(member)[member.name]):
+                    unused.append(f"{module}.{cls.name}.{member.name}")
+    return unused
+
+
+def test_no_test_only_methods_in_src():
+    assert unused_public_members() == []
 
 
 # ---------------------------------------------------------------------------
