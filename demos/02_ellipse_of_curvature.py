@@ -19,15 +19,15 @@ for spec, point in ((SurfaceSpec("clifford-torus"), (0.4, 1.1)),
                     (SurfaceSpec("product-torus-c2", r1=1.0, r2=1.0),
                      (0.3, 0.7))):
     pg = point_geometry(spec, *point)
-    samples, fit = ellipse_samples(pg, n_angles=12)
+    ellipse = ellipse_samples(pg, n_angles=12)
     print(f"== {spec.label()} at {point}")
     print(f"{'theta':>8} {'n1':>10} {'n2':>10}")
-    for s in samples:
-        print(f"{s.theta:>8.4f} {float(s.normal[..., 0]):>10.6f} "
-              f"{float(s.normal[..., 1]):>10.6f}")
-    print(f"center: ({float(samples[0].center[..., 0]):.6f}, "
-          f"{float(samples[0].center[..., 1]):.6f})   "
-          f"circle-fit residual: {fit:.3e}")
+    for theta, (n1, n2) in zip(ellipse.theta.tolist(),
+                               ellipse.normals(slice(None)).tolist()):
+        print(f"{theta:>8.4f} {n1:>10.6f} {n2:>10.6f}")
+    c1, c2 = ellipse.center.tolist()
+    print(f"center: ({c1:.6f}, {c2:.6f})   "
+          f"circle-fit residual: {ellipse.fit_residual:.3e}")
     try:
         r = radius(pg)
         print(f"circular: radius R = {float(r):.12f}")

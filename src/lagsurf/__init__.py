@@ -5,7 +5,7 @@ from .atlas import (ChartDomainError, PlanarChart, PolarAnnulusChart,
                     SphereChart, StereographicChart, TorusChart, build_grid,
                     random_points, sphere_quadrature, torus_quadrature)
 from .catalog import KINDS, SurfaceSpec, evaluate_lift, lift_at, validate_params
-from .geom import (EllipseSample, PointGeometry, circularity_defect,
+from .geom import (CurvatureEllipse, PointGeometry, circularity_defect,
                    ellipse_samples, frame_densities,
                    gauss_curvature_intrinsic, geometry_from_jet,
                    point_geometry, product_identity_check, radius,
@@ -23,8 +23,8 @@ __all__ = [
     "CH2",
     "CP2",
     "ChartDomainError",
+    "CurvatureEllipse",
     "DegeneratePointError",
-    "EllipseSample",
     "Jet2",
     "KINDS",
     "PlanarChart",

@@ -287,22 +287,19 @@ def _identity_checks(spec: SurfaceSpec, pg, cfg: RunConfig) -> list[dict]:
         checks.append(_check("radius_routes",
                              "R from the invariants matches both sigma routes",
                              radius_route_gap(pg), cfg))
-        _, fit = ellipse_samples(pg, cfg.angles)
         checks.append(_check("ellipse_fit",
                              "sampled curve fits a circle in the normal plane",
-                             fit, cfg))
+                             ellipse_samples(pg, cfg.angles).fit_residual,
+                             cfg))
     return checks
 
 
-def _gauss_check(spec: SurfaceSpec, cfg: RunConfig, chart) -> dict:
-    """Intrinsic-vs-extrinsic curvature agreement at seeded random points."""
-    a1, a2 = random_points(chart, 200, np.random.default_rng(cfg.seed))
-    pg = point_geometry(spec, a1, a2, chart=chart)
-    k_int = gauss_curvature_intrinsic(spec, a1, a2, chart=chart)
-    gap = np.max(np.abs(k_int - pg.K) / (1.0 + np.abs(pg.K)))
-    return _check("gauss_routes",
-                  "metric-only curvature agrees at 200 seeded points",
-                  float(gap), cfg)
+def _gauss_check(k_int, k, where: str, cfg: RunConfig) -> dict:
+    """Intrinsic-vs-extrinsic curvature agreement, max |K_int - K| / (1 + |K|),
+    at the points named by ``where``."""
+    gap = np.max(np.abs(k_int - k) / (1.0 + np.abs(k)))
+    return _check("gauss_routes", f"metric-only curvature agrees at {where}",
+                  gap, cfg)
 
 
 def _willmore_payload(rep) -> dict:
@@ -361,10 +358,7 @@ def cmd_probe(cfg: RunConfig) -> int:
     pg = point_geometry(spec, a1, a2, chart=chart)
     checks = _identity_checks(spec, pg, cfg)
     k_int = gauss_curvature_intrinsic(spec, a1, a2, chart=chart)
-    gap = abs(float(k_int) - float(pg.K)) / (1.0 + abs(float(pg.K)))
-    checks.append(_check("gauss_routes",
-                         "metric-only curvature agrees at the probe point",
-                         gap, cfg))
+    checks.append(_gauss_check(k_int, pg.K, "the probe point", cfg))
     report = {
         "surface": spec.kind,
         "params": spec.params(),
@@ -407,7 +401,10 @@ def cmd_verify(cfg: RunConfig) -> int:
     a1, a2 = build_grid(chart, *cfg.grid)
     pg = point_geometry(spec, a1, a2, chart=chart)
     checks = _identity_checks(spec, pg, cfg)
-    checks.append(_gauss_check(spec, cfg, chart))
+    s1, s2 = random_points(chart, 200, np.random.default_rng(cfg.seed))
+    checks.append(_gauss_check(
+        gauss_curvature_intrinsic(spec, s1, s2, chart=chart),
+        point_geometry(spec, s1, s2, chart=chart).K, "200 seeded points", cfg))
 
     family = spec.family
     k_lo, k_hi = float(np.min(pg.K)), float(np.max(pg.K))
@@ -441,20 +438,19 @@ def cmd_verify(cfg: RunConfig) -> int:
 def cmd_ellipse(cfg: RunConfig) -> int:
     spec = cfg.spec
     pg = point_geometry(spec, *cfg.point, chart=spec.default_chart)
-    samples, fit = ellipse_samples(pg, cfg.angles)
+    ellipse = ellipse_samples(pg, cfg.angles)
+    thetas = ellipse.theta.tolist()
+    normals = ellipse.normals(slice(None)).tolist()
+    center = ellipse.center.tolist()
+    fit = ellipse.fit_residual
     if cfg.format == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(["theta", "normal1", "normal2",
                          "center1", "center2", "fit_residual"])
-        for sample in samples:
+        for theta, normal in zip(thetas, normals):
             writer.writerow([f"{v:.17g}" for v in
-                             (sample.theta,
-                              float(sample.normal[..., 0]),
-                              float(sample.normal[..., 1]),
-                              float(sample.center[..., 0]),
-                              float(sample.center[..., 1]),
-                              fit)])
+                             (theta, *normal, *center, fit)])
         _emit(buffer.getvalue().rstrip("\n"), cfg)
         return 0
     payload = {
@@ -462,13 +458,8 @@ def cmd_ellipse(cfg: RunConfig) -> int:
         "params": spec.params(),
         "point": list(cfg.point),
         "fit_residual": fit,
-        "samples": [{
-            "theta": sample.theta,
-            "normal": [float(sample.normal[..., 0]),
-                       float(sample.normal[..., 1])],
-            "center": [float(sample.center[..., 0]),
-                       float(sample.center[..., 1])],
-        } for sample in samples],
+        "samples": [{"theta": theta, "normal": normal, "center": center}
+                    for theta, normal in zip(thetas, normals)],
     }
     _emit(json.dumps(payload, indent=2), cfg)
     return 0

@@ -10,9 +10,7 @@ each has its own defect number.  Gates read their limits from TOLERANCES.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass
-from functools import cache
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -64,21 +62,19 @@ class PointGeometry:
     c_symmetry_defect: float
 
 
-def _cubic_tensor(space, sigma, je):
-    sig = space.sig
-    C = np.empty(np.shape(sigma[0, 0])[:-1] + (2, 2, 2))
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                C[..., i, j, k] = real_pair(sigma[i, j], je[k], sig)
+def _cubic_tensor(sig, s11, s12, s22, je):
+    C = np.empty(np.shape(s11)[:-1] + (2, 2, 2))
+    for (i, j), s in (((0, 0), s11), ((0, 1), s12), ((1, 1), s22)):
+        for k in range(2):
+            C[..., i, j, k] = real_pair(s, je[k], sig)
+    C[..., 1, 0, :] = C[..., 0, 1, :]  # sigma21 is sigma12
     return C
 
 
 def _assemble(space, g, e1, e2, s11, s12, s22, diag):
     sig = space.sig
     je = (apply_J(e1), apply_J(e2))
-    sigma = {(0, 0): s11, (0, 1): s12, (1, 0): s12, (1, 1): s22}
-    C = _cubic_tensor(space, sigma, je)
+    C = _cubic_tensor(sig, s11, s12, s22, je)
     # index symmetry in the first two slots is structural; the swap of the
     # second/third slot is the Lagrangian property and gets measured
     c_defect = float(max(np.max(np.abs(C[..., 0, 0, 1] - C[..., 0, 1, 0])),
@@ -293,7 +289,7 @@ def radius(pg: PointGeometry) -> np.ndarray:
     """
     circ_tol = TOLERANCES["circularity"]
     route_tol = TOLERANCES["radius_routes"]
-    circ = float(np.max(np.abs(pg.D) / _sigma_scale(pg)))
+    circ = float(np.max(scaled_circularity(pg)))
     if circ > circ_tol:
         raise ValueError(
             f"ellipse is not circular: scaled |D| = {circ:.3e} "
@@ -306,41 +302,41 @@ def radius(pg: PointGeometry) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class EllipseSample:
-    """One probe of the ellipse of curvature, in (J e1, J e2) coordinates.
+class CurvatureEllipse:
+    """The ellipse of curvature on a uniform angle grid, in (J e1, J e2)
+    coordinates.
 
-    ``normal`` is sigma(v, v) for the unit tangent v at angle theta;
-    ``center`` is the mean curvature vector.  Samples at theta and
-    theta + pi coincide: the ellipse is traced twice per turn of v.
+    sigma(v, v) for the unit tangent v at angle theta is
+    ``center + cos(2 theta) half_diff + sin(2 theta) cross``: ``center`` is
+    the mean curvature vector H, ``half_diff`` is (sigma11 - sigma22) / 2
+    and ``cross`` is sigma12, each with the batch shape plus a trailing
+    axis of 2.  Angles theta and theta + pi give one normal: the ellipse is
+    traced twice per turn of v.  ``fit_residual`` is
+    max_theta | |sigma(v,v) - H| - R |, tiny exactly when the ellipse is
+    the circle of radius R.
     """
 
-    theta: float
-    normal: np.ndarray
+    theta: np.ndarray
     center: np.ndarray
+    half_diff: np.ndarray
+    cross: np.ndarray
+    fit_residual: float
+
+    def normals(self, rows: slice) -> np.ndarray:
+        """sigma(v, v) at the angles ``theta[rows]``, angle axis first."""
+        theta = self.theta[rows]
+        # scalar cos and sin per angle, as in a loop over them
+        shape = (theta.size,) + (1,) * self.center.ndim
+        cos2, sin2 = (np.array([f(2.0 * t) for t in theta]).reshape(shape)
+                      for f in (np.cos, np.sin))
+        return self.center + cos2 * self.half_diff + sin2 * self.cross
 
 
-class _Samples(Sequence):
-    """The EllipseSample list, built on first read: a caller that wants
-    only the fit residual keeps no n_angles x N normals."""
-
-    def __init__(self, build):
-        self._items = cache(build)
-
-    def __len__(self):
-        return len(self._items())
-
-    def __getitem__(self, k):
-        return self._items()[k]
-
-
-def ellipse_samples(pg: PointGeometry, n_angles: int):
-    """Sample sigma(v, v) on a uniform angle grid; also the circle residual.
-
-    Returns (samples, fit_residual) with fit_residual =
-    max_theta | |sigma(v,v) - H| - R |; tiny exactly when the ellipse is the
-    circle of radius pg.R.  The residual runs over groups of angles, so
-    its memory does not grow with n_angles x N; the samples are built
-    only when read.
+def ellipse_samples(pg: PointGeometry, n_angles: int) -> CurvatureEllipse:
+    """The ellipse of curvature at n_angles uniform angles, with its circle
+    fit residual.  The residual runs over groups of angles, so its memory
+    does not grow with n_angles x N; the normals are formed only when
+    ``normals`` is called.
     """
     if n_angles < 8:
         raise ValueError("need n_angles >= 8 to see the ellipse")
@@ -351,21 +347,15 @@ def ellipse_samples(pg: PointGeometry, n_angles: int):
         return np.stack([real_pair(vec, je[0], sig),
                          real_pair(vec, je[1], sig)], axis=-1)
 
-    center = coords2(pg.H)
-    half_diff = coords2(0.5 * (pg.sigma11 - pg.sigma22))
-    cross = coords2(pg.sigma12)
-
-    thetas = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
-    # one row per angle; scalar cos and sin per angle, as in a loop over them
-    shape = (n_angles,) + (1,) * center.ndim
-    cos2, sin2 = (np.array([f(2.0 * t) for t in thetas]).reshape(shape)
-                  for f in (np.cos, np.sin))
-
-    def normals(rows):
-        return center + cos2[rows] * half_diff + sin2[rows] * cross
+    ellipse = CurvatureEllipse(
+        theta=np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False),
+        center=coords2(pg.H),
+        half_diff=coords2(0.5 * (pg.sigma11 - pg.sigma22)),
+        cross=coords2(pg.sigma12), fit_residual=np.nan)
+    center = ellipse.center
 
     def group_residual(rows):
-        group = normals(rows)
+        group = ellipse.normals(rows)
         # by coordinate: a full-shape temporary is the group times the batch
         dist = (group[..., 0] - center[..., 0]) ** 2
         dist += (group[..., 1] - center[..., 1]) ** 2
@@ -374,27 +364,22 @@ def ellipse_samples(pg: PointGeometry, n_angles: int):
     step = max(1, _ELLIPSE_BLOCK // max(1, np.size(pg.R)))
     worst = [group_residual(slice(start, start + step))
              for start in range(0, n_angles, step)]
-    samples = _Samples(lambda: [
-        EllipseSample(float(theta), normal, center)
-        for theta, normal in zip(thetas, normals(slice(None)))])
-    return samples, float(np.max(worst))
+    return replace(ellipse, fit_residual=float(np.max(worst)))
 
 
-def gauss_curvature_intrinsic(spec: SurfaceSpec, a1, a2, chart=None,
-                              refine: bool = True) -> np.ndarray:
+def gauss_curvature_intrinsic(spec: SurfaceSpec, a1, a2,
+                              chart=None) -> np.ndarray:
     """Intrinsic Gauss curvature by finite differences of the metric alone.
 
     Central 3x3 stencil (step 1e-3) in the chart parameters feeds the
     classical determinant formula for K in terms of E, F, G and their
     first/second derivatives.  Independent of the second fundamental form,
-    so it cross-checks the ambient-identity route.  ``refine`` adds one
-    step-halving extrapolation, cancelling the leading O(step^2) error.
+    so it cross-checks the ambient-identity route.  One step-halving
+    extrapolation cancels the leading O(step^2) error.
     """
     if chart is None:
         chart = spec.default_chart
     k1 = _metric_curvature(spec, a1, a2, chart, 1e-3)
-    if not refine:
-        return k1
     return (4.0 * _metric_curvature(spec, a1, a2, chart, 5e-4) - k1) / 3.0
 
 

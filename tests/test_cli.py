@@ -346,6 +346,33 @@ def test_verify_matches_golden(name, surface, capsys):
     _assert_close_tree(json.loads(out), golden)
 
 
+# pointwise goldens in tests/golden/point: probe, and ellipse as JSON and CSV
+# at 16 angles, all at the chart point (0.4, 1.1)
+POINT_GOLDENS = [
+    ("clifford-torus", "clifford-torus"),
+    ("product-torus-1-1", "product-torus(1,1)"),
+]
+POINT_REPORTS = [("probe", "json"), ("ellipse", "json"), ("ellipse", "csv")]
+
+
+def _csv_tree(text):
+    rows = list(csv.reader(io.StringIO(text)))
+    return [rows[0]] + [[float(cell) for cell in row] for row in rows[1:]]
+
+
+@pytest.mark.parametrize("command, fmt", POINT_REPORTS)
+@pytest.mark.parametrize("name, surface", POINT_GOLDENS)
+def test_point_report_matches_golden(name, surface, command, fmt, capsys):
+    argv = [command, "--surface", surface]
+    if command == "ellipse":
+        argv += ["--angles", "16", "--format", fmt]
+    code, out = run_cli(capsys, argv + ["0.4", "1.1"])
+    assert code == 0
+    golden = (GOLDEN_DIR / "point" / f"{command}-{name}.{fmt}").read_text()
+    parse = _csv_tree if fmt == "csv" else json.loads
+    _assert_close_tree(parse(out), parse(golden))
+
+
 def test_flag_overrides_config(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("surface = clifford-torus\ngrid = 8x8\nquad = 16x16\n")

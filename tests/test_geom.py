@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from lagsurf import geom
 from lagsurf.atlas import build_grid
 from lagsurf.catalog import SurfaceSpec, lift_at
 from lagsurf.geom import (circularity_defect, circularity_route_gap,
@@ -254,18 +255,19 @@ def test_radius_gate_widens_with_the_tolerance_table(monkeypatch):
 
 def test_ellipse_samples_period_pi():
     pg = point_geometry(SurfaceSpec("whitney-cp2", t=0.8), 1.1, 0.6)
-    samples, _ = ellipse_samples(pg, 16)
+    ellipse = ellipse_samples(pg, 16)
+    normals = ellipse.normals(slice(None))
     for k in range(8):
-        delta = samples[k].normal - samples[k + 8].normal
+        delta = normals[k] - normals[k + 8]
         assert np.max(np.abs(delta)) < 1e-12
-        assert samples[k + 8].theta == pytest.approx(
-            samples[k].theta + np.pi, abs=1e-12)
+        assert ellipse.theta[k + 8] == pytest.approx(
+            ellipse.theta[k] + np.pi, abs=1e-12)
 
 
 @pytest.mark.parametrize("spec", CIRCULAR_SPECS, ids=lambda s: s.label())
 def test_ellipse_fit_residual_circular(spec):
     pg = _grid_geometry(spec, n=7)
-    _, fit = ellipse_samples(pg, 32)
+    fit = ellipse_samples(pg, 32).fit_residual
     assert fit < 1e-8
 
 
@@ -274,7 +276,7 @@ def test_ellipse_fit_residual_degenerate_segment():
     # around |H| = 1/sqrt(2), so the circle-fit residual is exactly 0.5
     pg = point_geometry(SurfaceSpec("product-torus-c2", r1=1.0, r2=1.0),
                         0.0, 0.0)
-    _, fit = ellipse_samples(pg, 64)
+    fit = ellipse_samples(pg, 64).fit_residual
     assert fit == pytest.approx(0.5, abs=1e-10)
     assert fit > 0.3
 
@@ -327,7 +329,7 @@ def test_ellipse_fit_residual_equals_one_broadcast(spec):
     single = point_geometry(spec, 0.7, 1.3)
     for pg in (grid, single):
         for n_angles in (8, 64, 200):
-            _, fit = ellipse_samples(pg, n_angles)
+            fit = ellipse_samples(pg, n_angles).fit_residual
             assert fit == _one_broadcast_fit_residual(pg, n_angles)
 
 
@@ -379,7 +381,7 @@ def test_intrinsic_curvature_matches_invariant(spec):
 def test_refinement_actually_helps():
     spec = SurfaceSpec("whitney-cp2", t=2.0)
     pg = point_geometry(spec, 1.1, 0.4)
-    plain = gauss_curvature_intrinsic(spec, 1.1, 0.4, refine=False)
+    plain = geom._metric_curvature(spec, 1.1, 0.4, spec.default_chart, 1e-3)
     refined = gauss_curvature_intrinsic(spec, 1.1, 0.4)
     k = float(pg.K)
     assert abs(float(refined) - k) < abs(float(plain) - k)

@@ -1,5 +1,6 @@
-"""No public name in src/ exists only for the tests, and no defaulted
-parameter in src/ is left at its default by every other caller.
+"""No public name in src/ exists only for the tests, no defaulted
+parameter in src/ is left at its default by every other caller, and no
+src/ module imports a name it never uses.
 
 A public function, class or constant must be exported in
 ``lagsurf.__all__``, be the console-script entry point, or be used by
@@ -68,6 +69,35 @@ def unused_public_names() -> list[str]:
 
 def test_no_test_only_code_in_src():
     assert unused_public_names() == []
+
+
+def unused_imports() -> list[str]:
+    """module.name for every name a src/ module imports and never loads.
+    The re-exports of ``__init__`` and ``__future__`` imports are exempt."""
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [alias.asname or alias.name.partition(".")[0]
+                             for alias in node.names]
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                imported += [alias.asname or alias.name
+                             for alias in node.names]
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name)
+                  and isinstance(node.ctx, ast.Load)}
+        unused += [f"{path.stem}.{name}" for name in imported
+                   if name not in loaded]
+    return unused
+
+
+def test_no_unused_imports_in_src():
+    assert unused_imports() == []
 
 
 def _attribute_reads(node) -> Counter:
