@@ -2,14 +2,13 @@
 
 from .ambient import C2, CH2, CP2, AmbientSpace, second_form_split
 from .atlas import (ChartDomainError, PlanarChart, PolarAnnulusChart,
-                    SphereChart, StereographicChart, TorusChart, build_grid,
-                    random_points, sphere_quadrature, torus_quadrature)
+                    SphereChart, TorusChart, build_grid, random_points,
+                    sphere_quadrature, torus_quadrature)
 from .catalog import KINDS, SurfaceSpec, evaluate_lift, lift_at, validate_params
-from .geom import (CurvatureEllipse, PointGeometry, circularity_defect,
-                   ellipse_samples, frame_densities,
+from .geom import (CurvatureEllipse, PointGeometry, ellipse_samples,
                    gauss_curvature_intrinsic, geometry_from_jet,
                    point_geometry, product_identity_check, radius,
-                   rotate_frame, scaled_circularity)
+                   scaled_circularity)
 from .numerics import DegeneratePointError, Jet2, apply_J, herm_pair, real_pair
 from .scans import (ScanReport, UnsupportedDomainError, WillmoreReport,
                     curvature_scan, pinching_hypothesis, pinching_report,
@@ -32,18 +31,15 @@ __all__ = [
     "PolarAnnulusChart",
     "ScanReport",
     "SphereChart",
-    "StereographicChart",
     "SurfaceSpec",
     "TorusChart",
     "UnsupportedDomainError",
     "WillmoreReport",
     "apply_J",
     "build_grid",
-    "circularity_defect",
     "curvature_scan",
     "ellipse_samples",
     "evaluate_lift",
-    "frame_densities",
     "gauss_curvature_intrinsic",
     "geometry_from_jet",
     "herm_pair",
@@ -55,7 +51,6 @@ __all__ = [
     "radius",
     "random_points",
     "real_pair",
-    "rotate_frame",
     "scaled_circularity",
     "second_form_split",
     "sphere_quadrature",

@@ -22,8 +22,8 @@ class ChartDomainError(ValueError):
 class SphereChart:
     """Colatitude/azimuth chart (phi, theta) -> (x, y, z) on the unit sphere.
 
-    phi in (0, pi), theta in [0, 2pi).  The poles z = +-1 are excluded;
-    stereographic charts cover them.
+    phi in (0, pi), theta in [0, 2pi).  The poles z = +-1 are excluded, and
+    no chart in the package covers them.
     """
 
     kind = "spherical"
@@ -46,37 +46,6 @@ class SphereChart:
     def height(self, phi, theta):
         """The sphere height z = cos(phi) of chart points."""
         return np.cos(phi)
-
-
-class StereographicChart:
-    """Stereographic plane chart (u, v) -> (x, y, z).
-
-    pole='north' projects from (0,0,1) and covers the sphere minus the north
-    pole; pole='south' covers the sphere minus the south pole.
-    """
-
-    periodic = (False, False)
-    bounds = ((-4.0, 4.0), (-4.0, 4.0))
-
-    def __init__(self, pole: str = "north"):
-        if pole not in ("north", "south"):
-            raise ValueError("pole must be 'north' or 'south'")
-        self.pole = pole
-        self.kind = f"stereographic-{pole}"
-
-    def contains(self, u, v):
-        return np.ones(np.broadcast(np.asarray(u), np.asarray(v)).shape,
-                       dtype=bool)
-
-    def coords(self, u, v):
-        ju, jv = Jet2.variables(u, v)
-        den = ju * ju + jv * jv + 1.0
-        x = 2.0 * ju / den
-        y = 2.0 * jv / den
-        z = (ju * ju + jv * jv - 1.0) / den
-        if self.pole == "south":
-            z = -z
-        return x, y, z
 
 
 class PlanarChart:
@@ -173,11 +142,9 @@ class QuadratureRule:
     runs are bitwise reproducible.
     """
 
-    kind: str
     nodes1: np.ndarray
     nodes2: np.ndarray
     weights: np.ndarray
-    orders: tuple[int, int]
 
 
 def sphere_quadrature(n1: int, n2: int) -> QuadratureRule:
@@ -194,8 +161,7 @@ def sphere_quadrature(n1: int, n2: int) -> QuadratureRule:
     w_theta = np.full(n2, 2.0 * np.pi / n2)
     p, t = np.meshgrid(phi, theta, indexing="ij")
     wp, wt = np.meshgrid(w_phi, w_theta, indexing="ij")
-    return QuadratureRule("sphere", p.ravel(), t.ravel(),
-                          (wp * wt).ravel(), (n1, n2))
+    return QuadratureRule(p.ravel(), t.ravel(), (wp * wt).ravel())
 
 
 def torus_quadrature(n1: int, n2: int) -> QuadratureRule:
@@ -204,4 +170,4 @@ def torus_quadrature(n1: int, n2: int) -> QuadratureRule:
     t2 = np.linspace(0.0, 2.0 * np.pi, n2, endpoint=False)
     g1, g2 = np.meshgrid(t1, t2, indexing="ij")
     w = np.full(n1 * n2, (2.0 * np.pi / n1) * (2.0 * np.pi / n2))
-    return QuadratureRule("torus", g1.ravel(), g2.ravel(), w, (n1, n2))
+    return QuadratureRule(g1.ravel(), g2.ravel(), w)

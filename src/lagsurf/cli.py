@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import ast
 import csv
+import functools
 import io
 import json
 import math
@@ -535,9 +536,11 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """One subparser per command, with exactly the flags it reads; every
-    value is collected as text and converted by ``resolve_config``."""
+    value is collected as text and converted by ``resolve_config``.  Built
+    on the first call and reused: parsing leaves the parser unchanged."""
     parser = argparse.ArgumentParser(
         prog="lagsurf",
         description="Catalog and verification tools for Lagrangian surfaces "

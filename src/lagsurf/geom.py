@@ -156,26 +156,6 @@ def point_geometry(spec: SurfaceSpec, a1, a2, chart=None) -> PointGeometry:
     return geometry_from_jet(lift, spec.ambient)
 
 
-def rotate_frame(pg: PointGeometry, alpha: float) -> PointGeometry:
-    """The same point re-expressed in the tangent frame rotated by alpha.
-
-    Scalar invariants must not move; the complex quantities D and
-    F*conj(Hc) pick up the phase exp(-4i*alpha).  Used by covariance tests
-    and by anything that needs a frame-generic evaluation.
-    """
-    c, s = np.cos(alpha), np.sin(alpha)
-    e1 = c * pg.e1 + s * pg.e2
-    e2 = -s * pg.e1 + c * pg.e2
-    s11 = c * c * pg.sigma11 + 2.0 * c * s * pg.sigma12 + s * s * pg.sigma22
-    s12 = (-c * s * pg.sigma11 + (c * c - s * s) * pg.sigma12
-           + c * s * pg.sigma22)
-    s22 = s * s * pg.sigma11 - 2.0 * c * s * pg.sigma12 + c * c * pg.sigma22
-    diag = {name: getattr(pg, name)
-            for name in ("membership", "horizontality", "lagrangian",
-                         "split_residual", "position_defect", "fiber_defect")}
-    return _assemble(pg.space, pg.g, e1, e2, s11, s12, s22, diag)
-
-
 def _sigma_scale(pg):
     # circularity is compared at the scale of |sigma|^2 squared, so the
     # tolerance follows the surface instead of its parametrization
@@ -183,7 +163,11 @@ def _sigma_scale(pg):
 
 
 def scaled_circularity(pg: PointGeometry) -> np.ndarray:
-    """Pointwise |D| relative to the sigma scale; the circularity measure."""
+    """Pointwise |D| relative to the sigma scale; the circularity measure.
+
+    D = (|s11 - s22|^2 / 4 - |s12|^2) + i <s11 - s22, s12> vanishes exactly
+    when the ellipse of curvature is a circle (a point counts).
+    """
     return np.abs(pg.D) / _sigma_scale(pg)
 
 
@@ -210,42 +194,15 @@ def circularity_route_gap(pg: PointGeometry) -> float:
     return float(np.max(np.abs(expanded - pg.D) / _sigma_scale(pg)))
 
 
-def circularity_defect(pg: PointGeometry):
-    """The complex circularity defect D, after both routes agree.
-
-    D = (|s11 - s22|^2 / 4 - |s12|^2) + i <s11 - s22, s12> vanishes exactly
-    when the ellipse of curvature is a circle (a point counts).
-    """
-    route_tol = TOLERANCES["circularity_routes"]
-    gap = circularity_route_gap(pg)
-    if gap > route_tol:
-        raise RuntimeError(
-            f"circularity routes disagree by {gap:.3e} (tol {route_tol:.0e})")
-    return pg.D
-
-
 def density_moduli_gap(pg: PointGeometry) -> float:
-    """Worst relative defect of |Hc|^2 = |H|^2 and |F|^2 = c/2 + |H|^2 - 2K."""
+    """Worst relative defect of |Hc|^2 = |H|^2 and |F|^2 = c/2 + |H|^2 - 2K.
+
+    F == 0 characterizes the Whitney-type examples, Hc == 0 the minimal ones.
+    """
     hc_gap = np.abs(np.abs(pg.Hc) ** 2 - pg.H2) / (1.0 + pg.H2)
     f_rhs = pg.space.c / 2.0 + pg.H2 - 2.0 * pg.K
     f_gap = np.abs(np.abs(pg.F) ** 2 - f_rhs) / (1.0 + np.abs(f_rhs))
     return float(max(np.max(hc_gap), np.max(f_gap)))
-
-
-def frame_densities(pg: PointGeometry):
-    """The cubic density F and mean density Hc, with their moduli enforced.
-
-    |Hc|^2 must equal |H|^2, and |F|^2 must equal c/2 + |H|^2 - 2K; both are
-    checked relative to their own scale.  F == 0 characterizes the
-    Whitney-type examples, Hc == 0 the minimal ones.
-    """
-    tol = TOLERANCES["density_moduli"]
-    worst = density_moduli_gap(pg)
-    if worst > tol:
-        raise RuntimeError(
-            f"density modulus identity violated by {worst:.3e} "
-            f"(tol {tol:.0e})")
-    return pg.F, pg.Hc
 
 
 def product_identity_check(pg: PointGeometry) -> float:

@@ -96,8 +96,8 @@ def curvature_scan(spec: SurfaceSpec, grid=(64, 64),
         r_min=float(np.min(r)), r_max=float(np.max(r)),
         d_max=float(np.max(d_abs)), d_max_scaled=d_max_scaled,
         h_max=h_max,
-        circular=bool(d_max_scaled < circ_tol),
-        minimal=bool(h_max < minimal_tol))
+        circular=bool(d_max_scaled <= circ_tol),
+        minimal=bool(h_max <= minimal_tol))
 
 
 @dataclass(frozen=True)

@@ -12,14 +12,14 @@ import math
 
 import numpy as np
 
-from helpers import stereographic_from_xyz
-from lagsurf.atlas import StereographicChart, build_grid, random_points
+from helpers import StereographicChart, rotate_frame, stereographic_from_xyz
+from lagsurf.atlas import build_grid, random_points
 from lagsurf.catalog import SurfaceSpec, lift_at
 from lagsurf.cli import main
 from lagsurf.geom import (circularity_route_gap, density_moduli_gap,
                           gauss_curvature_intrinsic, point_geometry,
                           product_identity_check, radius_route_gap,
-                          rotate_frame, scaled_circularity)
+                          scaled_circularity)
 from lagsurf.scans import curvature_scan, pinching_hypothesis, willmore
 
 CIRCULAR_CONFIGS = [

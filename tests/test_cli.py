@@ -17,8 +17,9 @@ import pytest
 
 from lagsurf import numerics, scans
 from lagsurf.catalog import FAMILIES
-from lagsurf.cli import (TOLERANCES, ConfigError, _parse_number, main,
-                         parse_surface_token, read_config_file)
+from lagsurf.cli import (TOLERANCES, ConfigError, _parse_number,
+                         build_parser, main, parse_surface_token,
+                         read_config_file)
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -285,6 +286,23 @@ def test_scan_payload(capsys):
     assert any("holds" in line for line in payload["pinching"])
 
 
+@pytest.mark.parametrize("tol_name, measure, flag", [
+    ("circularity", "D_max_scaled", "circular"),
+    ("minimality", "H_max", "minimal"),
+])
+def test_scan_passes_at_a_tolerance_equal_to_the_defect(tol_name, measure,
+                                                        flag, capsys):
+    # like every other named check, a defect equal to its tolerance passes
+    argv = ["scan", "--surface", "product-torus(1,2)", "--grid", "8x8"]
+    _, out = run_cli(capsys, argv)
+    payload = json.loads(out)
+    defect = payload[measure]
+    assert defect > 0.0 and not payload[flag]
+    _, out = run_cli(capsys, argv + ["--tol", f"{tol_name}={defect!r}"])
+    payload = json.loads(out)
+    assert payload[measure] == defect and payload[flag] is True
+
+
 # one valid surface token per catalog kind
 _VALID_SURFACE = {"whitney-cp2": "whitney-cp2(0.5)",
                   "whitney-ch2": "whitney-ch2(0.5)",
@@ -510,6 +528,28 @@ def test_closed_reader_is_not_an_error():
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_reused_parser_matches_fresh_processes(capsys):
+    # the parser is shared by every main call in a process: one call's
+    # subcommand and tolerances must not reach the next
+    runs = [["probe", "--surface", "clifford-torus",
+             "--tol", "circularity=0", "0.4", "1.1"],
+            ["verify", "--surface", "clifford-torus", "--grid", "8x8",
+             "--quad", "16x16", "--tol", "circularity_routes=1e-9"]]
+    in_process = [run_cli(capsys, argv) for argv in runs]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    fresh = []
+    for argv in runs:
+        proc = subprocess.run([sys.executable, "-m", "lagsurf.cli", *argv],
+                              capture_output=True, text=True, env=env,
+                              check=False)
+        fresh.append((proc.returncode, proc.stdout))
+    assert in_process == fresh
 
 
 def test_surface_error_comes_before_point_error(capsys):

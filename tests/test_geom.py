@@ -8,15 +8,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from helpers import rotate_frame
 from lagsurf import geom
 from lagsurf.atlas import build_grid
 from lagsurf.catalog import SurfaceSpec, lift_at
-from lagsurf.geom import (circularity_defect, circularity_route_gap,
-                          density_moduli_gap, ellipse_samples,
-                          frame_densities, gauss_curvature_intrinsic,
+from lagsurf.geom import (circularity_route_gap, density_moduli_gap,
+                          ellipse_samples, gauss_curvature_intrinsic,
                           geometry_from_jet, point_geometry,
                           product_identity_check, radius, radius_route_gap,
-                          rotate_frame, scaled_circularity)
+                          scaled_circularity)
 from lagsurf.numerics import TOLERANCES, apply_J, real_pair
 
 CIRCULAR_SPECS = [
@@ -98,9 +98,6 @@ def test_psi_flat_nonminimal_oracle():
 def test_circular_members_have_tiny_defect(spec):
     pg = _grid_geometry(spec)
     assert float(np.max(scaled_circularity(pg))) < 1e-10
-    # the raising gate agrees
-    d = circularity_defect(pg)
-    assert np.max(np.abs(d)) == np.max(np.abs(pg.D))
 
 
 @pytest.mark.parametrize("spec", CIRCULAR_SPECS + [
@@ -119,12 +116,10 @@ def test_density_dichotomy():
                  SurfaceSpec("whitney-ch2", t=0.5),
                  SurfaceSpec("psi-ch2", s=0.3), SurfaceSpec("eta-ch2")):
         pg = _grid_geometry(spec)
-        F, Hc = frame_densities(pg)
-        assert np.max(np.abs(F)) < 1e-10, spec.label()
+        assert np.max(np.abs(pg.F)) < 1e-10, spec.label()
     pg = _grid_geometry(SurfaceSpec("clifford-torus"))
-    F, Hc = frame_densities(pg)
-    assert np.max(np.abs(Hc)) < 1e-12
-    assert np.min(np.abs(F)) > 1.0
+    assert np.max(np.abs(pg.Hc)) < 1e-12
+    assert np.min(np.abs(pg.F)) > 1.0
 
 
 def test_whitney_curvature_pinching_identity():
@@ -231,8 +226,6 @@ def test_radius_gate_rejects_non_circular():
 
 
 @pytest.mark.parametrize("name, gate, message", [
-    ("circularity_routes", circularity_defect, "circularity routes disagree"),
-    ("density_moduli", frame_densities, "density modulus identity"),
     ("circularity", radius, "not circular"),
     ("radius_routes", radius, "radius routes disagree"),
 ])

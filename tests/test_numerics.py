@@ -133,8 +133,8 @@ def test_jet_exp_product_rule():
     # exp(x*y): all second-order partials in closed form
     x, y = 0.7, -1.3
     j1, j2 = Jet2.variables(x, y)
-    j = (j1 * j2).compose_scalar(np.exp, np.exp, np.exp)
     e = np.exp(x * y)
+    j = (j1 * j2).compose_scalar(e, e, e)
     assert j.v == pytest.approx(e, rel=1e-14)
     assert j.d1 == pytest.approx(y * e, rel=1e-14)
     assert j.d2 == pytest.approx(x * e, rel=1e-14)

@@ -2,12 +2,13 @@
 parameter in src/ is left at its default by every other caller, and no
 src/ module imports a name it never uses.
 
-A public function, class or constant must be exported in
-``lagsurf.__all__``, be the console-script entry point, or be used by
-other src/ code: loaded as a name, read as an attribute, or imported.  A
-public method or property of a src/ class must be read as an attribute by
-src/ code; being on an exported class does not count.  A reference inside
-the name's own definition (recursion) does not count.
+A public function, class or constant must be the console-script entry
+point, or be used by other src/ code or by demos/ or bench/: loaded as a
+name, read as an attribute, or imported.  Being in ``lagsurf.__all__`` does
+not count, and neither does the re-export in ``__init__``.  A public method
+or property of a src/ class must be read as an attribute by src/ code;
+being on an exported class does not count.  A reference inside the name's
+own definition (recursion) does not count.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ import pathlib
 import re
 from collections import Counter
 
-import lagsurf
-
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "lagsurf"
+# the code outside src/ whose use keeps a src/ name or parameter
+USERS = (ROOT / "demos", ROOT / "bench")
 
 
 def _defined(stmt) -> list[str]:
@@ -53,16 +54,22 @@ def _entry_point() -> str:
 
 
 def unused_public_names() -> list[str]:
-    """module.name for every public definition nothing outside it uses."""
+    """module.name for every public definition that nothing outside it in
+    src/ (``__init__`` aside), demos/ or bench/ uses."""
     definitions = []
     used = set()
     for path in sorted(SRC.glob("*.py")):
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
             own = _defined(stmt)
-            used.update(_referenced(stmt) - set(own))
+            if path.stem != "__init__":
+                used.update(_referenced(stmt) - set(own))
             definitions += [(path.stem, name) for name in own
                             if not name.startswith("_")]
-    allowed = used | set(lagsurf.__all__) | {_entry_point()}
+    for folder in USERS:
+        for path in sorted(folder.glob("*.py")):
+            used.update(_referenced(ast.parse(path.read_text(
+                encoding="utf-8"))))
+    allowed = used | {_entry_point()}
     return [f"{module}.{name}" for module, name in definitions
             if name not in allowed]
 
@@ -133,7 +140,7 @@ def test_no_test_only_methods_in_src():
 # ---------------------------------------------------------------------------
 # no defaulted parameter that no caller sets
 
-CALLERS = (SRC, ROOT / "tests", ROOT / "demos")
+CALLERS = (SRC,) + USERS
 
 
 def _defaulted(func, method: bool) -> list[tuple[str, int | None]]:
@@ -188,7 +195,7 @@ def _collect(node, path, owners, calls) -> None:
 
 
 def _calls() -> dict[str, list[tuple[ast.Call, frozenset]]]:
-    """Every call in src/, tests/ and demos/, by the name it calls."""
+    """Every call in src/, demos/ and bench/, by the name it calls."""
     calls: dict[str, list[tuple[ast.Call, frozenset]]] = {}
     for folder in CALLERS:
         for path in sorted(folder.glob("*.py")):
@@ -206,7 +213,7 @@ def _sets(call: ast.Call, name: str, index: int | None) -> bool:
 
 
 def unset_parameters() -> list[str]:
-    """Defaulted src/ parameters that no call in src/, tests/ or demos/
+    """Defaulted src/ parameters that no call in src/, demos/ or bench/
     sets, by keyword or by position.  ``__init__`` is called by its class
     name; a call passing ``*args`` or ``**kwargs`` sets every parameter.
     Calls match by name alone, so a same-named callee also counts.  A call
