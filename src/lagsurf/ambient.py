@@ -12,14 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (
-    GRAM_COND_LIMIT,
-    DegeneratePointError,
-    Jet2,
-    apply_J,
-    herm_pair,
-    real_pair,
-)
+from .numerics import (GRAM_COND_LIMIT, DegeneratePointError, Jet2, apply_J,
+                       component_major, herm_pair, real_pair)
 
 
 @dataclass(frozen=True)
@@ -96,9 +90,13 @@ class FrameSplit:
 
 
 def _norm(a):
-    # Euclidean norm over the last axis, real and imaginary parts alike
-    flat = np.ascontiguousarray(a, dtype=complex).view(float)
-    return np.sqrt(np.einsum("...i,...i->...", flat, flat))
+    # Euclidean norm over the last axis, in place one component at a time:
+    # the real parts' squares, then the imaginary parts', then the two
+    re, im = a[..., 0].real ** 2, a[..., 0].imag ** 2
+    for k in range(1, a.shape[-1]):
+        re += a[..., k].real ** 2
+        im += a[..., k].imag ** 2
+    return np.sqrt(re + im)
 
 
 def gram_condition(g11, g22, t12, c1=None, c2=None, nu=None):
@@ -162,18 +160,21 @@ def second_form_split(lift: Jet2, space: AmbientSpace) -> FrameSplit:
             f"frame Gram condition number {np.max(cond):.3e} exceeds "
             f"{GRAM_COND_LIMIT:.0e}; singular or non-immersed point")
 
-    # one second derivative x at a time, on arrays of the batch shape
+    # one second derivative x at a time, on arrays of the batch shape; the
+    # results are stacked along a new first axis (see component_major)
     basis = [d1, d2, psi] if space.is_lifted else [d1, d2]
     jd1, jd2 = apply_J(d1), apply_J(d2)
-    tangent, normal, coeff, residual = [], [], [], []
-    for x in (lift.d11, lift.d12, lift.d22):
+    normal = np.empty((3, len(sig)) + np.shape(g11), dtype=complex)
+    tangent, coeff, residual = [], [], []
+    for p, x in enumerate((lift.d11, lift.d12, lift.d22)):
         h = [herm_pair(x, b, sig) for b in basis]
         # g^-1 (h1, h2) by the closed-form 2x2 inverse
         z1 = (g22 * h[0] - g12 * h[1]) / det
         z2 = (g11 * h[1] - g12 * h[0]) / det
-        tangent.append(np.stack([z1.real, z2.real], axis=-1))
-        normal.append(z1.imag[..., None] * jd1)
-        normal[-1] += z2.imag[..., None] * jd2
+        tangent.append((z1.real, z2.real))
+        normal_p = np.multiply(z1.imag[..., None], jd1,
+                               out=component_major(normal[p]))
+        normal_p += z2.imag[..., None] * jd2
         gap = x - z1[..., None] * d1
         gap -= z2[..., None] * d2
         if space.is_lifted:
@@ -184,19 +185,18 @@ def second_form_split(lift: Jet2, space: AmbientSpace) -> FrameSplit:
     position = fiber = None
     position_defect = fiber_defect = 0.0
     if space.is_lifted:
-        z_psi = np.stack(coeff, axis=-1)
-        position, fiber = z_psi.real, z_psi.imag
-        g = np.stack([g11, g12, g22], axis=-1)
+        z_psi, g = np.array(coeff), np.array([g11, g12, g22])
         gscale = 1.0 + np.abs(g)
         position_defect = float(
-            np.max(np.abs(position + g / space.lift_norm) / gscale))
-        fiber_defect = float(np.max(np.abs(fiber) / gscale))
+            np.max(np.abs(z_psi.real + g / space.lift_norm) / gscale))
+        fiber_defect = float(np.max(np.abs(z_psi.imag) / gscale))
+        z_psi = component_major(z_psi)
+        position, fiber = z_psi.real, z_psi.imag
 
-    metric = np.stack([np.stack([g11, g12], axis=-1),
-                       np.stack([g12, g22], axis=-1)], axis=-2)
-    return FrameSplit(metric=metric,
-                      tangent=np.stack(tangent, axis=-2),
-                      normal=np.stack(normal, axis=-2),
+    metric = np.array([[g11, g12], [g12, g22]])
+    return FrameSplit(metric=component_major(metric, 2),
+                      tangent=component_major(np.array(tangent), 2),
+                      normal=component_major(normal, 2),
                       position=position, fiber=fiber,
                       split_residual=float(np.max(residual)),
                       position_defect=position_defect,

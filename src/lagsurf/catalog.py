@@ -32,14 +32,16 @@ class Family:
     """Every fact about one catalog kind, in one record.
 
     ``params`` are the parameters the kind reads; the rest must stay at
-    their defaults.  ``domain`` is the parameter predicate (None: every
-    finite value) and ``domain_error`` the message when it fails.  ``chi``
-    is the Euler characteristic of a compact domain (None: noncompact).
-    ``quadrature`` names the atlas rule (``"sphere"`` or ``"torus"``) the
-    Willmore integral runs on (None: no integral).  ``k_range`` and
-    ``willmore`` give the closed-form Gauss curvature range and (energy,
-    tolerance name) where the paper has one.  ``circular`` is False for
-    the one family whose ellipse must never be a circle.
+    their defaults.  ``defaults`` replaces a ``SurfaceSpec`` default that
+    lies outside the domain when the command line names the kind bare.
+    ``domain`` is the parameter predicate (None: every finite value) and
+    ``domain_error`` the message when it fails.  ``chi`` is the Euler
+    characteristic of a compact domain (None: noncompact).  ``quadrature``
+    names the atlas rule (``"sphere"`` or ``"torus"``) the Willmore
+    integral runs on (None: no integral).  ``k_range`` and ``willmore``
+    give the closed-form Gauss curvature range and (energy, tolerance
+    name) where the paper has one.  ``circular`` is False for the one
+    family whose ellipse must never be a circle.
     """
 
     ambient: AmbientSpace
@@ -48,6 +50,7 @@ class Family:
     n_coords: int
     note: str
     params: tuple[str, ...] = ()
+    defaults: tuple[tuple[str, float], ...] = ()
     domain: Callable[[SurfaceSpec], bool] | None = None
     domain_error: str = ""
     chi: int | None = None
@@ -218,7 +221,8 @@ FAMILIES: dict[str, Family] = {
         CH2, _whitney_ch2,
         "sphere family in the negatively curved target; t > 0",
         lambda spec: (-1.0, -1.0 + 2.0 * math.cosh(spec.t) ** 2),
-        params=("t",), domain=lambda spec: spec.t > 0.0,
+        params=("t",), defaults=(("t", 0.5),),
+        domain=lambda spec: spec.t > 0.0,
         domain_error="whitney-ch2 needs t > 0; the family degenerates "
                      "at t = 0"),
     "totally-geodesic-cp2": _sphere(

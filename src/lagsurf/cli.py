@@ -206,7 +206,7 @@ def _surface_spec(values: dict) -> SurfaceSpec:
     kind, inline = parse_surface_token(values["surface"])
     inline.update({f.name: values[f.name] for f in fields(SurfaceSpec)[1:]
                    if values[f.name] is not None})  # every field after kind
-    spec = SurfaceSpec(kind, **inline)
+    spec = SurfaceSpec(kind, **(dict(FAMILIES[kind].defaults) | inline))
     validate_params(spec)
     return spec
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import ambient as amb
 from .ambient import AmbientSpace
 from .catalog import SurfaceSpec, lift_at
-from .numerics import TOLERANCES, Jet2, apply_J, real_pair
+from .numerics import TOLERANCES, Jet2, apply_J, component_major, real_pair
 
 # angles x points per broadcast of the ellipse fit residual: a group's
 # temporaries stay a few MB, and one point takes all angles at once
@@ -63,12 +63,12 @@ class PointGeometry:
 
 
 def _cubic_tensor(sig, s11, s12, s22, je):
-    C = np.empty(np.shape(s11)[:-1] + (2, 2, 2))
+    C = np.empty((2, 2, 2) + np.shape(s11)[:-1])
     for (i, j), s in (((0, 0), s11), ((0, 1), s12), ((1, 1), s22)):
         for k in range(2):
-            C[..., i, j, k] = real_pair(s, je[k], sig)
-    C[..., 1, 0, :] = C[..., 0, 1, :]  # sigma21 is sigma12
-    return C
+            C[i, j, k] = real_pair(s, je[k], sig)
+    C[1, 0] = C[0, 1]  # sigma21 is sigma12
+    return component_major(C, 3)
 
 
 def _assemble(space, g, e1, e2, s11, s12, s22, diag):

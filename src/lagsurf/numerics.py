@@ -1,6 +1,7 @@
 """Signature-aware linear algebra on C^2/C^3 and second-order jet arithmetic.
 
-Ambient points are complex numpy arrays of shape (..., m), m in {2, 3}.  The
+Ambient points are complex numpy arrays of shape (..., m), m in {2, 3}, and
+the ones built here are stored component-major (see component_major).  The
 flat real form interleaves real and imaginary parts, so six reals
 (r1, ..., r6) pair into (r1 + i*r2, r3 + i*r4, r5 + i*r6).  Pairings carry a
 per-component signature eps in {+1, -1}^m, which is what distinguishes the
@@ -70,6 +71,15 @@ def herm_pair(a, b, sig):
     return total
 
 
+def component_major(buf, lead=1):
+    """The (*batch, *lead) view of a buffer stored as (*lead, *batch): the
+    shape stays (..., m) while each component a[..., k] is contiguous, and
+    elementwise results keep the memory order of their inputs."""
+    if buf.ndim == lead:
+        return buf
+    return buf.transpose(tuple(range(lead, buf.ndim)) + tuple(range(lead)))
+
+
 def real_pair(a, b, sig):
     """Real part of the Hermitian pairing: the (pseudo-)Riemannian metric."""
     return herm_pair(a, b, sig).real
@@ -114,12 +124,11 @@ class Jet2:
 
     @classmethod
     def stack(cls, components):
-        """Stack scalar jets into one vector-valued jet (trailing axis)."""
-        fields = []
-        for name in ("v", "d1", "d2", "d11", "d12", "d22"):
-            fields.append(np.stack([np.asarray(getattr(j, name), dtype=complex)
-                                    for j in components], axis=-1))
-        return cls(*fields)
+        """Stack scalar jets into one vector-valued jet (trailing axis),
+        each field stored component-major (see component_major)."""
+        return cls(*(component_major(np.array(
+            [getattr(j, name) for j in components], dtype=complex))
+            for name in ("v", "d1", "d2", "d11", "d12", "d22")))
 
     def _binary(self, other, op):
         if isinstance(other, Jet2):

@@ -9,11 +9,12 @@ import pytest
 
 from gram_reference import frame_condition, reference_split
 from helpers import ambient_dim
-from lagsurf.ambient import (C2, CH2, CP2, gram_condition, lagrangian_defect,
-                             horizontality_defect, membership_defect,
-                             second_form_split)
+from lagsurf.ambient import (C2, CH2, CP2, _norm, gram_condition,
+                             horizontality_defect, lagrangian_defect,
+                             membership_defect, second_form_split)
 from lagsurf.atlas import build_grid
 from lagsurf.catalog import SurfaceSpec, lift_at
+from lagsurf.geom import geometry_from_jet
 from lagsurf.cli import TOLERANCES
 from lagsurf.numerics import (GRAM_COND_LIMIT, DegeneratePointError, Jet2,
                               herm_pair, real_pair)
@@ -265,3 +266,81 @@ def test_residual_reports_neglected_lagrangian_coupling():
     assert np.max(np.abs(second - recon)) < 1e-12
     split = second_form_split(lift, C2)
     assert split.split_residual > TOLERANCES["split_residual"]
+
+
+# ---------------------------------------------------------------------------
+# storage: (..., m) arrays whose components are each contiguous
+
+LAYOUT_SHAPES = [(12,), (3, 4)]
+
+
+def _batch_points(spec, shape):
+    # a 1-d or 2-d batch of chart points inside the sampling box
+    (lo1, hi1), (lo2, hi2) = spec.default_chart.bounds
+    n = int(np.prod(shape))
+    return (np.linspace(lo1 + 0.1, hi1 - 0.1, n).reshape(shape),
+            np.linspace(hi2 - 0.1, lo2 + 0.1, n).reshape(shape))
+
+
+@pytest.mark.parametrize("shape", LAYOUT_SHAPES, ids=str)
+@pytest.mark.parametrize("spec", [SurfaceSpec("whitney-cp2", t=0.5),
+                                  SurfaceSpec("whitney-c2")],
+                         ids=lambda s: s.label())
+def test_ambient_components_are_contiguous(spec, shape):
+    # a C-order stack anywhere on the way makes a component strided
+    a1, a2 = _batch_points(spec, shape)
+    j1, j2 = Jet2.variables(a1, a2)
+    stacked = Jet2.stack([j1, j1 * j2, j2])
+    lift = lift_at(spec, a1, a2)
+    split = second_form_split(lift, spec.ambient)
+    pg = geometry_from_jet(lift, spec.ambient)
+    m = ambient_dim(spec.ambient)
+    assert stacked.d1.shape == shape + (3,)
+    assert (lift.d1.shape, split.normal.shape, pg.e1.shape) == (
+        shape + (m,), shape + (3, m), shape + (m,))
+    for k in range(3):
+        assert stacked.d1[..., k].flags.c_contiguous
+    for k in range(m):
+        for p in range(3):
+            assert split.normal[..., p, :][..., k].flags.c_contiguous
+        assert pg.e1[..., k].flags.c_contiguous
+
+
+def _row_major(lift):
+    return Jet2(*(np.ascontiguousarray(f) for f in lift._fields()))
+
+
+@pytest.mark.parametrize("spec", GOLDEN_SPECS, ids=lambda s: s.label())
+def test_storage_order_leaves_every_bit(spec):
+    # one lift jet stored row-major and component-major: the pairings, the
+    # split and the invariants agree bitwise, defects included
+    a1, a2 = _batch_points(spec, (5, 7))
+    lift = lift_at(spec, a1, a2)
+    rows = _row_major(lift)
+    assert rows.d1.flags.c_contiguous and not rows.d1[..., 0].flags.contiguous
+    sig = spec.ambient.sig
+    assert np.array_equal(herm_pair(lift.d1, lift.d11, sig),
+                          herm_pair(rows.d1, rows.d11, sig))
+    for got, want in ((second_form_split(rows, spec.ambient),
+                       second_form_split(lift, spec.ambient)),
+                      (geometry_from_jet(rows, spec.ambient),
+                       geometry_from_jet(lift, spec.ambient))):
+        for field in dataclasses.fields(want):
+            g, w = getattr(got, field.name), getattr(want, field.name)
+            if isinstance(w, np.ndarray):
+                assert g.shape == w.shape and g.dtype == w.dtype, field.name
+                assert np.array_equal(g, w), field.name
+            else:
+                assert g == w, field.name
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_norm_matches_linalg_norm_in_either_storage_order(m):
+    # the split's residual norm sums components in place; the reference is
+    # numpy's norm over the trailing axis
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(m, 40)) + 1j * rng.normal(size=(m, 40))
+    for vec in (a.T, np.ascontiguousarray(a.T)):
+        want = np.linalg.norm(vec, axis=-1)
+        assert np.allclose(_norm(vec), want, rtol=8 * np.finfo(float).eps,
+                           atol=0.0)

@@ -16,7 +16,7 @@ import warnings
 import pytest
 
 from lagsurf import numerics, scans
-from lagsurf.catalog import FAMILIES
+from lagsurf.catalog import FAMILIES, KINDS
 from lagsurf.cli import (TOLERANCES, ConfigError, _parse_number,
                          build_parser, main, parse_surface_token,
                          read_config_file)
@@ -389,6 +389,44 @@ def test_point_report_matches_golden(name, surface, command, fmt, capsys):
     golden = (GOLDEN_DIR / "point" / f"{command}-{name}.{fmt}").read_text()
     parse = _csv_tree if fmt == "csv" else json.loads
     _assert_close_tree(parse(out), parse(golden))
+
+
+# grid goldens in tests/golden/grid: scan at 100x77 for every golden surface,
+# willmore at 64x128 for each one with an energy integral
+GRID_REPORTS = (
+    [("scan", name, surface, ["--grid", "100x77"])
+     for name, surface in GOLDEN_CONFIGS]
+    + [("willmore", name, surface, ["--quad", "64x128"])
+       for name, surface in GOLDEN_CONFIGS
+       if FAMILIES[parse_surface_token(surface)[0]].quadrature is not None])
+
+
+@pytest.mark.parametrize("command, name, surface, size", GRID_REPORTS,
+                         ids=[f"{c}-{n}" for c, n, _, _ in GRID_REPORTS])
+def test_grid_report_matches_golden(command, name, surface, size, capsys):
+    code, out = run_cli(capsys, [command, "--surface", surface] + size)
+    assert code == 0
+    golden = (GOLDEN_DIR / "grid" / f"{command}-{name}.json").read_text()
+    _assert_close_tree(json.loads(out), json.loads(golden))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_bare_kind_runs_at_its_defaults(kind, capsys):
+    # a kind named with no parameters probes the middle of its chart box
+    (lo1, hi1), (lo2, hi2) = FAMILIES[kind].chart.bounds
+    point = [repr(0.5 * (lo1 + hi1)), repr(0.5 * (lo2 + hi2))]
+    code, out = run_cli(capsys, ["probe", "--surface", kind] + point)
+    assert code == 0
+    assert json.loads(out)["surface"] == kind
+
+
+def test_default_parameter_yields_to_a_given_one(capsys):
+    code, out = run_cli(capsys, ["scan", "--surface", "whitney-ch2",
+                                 "--grid", "8x8"])
+    assert code == 0 and json.loads(out)["params"] == {"t": 0.5}
+    code, out = run_cli(capsys, ["scan", "--surface", "whitney-ch2(0.8)",
+                                 "--grid", "8x8"])
+    assert code == 0 and json.loads(out)["params"] == {"t": 0.8}
 
 
 def test_flag_overrides_config(tmp_path, capsys):

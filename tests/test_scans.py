@@ -12,7 +12,7 @@ from lagsurf.atlas import build_grid, sphere_quadrature, torus_quadrature
 from lagsurf.catalog import SurfaceSpec
 from lagsurf.geom import point_geometry, scaled_circularity
 from lagsurf.scans import (PINCH_THRESHOLD, UnsupportedDomainError,
-                           curvature_scan, pinching_hypothesis,
+                           _first_tied, curvature_scan, pinching_hypothesis,
                            pinching_report, willmore)
 
 SPHERE_CONFIGS = [
@@ -97,11 +97,14 @@ def _whole_grid_scan(spec, grid):
     chart = spec.default_chart
     a1, a2 = build_grid(chart, *grid)
     pg = point_geometry(spec, a1, a2, chart=chart)
-    i_min, i_max = int(np.argmin(pg.K)), int(np.argmax(pg.K))
+    j_min, j_max = int(np.argmin(pg.K)), int(np.argmax(pg.K))
+    h = np.sqrt(np.clip(pg.H2, 0.0, None))
+    i_min, i_max = (_first_tied(pg.K, h, spec.ambient.c, j)
+                    for j in (j_min, j_max))
     z = chart.height(a1, a2) if hasattr(chart, "height") else None
-    h_max = float(np.max(np.sqrt(np.clip(pg.H2, 0.0, None))))
+    h_max = float(np.max(h))
     d_max_scaled = float(np.max(scaled_circularity(pg)))
-    return (float(pg.K[i_min]), float(pg.K[i_max]),
+    return (float(pg.K[j_min]), float(pg.K[j_max]),
             (float(a1[i_min]), float(a2[i_min])),
             (float(a1[i_max]), float(a2[i_max])),
             None if z is None else (float(z[i_min]), float(z[i_max])),
