@@ -69,21 +69,17 @@ def lagrangian_defect(lift: Jet2, space: AmbientSpace) -> float:
 
 @dataclass(frozen=True)
 class FrameSplit:
-    """Decomposition of the three second derivatives of the lift.
+    """What the geometry reads off the second derivatives of the lift.
 
-    ``metric`` is the induced metric g_ij (shape ``..., 2, 2``).  The
-    ``..., 3`` axis of the rest enumerates the parameter pairs (11, 12, 22).
-    ``tangent`` holds the coefficients on (d1, d2); ``normal`` is the
-    component in the span of (J d1, J d2) as an ambient vector; ``position``
-    and ``fiber`` are the coefficients on the lift itself and on i*psi
-    (None when the target is flat).
+    ``metric`` is the induced metric g_ij (``..., 2, 2``).  ``normal``
+    (``..., 3, m``) holds, for the pairs (11, 12, 22), the part of d_uv psi
+    in the span of (J d1, J d2): the second fundamental form.  The tangent
+    and lift parts are fixed by the metric, so only the batch maxima of
+    their defects are kept (see second_form_split; 0.0 over a flat target).
     """
 
     metric: np.ndarray
-    tangent: np.ndarray
     normal: np.ndarray
-    position: np.ndarray | None
-    fiber: np.ndarray | None
     split_residual: float
     position_defect: float
     fiber_defect: float
@@ -134,11 +130,11 @@ def second_form_split(lift: Jet2, space: AmbientSpace) -> FrameSplit:
     position + i * fiber; each d_uv psi is split on its own, on arrays of
     the batch shape.  Gates, in order: g positive definite, then
     gram_condition (off-block terms included) under GRAM_COND_LIMIT.
-    Also returned: g and, each relative to 1 + the local scale, the
-    residual of the full reconstruction against d_uv psi, which certifies
-    the split and picks up any neglected coupling; the deviation of the
-    position coefficient from -g_uv / nu; and the fiber coefficient, which
-    vanishes precisely when the lift is horizontal and Lagrangian.
+    Returned: g, the normal parts, and three maxima, each relative to 1 +
+    the local scale: the residual of the full reconstruction against
+    d_uv psi, which certifies the split and sees any neglected coupling;
+    the deviation of position from -g_uv / nu; and fiber, which vanishes
+    precisely when the lift is horizontal and Lagrangian.
     """
     sig = space.sig
     d1, d2, psi = lift.d1, lift.d2, lift.v
@@ -160,44 +156,34 @@ def second_form_split(lift: Jet2, space: AmbientSpace) -> FrameSplit:
             f"frame Gram condition number {np.max(cond):.3e} exceeds "
             f"{GRAM_COND_LIMIT:.0e}; singular or non-immersed point")
 
-    # one second derivative x at a time, on arrays of the batch shape; the
-    # results are stacked along a new first axis (see component_major)
+    # one d_uv psi at a time; normals fill one buffer (see component_major)
     basis = [d1, d2, psi] if space.is_lifted else [d1, d2]
     jd1, jd2 = apply_J(d1), apply_J(d2)
     normal = np.empty((3, len(sig)) + np.shape(g11), dtype=complex)
-    tangent, coeff, residual = [], [], []
-    for p, x in enumerate((lift.d11, lift.d12, lift.d22)):
+    residual, position, fiber = [], [0.0], [0.0]
+    for p, (x, g) in enumerate(zip((lift.d11, lift.d12, lift.d22),
+                                   (g11, g12, g22))):
         h = [herm_pair(x, b, sig) for b in basis]
         # g^-1 (h1, h2) by the closed-form 2x2 inverse
         z1 = (g22 * h[0] - g12 * h[1]) / det
         z2 = (g11 * h[1] - g12 * h[0]) / det
-        tangent.append((z1.real, z2.real))
         normal_p = np.multiply(z1.imag[..., None], jd1,
                                out=component_major(normal[p]))
         normal_p += z2.imag[..., None] * jd2
         gap = x - z1[..., None] * d1
         gap -= z2[..., None] * d2
         if space.is_lifted:
-            coeff.append(h[2] / space.lift_norm)
-            gap -= coeff[-1][..., None] * psi
+            z_psi = h[2] / space.lift_norm
+            gap -= z_psi[..., None] * psi
+            gscale = 1.0 + np.abs(g)
+            position.append(np.max(np.abs(z_psi.real + g / space.lift_norm)
+                                   / gscale))
+            fiber.append(np.max(np.abs(z_psi.imag) / gscale))
         residual.append(np.max(_norm(gap) / (1.0 + _norm(x))))
-
-    position = fiber = None
-    position_defect = fiber_defect = 0.0
-    if space.is_lifted:
-        z_psi, g = np.array(coeff), np.array([g11, g12, g22])
-        gscale = 1.0 + np.abs(g)
-        position_defect = float(
-            np.max(np.abs(z_psi.real + g / space.lift_norm) / gscale))
-        fiber_defect = float(np.max(np.abs(z_psi.imag) / gscale))
-        z_psi = component_major(z_psi)
-        position, fiber = z_psi.real, z_psi.imag
 
     metric = np.array([[g11, g12], [g12, g22]])
     return FrameSplit(metric=component_major(metric, 2),
-                      tangent=component_major(np.array(tangent), 2),
                       normal=component_major(normal, 2),
-                      position=position, fiber=fiber,
                       split_residual=float(np.max(residual)),
-                      position_defect=position_defect,
-                      fiber_defect=fiber_defect)
+                      position_defect=float(np.max(position)),
+                      fiber_defect=float(np.max(fiber)))

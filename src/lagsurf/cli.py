@@ -31,7 +31,7 @@ from .geom import (circularity_route_gap, density_moduli_gap, ellipse_samples,
                    product_identity_check, radius_route_gap,
                    scaled_circularity)
 from .numerics import TOLERANCES
-from .scans import curvature_scan, pinching_report, willmore
+from .scans import WillmoreReport, curvature_scan, pinching_report, willmore
 
 
 class ConfigError(ValueError):
@@ -303,7 +303,7 @@ def _gauss_check(k_int, k, where: str, cfg: RunConfig) -> dict:
                   gap, cfg)
 
 
-def _willmore_payload(rep) -> dict:
+def _willmore_payload(rep: WillmoreReport) -> dict:
     return {f.name: getattr(rep, f.name)
             for f in fields(rep)[1:]}  # every field after spec
 

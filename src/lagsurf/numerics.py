@@ -62,11 +62,12 @@ def herm_pair(a, b, sig):
     a length-2 or 3 axis, and a product with +-1 is one more pass.
     """
     a, b, sig = np.asarray(a), np.asarray(b), np.asarray(sig)
-    total = a[..., 0] * np.conj(b[..., 0])
+    # not `*`: numpy would reuse a big conj temporary, operands swapped
+    total = np.multiply(a[..., 0], np.conj(b[..., 0]))
     if sig[0] < 0:
         total = -total
     for k in range(1, len(sig)):
-        term = a[..., k] * np.conj(b[..., k])
+        term = np.multiply(a[..., k], np.conj(b[..., k]))
         total = total - term if sig[k] < 0 else total + term
     return total
 

@@ -7,7 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gram_reference import frame_condition, reference_split
+from gram_reference import frame_condition, gram, reference_split
 from helpers import ambient_dim
 from lagsurf.ambient import (C2, CH2, CP2, _norm, gram_condition,
                              horizontality_defect, lagrangian_defect,
@@ -86,21 +86,23 @@ def test_second_form_split_reconstructs(spec):
     assert split.split_residual < 1e-10
     assert split.fiber_defect < 1e-10
     assert split.position_defect < 1e-10
-    assert split.tangent.shape[-2:] == (3, 2)
-    if spec.ambient.is_lifted:
-        assert split.position is not None
-    else:
-        assert split.position is None
+    m = ambient_dim(spec.ambient)
+    assert split.metric.shape == lift.v.shape[:-1] + (2, 2)
+    assert split.normal.shape == lift.v.shape[:-1] + (3, m)
+    if not spec.ambient.is_lifted:
+        assert split.position_defect == split.fiber_defect == 0.0
 
 
 def test_position_coefficient_sign():
-    # on the positively curved target the d11 position coefficient is -g11
+    # on the positively curved target the d11 position coefficient is -g11;
+    # the split keeps only its deviation from that, so read the coefficient
+    # off the reference route
     spec = SurfaceSpec("clifford-torus")
     lift = lift_at(spec, 0.3, 1.2)
-    split = second_form_split(lift, spec.ambient)
+    _, _, position, _ = reference_split(lift, spec.ambient)
     g11 = real_pair(lift.d1, lift.d1, CP2.sig)
-    assert float(split.position[..., 0]) == pytest.approx(-float(g11),
-                                                          abs=1e-12)
+    assert float(position[..., 0]) == pytest.approx(-float(g11), abs=1e-12)
+    assert second_form_split(lift, spec.ambient).position_defect < 1e-12
 
 
 def test_normal_part_is_normal():
@@ -153,22 +155,37 @@ GOLDEN_SPECS = [
 ]
 
 
+def _lift_part_defects(position, fiber, lift, space):
+    """The split's position and fiber defects, from coefficient arrays
+    (..., 3) on psi and i*psi: max |position + g_uv / nu| and max |fiber|,
+    each over 1 + |g_uv|."""
+    sig = space.sig
+    g = np.stack([real_pair(lift.d1, lift.d1, sig),
+                  real_pair(lift.d1, lift.d2, sig),
+                  real_pair(lift.d2, lift.d2, sig)], axis=-1)
+    gscale = 1.0 + np.abs(g)
+    return (float(np.max(np.abs(position + g / space.lift_norm) / gscale)),
+            float(np.max(np.abs(fiber) / gscale)))
+
+
 @pytest.mark.parametrize("spec", GOLDEN_SPECS, ids=lambda s: s.label())
 def test_split_matches_general_gram_solve(spec):
     lift = _grid_lift(spec, n=181)
     split = second_form_split(lift, spec.ambient)
-    tangent, normal, position, fiber = reference_split(lift, spec.ambient)
-    pairs = [(split.tangent, tangent, tangent), (split.normal, normal, normal)]
-    if spec.ambient.is_lifted:
-        # the fiber coefficient vanishes; it is measured on the position scale
-        pairs += [(split.position, position, position),
-                  (split.fiber, fiber, position)]
-    else:
-        assert split.position is None and split.fiber is None
-    for got, want, scale in pairs:
+    _, normal, position, fiber = reference_split(lift, spec.ambient)
+    metric = gram([lift.d1, lift.d2], spec.ambient.sig)[0]
+    for got, want in ((split.normal, normal), (split.metric, metric)):
         assert got.shape == want.shape
-        gap = np.max(np.abs(got - want)) / (1.0 + np.max(np.abs(scale)))
+        gap = np.max(np.abs(got - want)) / (1.0 + np.max(np.abs(want)))
         assert gap <= 1e-11
+    if spec.ambient.is_lifted:
+        # both routes measure the lift parts against -g / nu and 0
+        want = _lift_part_defects(position, fiber, lift, spec.ambient)
+        for got, ref in zip((split.position_defect, split.fiber_defect), want):
+            assert abs(got - ref) <= 1e-11
+    else:
+        assert position is None and fiber is None
+        assert split.position_defect == split.fiber_defect == 0.0
 
 
 @pytest.mark.parametrize("spec", [SurfaceSpec("whitney-ch2", t=0.5),
@@ -184,9 +201,7 @@ def test_split_of_one_point_is_its_row_of_a_batch(spec):
     batch = second_form_split(lift, spec.ambient)
     arrays = [f.name for f in dataclasses.fields(batch)
               if isinstance(getattr(batch, f.name), np.ndarray)]
-    assert arrays == (["metric", "tangent", "normal", "position", "fiber"]
-                      if spec.ambient.is_lifted else
-                      ["metric", "tangent", "normal"])
+    assert arrays == ["metric", "normal"]
     scalars = ("split_residual", "position_defect", "fiber_defect")
     worst = dict.fromkeys(scalars, 0.0)
     for index in np.ndindex(a1.shape):
@@ -196,8 +211,6 @@ def test_split_of_one_point_is_its_row_of_a_batch(spec):
             got, row = getattr(single, name), getattr(batch, name)[index]
             assert got.shape == row.shape, name
             assert np.array_equal(got, row), name
-        if not spec.ambient.is_lifted:
-            assert single.position is None and single.fiber is None
         for name in scalars:
             worst[name] = max(worst[name], getattr(single, name))
     for name in scalars:

@@ -87,7 +87,7 @@ def test_scan_radius_extrema():
 # chunked evaluation against one whole-grid batch
 
 # both spread over several 4096-point chunks with a ragged last one
-CHUNKED_GRIDS = [(100, 77), (97, 131)]
+CHUNKED_GRIDS = [(100, 77), (97, 131), (150, 131)]
 CHUNKED_SPECS = [SurfaceSpec("whitney-cp2", t=0.5),
                  SurfaceSpec("product-torus-c2", r1=1.0, r2=2.0)]
 

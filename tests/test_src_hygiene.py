@@ -1,6 +1,7 @@
-"""No public name in src/ exists only for the tests, no defaulted
-parameter in src/ is left at its default by every other caller, and no
-src/ module imports a name it never uses.
+"""No public name in src/ exists only for the tests, no dataclass field
+in src/ is left unread, no defaulted parameter in src/ is left at its
+default by every other caller, and no src/ module imports a name it never
+uses.
 
 A public function, class or constant must be the console-script entry
 point, or be used by other src/ code or by demos/ or bench/: loaded as a
@@ -22,6 +23,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "lagsurf"
 # the code outside src/ whose use keeps a src/ name or parameter
 USERS = (ROOT / "demos", ROOT / "bench")
+CALLERS = (SRC,) + USERS
 
 
 def _defined(stmt) -> list[str]:
@@ -138,9 +140,80 @@ def test_no_test_only_methods_in_src():
 
 
 # ---------------------------------------------------------------------------
-# no defaulted parameter that no caller sets
+# no dataclass field that nothing reads
 
-CALLERS = (SRC,) + USERS
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    for deco in cls.decorator_list:
+        node = deco.func if isinstance(deco, ast.Call) else deco
+        if getattr(node, "id", getattr(node, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _type_name(annotation) -> str | None:
+    if isinstance(annotation, ast.Constant):
+        return annotation.value
+    return getattr(annotation, "id", getattr(annotation, "attr", None))
+
+
+def _field_reads(node, scope: dict, attrs: set, fields_of: list) -> None:
+    """Collect the attribute names ``node`` reads (``x.name`` or
+    ``getattr(x, "name")``) and, for each ``dataclasses.fields(x)`` call,
+    the class of x: x itself, or the annotation of the parameter x."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        scope = scope | {a.arg: _type_name(a.annotation) for a in params}
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        attrs.add(node.attr)
+    if isinstance(node, ast.Call) and node.args:
+        called = getattr(node.func, "id", getattr(node.func, "attr", None))
+        first = node.args[0]
+        if (called == "getattr" and len(node.args) > 1
+                and isinstance(node.args[1], ast.Constant)):
+            attrs.add(node.args[1].value)
+        elif called == "fields" and isinstance(first, ast.Name):
+            fields_of.append((scope.get(first.id) or first.id, node.lineno))
+    for child in ast.iter_child_nodes(node):
+        _field_reads(child, scope, attrs, fields_of)
+
+
+def unread_dataclass_fields() -> list[str]:
+    """module.Class.field for every field of a src/ dataclass that no code
+    in src/, demos/ or bench/ reads, as an attribute or through
+    ``dataclasses.fields``; and path:line for a ``fields`` call whose
+    class is neither named nor the annotation of the parameter passed."""
+    declared = {}
+    for path in sorted(SRC.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(cls, ast.ClassDef) and _is_dataclass(cls):
+                declared[cls.name] = [
+                    (f"{path.stem}.{cls.name}.{stmt.target.id}",
+                     stmt.target.id)
+                    for stmt in cls.body if isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name)]
+    attrs, unknown, through_fields = set(), [], set()
+    for folder in CALLERS:
+        for path in sorted(folder.glob("*.py")):
+            fields_of = []
+            _field_reads(ast.parse(path.read_text(encoding="utf-8")), {},
+                         attrs, fields_of)
+            for cls, line in fields_of:
+                if cls in declared:
+                    through_fields.add(cls)
+                else:
+                    unknown.append(f"{path.relative_to(ROOT)}:{line}")
+    return unknown + [label for cls, members in declared.items()
+                      if cls not in through_fields
+                      for label, name in members if name not in attrs]
+
+
+def test_every_dataclass_field_is_read():
+    assert unread_dataclass_fields() == []
+
+
+# ---------------------------------------------------------------------------
+# no defaulted parameter that no caller sets
 
 
 def _defaulted(func, method: bool) -> list[tuple[str, int | None]]:
