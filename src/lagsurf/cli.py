@@ -31,7 +31,8 @@ from .geom import (circularity_route_gap, density_moduli_gap, ellipse_samples,
                    product_identity_check, radius_route_gap,
                    scaled_circularity)
 from .numerics import TOLERANCES
-from .scans import WillmoreReport, curvature_scan, pinching_report, willmore
+from .scans import (WillmoreReport, curvature_scan, grid_geometry,
+                    pinching_report, willmore)
 
 
 class ConfigError(ValueError):
@@ -252,7 +253,7 @@ def _check(name: str, detail: str, defect: float, cfg: RunConfig,
 
 
 def _identity_checks(spec: SurfaceSpec, pg, cfg: RunConfig) -> list[dict]:
-    """The pointwise checks shared by `verify` (on a grid) and `probe`."""
+    """The pointwise checks shared by `verify` (per chunk) and `probe`."""
     checks = [
         _check("membership", "lift lies on the model quadric",
                pg.membership, cfg),
@@ -396,19 +397,29 @@ def cmd_probe(cfg: RunConfig) -> int:
     return 0 if report["pass"] else 1
 
 
+def _worse(old: dict, new: dict) -> dict:
+    """The worse chunk's row: larger defect, smaller for non_circularity."""
+    sign = -1.0 if old["name"] == "non_circularity" else 1.0
+    return new if sign * new["max_defect"] > sign * old["max_defect"] else old
+
+
 def cmd_verify(cfg: RunConfig) -> int:
     spec = cfg.spec
     chart = spec.default_chart
     a1, a2 = build_grid(chart, *cfg.grid)
-    pg = point_geometry(spec, a1, a2, chart=chart)
-    checks = _identity_checks(spec, pg, cfg)
+    checks, k_ends, r_ends = [], [], []
+    for _, pg in grid_geometry(spec, a1, a2, chart=chart):
+        rows = _identity_checks(spec, pg, cfg)
+        checks = list(map(_worse, checks or rows, rows))
+        k_ends += [np.min(pg.K), np.max(pg.K)]
+        r_ends += [np.min(pg.R), np.max(pg.R)]
     s1, s2 = random_points(chart, 200, np.random.default_rng(cfg.seed))
     checks.append(_gauss_check(
         gauss_curvature_intrinsic(spec, s1, s2, chart=chart),
         point_geometry(spec, s1, s2, chart=chart).K, "200 seeded points", cfg))
 
     family = spec.family
-    k_lo, k_hi = float(np.min(pg.K)), float(np.max(pg.K))
+    k_lo, k_hi = float(min(k_ends)), float(max(k_ends))
     if family.k_range is not None:
         lo, hi = family.k_range(spec)
         gap = max(lo - k_lo, k_hi - hi, 0.0)
@@ -422,7 +433,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         "seed": cfg.seed,
         "checks": checks,
         "K_range": [k_lo, k_hi],
-        "R_range": [float(np.min(pg.R)), float(np.max(pg.R))],
+        "R_range": [float(min(r_ends)), float(max(r_ends))],
     }
     if family.willmore is not None:
         value, tol_name = family.willmore(spec)

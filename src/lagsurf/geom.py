@@ -213,7 +213,8 @@ def product_identity_check(pg: PointGeometry) -> float:
     max(|Re(F conj Hc) - Re D|, ||Im(F conj Hc)| - |Im D||, ||F conj Hc| - |D||),
     normalized by 1 + |D|.
     """
-    prod = pg.F * np.conj(pg.Hc)
+    # not `*`: numpy would reuse a big conj temporary, operands swapped
+    prod = np.multiply(pg.F, np.conj(pg.Hc))
     scale = 1.0 + np.abs(pg.D)
     re_gap = np.abs(prod.real - pg.D.real) / scale
     im_gap = np.abs(np.abs(prod.imag) - np.abs(pg.D.imag)) / scale
@@ -222,7 +223,7 @@ def product_identity_check(pg: PointGeometry) -> float:
 
 
 def radius_route_gap(pg: PointGeometry) -> float:
-    """Largest relative spread of the three radius routes.
+    """Largest spread of the three radius routes, relative to 1 + R pointwise.
 
     Routes: the curvature identity sqrt((c/4 + |H|^2 - K) / 2) stored in
     pg.R, the direct |sigma(e1, e2)|, and |sigma11 - sigma22| / 2.  They
@@ -232,9 +233,9 @@ def radius_route_gap(pg: PointGeometry) -> float:
     r_b = np.sqrt(np.clip(real_pair(pg.sigma12, pg.sigma12, sig), 0.0, None))
     diff = pg.sigma11 - pg.sigma22
     r_c = 0.5 * np.sqrt(np.clip(real_pair(diff, diff, sig), 0.0, None))
-    worst = max(np.max(np.abs(pg.R - r_b)), np.max(np.abs(pg.R - r_c)),
-                np.max(np.abs(r_b - r_c)))
-    return float(worst / (1.0 + np.max(pg.R)))
+    worst = np.maximum(np.maximum(np.abs(pg.R - r_b), np.abs(pg.R - r_c)),
+                       np.abs(r_b - r_c))
+    return float(np.max(worst / (1.0 + pg.R)))
 
 
 def radius(pg: PointGeometry) -> np.ndarray:
@@ -297,18 +298,12 @@ def ellipse_samples(pg: PointGeometry, n_angles: int) -> CurvatureEllipse:
     """
     if n_angles < 8:
         raise ValueError("need n_angles >= 8 to see the ellipse")
-    sig = pg.space.sig
-    je = (apply_J(pg.e1), apply_J(pg.e2))
-
-    def coords2(vec):
-        return np.stack([real_pair(vec, je[0], sig),
-                         real_pair(vec, je[1], sig)], axis=-1)
-
+    # the (J e1, J e2) coordinates of sigma_ij are the cubic tensor C_ij
+    c11, c12, c22 = pg.C[..., 0, 0, :], pg.C[..., 0, 1, :], pg.C[..., 1, 1, :]
     ellipse = CurvatureEllipse(
         theta=np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False),
-        center=coords2(pg.H),
-        half_diff=coords2(0.5 * (pg.sigma11 - pg.sigma22)),
-        cross=coords2(pg.sigma12), fit_residual=np.nan)
+        center=0.5 * (c11 + c22), half_diff=0.5 * (c11 - c22), cross=c12,
+        fit_residual=np.nan)
     center = ellipse.center
 
     def group_residual(rows):

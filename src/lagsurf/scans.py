@@ -21,7 +21,7 @@ from .numerics import TOLERANCES
 PINCH_THRESHOLD = 1.0 / math.sqrt(2.0)
 # grid round-off allowed below the threshold, and above K = 0 for "flat"
 _PINCH_SLACK = 1e-8
-# points per point_geometry call in scans: a chunk's temporaries stay in
+# points per point_geometry call on a grid: a chunk's temporaries stay in
 # cache, and memory holds only the per-point scalars the reductions read
 _CHUNK = 4096
 # grid points whose K lies within this fraction of the sizes of its
@@ -33,6 +33,12 @@ _K_TIE = 2.0 ** -32
 
 def _chunks(n: int):
     return (slice(i, i + _CHUNK) for i in range(0, n, _CHUNK))
+
+
+def grid_geometry(spec: SurfaceSpec, a1, a2, chart=None):
+    """(slice, point_geometry) per consecutive _CHUNK slice of flat a1, a2."""
+    for s in _chunks(np.size(a1)):
+        yield s, point_geometry(spec, a1[s], a2[s], chart=chart)
 
 
 def _first_tied(k, h, c: float, i: int) -> int:
@@ -95,8 +101,7 @@ def curvature_scan(spec: SurfaceSpec, grid=(64, 64),
     n1, n2 = grid
     a1, a2 = build_grid(chart, n1, n2)
     k, r, d_abs, d_scaled, h = np.empty((5, a1.size))
-    for s in _chunks(a1.size):
-        pg = point_geometry(spec, a1[s], a2[s], chart=chart)
+    for s, pg in grid_geometry(spec, a1, a2, chart=chart):
         k[s], r[s], d_abs[s] = pg.K, pg.R, np.abs(pg.D)
         d_scaled[s] = scaled_circularity(pg)
         h[s] = np.sqrt(np.clip(pg.H2, 0.0, None))
@@ -158,8 +163,7 @@ def willmore(spec: SurfaceSpec, orders=(128, 256)) -> WillmoreReport:
     rule = rules[family.quadrature](*orders)
 
     area_element, h2 = np.empty((2, rule.weights.size))
-    for s in _chunks(rule.weights.size):
-        pg = point_geometry(spec, rule.nodes1[s], rule.nodes2[s])
+    for s, pg in grid_geometry(spec, rule.nodes1, rule.nodes2):
         det = pg.g[..., 0, 0] * pg.g[..., 1, 1] - pg.g[..., 0, 1] ** 2
         area_element[s], h2[s] = np.sqrt(det), pg.H2
     area = float(np.sum(rule.weights * area_element))

@@ -11,15 +11,20 @@ import pathlib
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 
 from lagsurf import numerics, scans
+from lagsurf.atlas import build_grid
 from lagsurf.catalog import FAMILIES, KINDS
-from lagsurf.cli import (TOLERANCES, ConfigError, _parse_number,
-                         build_parser, main, parse_surface_token,
-                         read_config_file)
+from lagsurf.cli import (TOLERANCES, ConfigError, _identity_checks,
+                         _parse_number, build_parser, main,
+                         parse_surface_token, read_config_file,
+                         resolve_config)
+from lagsurf.geom import point_geometry
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -339,6 +344,47 @@ def test_verify_is_bitwise_reproducible(tmp_path):
     assert main(argv + ["--out", str(out1)]) == 0
     assert main(argv + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("surface", ["whitney-cp2(0.5)", "product-torus(1,2)"])
+def test_chunked_verify_matches_one_whole_grid_batch(surface, capsys):
+    # 19,650 points in five chunks, the last one ragged; product-torus has
+    # the margin check non_circularity, whose worst chunk is its minimum
+    argv = ["verify", "--surface", surface, "--grid", "150x131",
+            "--quad", "8x16"]
+    code, out = run_cli(capsys, argv)
+    report = json.loads(out)
+    cfg = resolve_config(build_parser().parse_args(argv))
+    spec = cfg.spec
+    a1, a2 = build_grid(spec.default_chart, *cfg.grid)
+    whole = point_geometry(spec, a1, a2, chart=spec.default_chart)
+    want = _identity_checks(spec, whole, cfg)
+    # every identity check comes first, in order, bitwise equal
+    assert report["checks"][:len(want)] == want
+    assert report["K_range"] == [float(np.min(whole.K)),
+                                 float(np.max(whole.K))]
+    assert report["R_range"] == [float(np.min(whole.R)),
+                                 float(np.max(whole.R))]
+    assert code == 0 and report["pass"]
+
+
+def test_verify_memory_is_flat_in_grid_size(tmp_path):
+    argv = ["verify", "--surface", "whitney-cp2(0.5)", "--quad", "8x16",
+            "--out", str(tmp_path / "report.json")]
+    main(argv + ["--grid", "8x8"])  # first-call caches out of the count
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            assert main(argv + ["--grid", f"{n}x{n}"]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # one chunk's geometry is a constant; per point only the grid remains
+    # (about 1.2 KB per point in one whole-grid batch)
+    per_point = (peak(256) - peak(64)) / (256 ** 2 - 64 ** 2)
+    assert per_point < 200
 
 
 def _assert_close_tree(got, want, path=""):

@@ -17,7 +17,8 @@ from lagsurf.geom import (circularity_route_gap, density_moduli_gap,
                           geometry_from_jet, point_geometry,
                           product_identity_check, radius, radius_route_gap,
                           scaled_circularity)
-from lagsurf.numerics import TOLERANCES, apply_J, real_pair
+from lagsurf.numerics import TOLERANCES
+from lagsurf.scans import grid_geometry
 
 CIRCULAR_SPECS = [
     SurfaceSpec("whitney-c2"),
@@ -290,22 +291,31 @@ def test_one_point_is_its_row_of_a_batch(spec):
                 assert np.array_equal(got, row), field.name
 
 
+@pytest.mark.parametrize("spec", [SurfaceSpec("whitney-cp2", t=0.5),
+                                  SurfaceSpec("whitney-c2")],
+                         ids=lambda s: s.label())
+def test_gaps_of_a_batch_are_the_max_over_its_chunks(spec):
+    # 19,650 points: past the 16,384 where numpy may reuse a temporary of
+    # `*` with its operands swapped, so chunked and whole products differ
+    # in the last bit unless the gaps pair with np.multiply
+    a1, a2 = build_grid(spec.default_chart, 150, 131)
+    whole = point_geometry(spec, a1, a2)
+    chunks = [pg for _, pg in grid_geometry(spec, a1, a2)]
+    for gap in (circularity_route_gap, density_moduli_gap,
+                product_identity_check, radius_route_gap):
+        assert gap(whole) == max(gap(pg) for pg in chunks), gap.__name__
+
+
 def _one_broadcast_fit_residual(pg, n_angles):
-    # reference route: every angle's normals in one full-shape array
-    sig = pg.space.sig
-    je = (apply_J(pg.e1), apply_J(pg.e2))
-
-    def coords2(vec):
-        return np.stack([real_pair(vec, je[0], sig),
-                         real_pair(vec, je[1], sig)], axis=-1)
-
-    center = coords2(pg.H)
+    # reference route: every angle's normals in one full-shape array, in
+    # the (J e1, J e2) coordinates the cubic tensor holds
+    c11, c12, c22 = pg.C[..., 0, 0, :], pg.C[..., 0, 1, :], pg.C[..., 1, 1, :]
+    center = 0.5 * (c11 + c22)
     thetas = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
     shape = (n_angles,) + (1,) * center.ndim
     cos2, sin2 = (np.array([f(2.0 * t) for t in thetas]).reshape(shape)
                   for f in (np.cos, np.sin))
-    normals = (center + cos2 * coords2(0.5 * (pg.sigma11 - pg.sigma22))
-               + sin2 * coords2(pg.sigma12))
+    normals = center + cos2 * (0.5 * (c11 - c22)) + sin2 * c12
     dist = ((normals[..., 0] - center[..., 0]) ** 2
             + (normals[..., 1] - center[..., 1]) ** 2)
     return float(np.max(np.abs(np.sqrt(dist) - pg.R)))
