@@ -116,14 +116,13 @@ def _axis(chart, i, n):
 def build_grid(chart, n1, n2):
     """Deterministic n1 x n2 lattice over the chart's sampling box.
 
-    Returns two flat arrays of length n1*n2.  The box (``chart.bounds``)
-    keeps away from excluded sets; periodic axes omit the endpoint.
+    Returns its two axes: point (i, j), flat index i * n2 + j, is
+    (axis1[i], axis2[j]).  The box (``chart.bounds``) keeps away from
+    excluded sets; periodic axes omit the endpoint.
     """
     if n1 < 2 or n2 < 2:
         raise ValueError("grid needs n1, n2 >= 2")
-    g1, g2 = np.meshgrid(_axis(chart, 0, n1), _axis(chart, 1, n2),
-                         indexing="ij")
-    return g1.ravel(), g2.ravel()
+    return _axis(chart, 0, n1), _axis(chart, 1, n2)
 
 
 def random_points(chart, n, rng):
@@ -136,10 +135,12 @@ def random_points(chart, n, rng):
 class QuadratureRule:
     """Nodes and weights integrating over the chart parameter measure.
 
-    The weights integrate d(a1) d(a2); surface integrands must include the
-    induced area element sqrt(det g).  Summation happens in node index order
-    (numpy pairwise reduction), which is fixed for a given rule, so repeated
-    runs are bitwise reproducible.
+    The nodes are the tensor product of the axes ``nodes1`` and ``nodes2``;
+    ``weights`` is flat, in build_grid's row-major order.  The weights
+    integrate d(a1) d(a2); surface integrands must include the induced
+    area element sqrt(det g).  Summation happens in node index order
+    (numpy pairwise reduction), which is fixed for a given rule, so
+    repeated runs are bitwise reproducible.
     """
 
     nodes1: np.ndarray
@@ -159,15 +160,12 @@ def sphere_quadrature(n1: int, n2: int) -> QuadratureRule:
     w_phi = w / np.sin(phi)
     theta = np.linspace(0.0, 2.0 * np.pi, n2, endpoint=False)
     w_theta = np.full(n2, 2.0 * np.pi / n2)
-    p, t = np.meshgrid(phi, theta, indexing="ij")
-    wp, wt = np.meshgrid(w_phi, w_theta, indexing="ij")
-    return QuadratureRule(p.ravel(), t.ravel(), (wp * wt).ravel())
+    return QuadratureRule(phi, theta, np.outer(w_phi, w_theta).ravel())
 
 
 def torus_quadrature(n1: int, n2: int) -> QuadratureRule:
     """Periodic trapezoid rule on [0, 2pi)^2 (spectral for smooth periodic f)."""
     t1 = np.linspace(0.0, 2.0 * np.pi, n1, endpoint=False)
     t2 = np.linspace(0.0, 2.0 * np.pi, n2, endpoint=False)
-    g1, g2 = np.meshgrid(t1, t2, indexing="ij")
     w = np.full(n1 * n2, (2.0 * np.pi / n1) * (2.0 * np.pi / n2))
-    return QuadratureRule(g1.ravel(), g2.ravel(), w)
+    return QuadratureRule(t1, t2, w)

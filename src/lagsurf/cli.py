@@ -406,13 +406,14 @@ def _worse(old: dict, new: dict) -> dict:
 def cmd_verify(cfg: RunConfig) -> int:
     spec = cfg.spec
     chart = spec.default_chart
-    a1, a2 = build_grid(chart, *cfg.grid)
+    axis1, axis2 = build_grid(chart, *cfg.grid)
     checks, k_ends, r_ends = [], [], []
-    for _, pg in grid_geometry(spec, a1, a2, chart=chart):
+    for _, pg in grid_geometry(spec, axis1, axis2, chart=chart):
         rows = _identity_checks(spec, pg, cfg)
         checks = list(map(_worse, checks or rows, rows))
         k_ends += [np.min(pg.K), np.max(pg.K)]
         r_ends += [np.min(pg.R), np.max(pg.R)]
+        del pg  # one tile's geometry at a time, not two
     s1, s2 = random_points(chart, 200, np.random.default_rng(cfg.seed))
     checks.append(_gauss_check(
         gauss_curvature_intrinsic(spec, s1, s2, chart=chart),

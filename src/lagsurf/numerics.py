@@ -114,35 +114,32 @@ class Jet2:
 
     @classmethod
     def variables(cls, a1, a2):
-        """Seed jets of the two chart parameters themselves."""
-        a1, a2 = np.broadcast_arrays(np.asarray(a1, dtype=float),
-                                     np.asarray(a2, dtype=float))
-        one = np.ones_like(a1)
-        zero = np.zeros_like(a1)
-        j1 = cls(a1.copy(), one, zero, zero, zero, zero)
-        j2 = cls(a2.copy(), zero, one, zero, zero, zero)
-        return j1, j2
+        """Seed jets of the two chart parameters, each shaped like its own
+        parameter: on grid axes (n1, 1) and (1, n2) they broadcast late."""
+        a1, a2 = np.array(a1, dtype=float), np.array(a2, dtype=float)
+        one1, zero1 = np.ones_like(a1), np.zeros_like(a1)
+        one2, zero2 = np.ones_like(a2), np.zeros_like(a2)
+        return (cls(a1, one1, zero1, zero1, zero1, zero1),
+                cls(a2, zero2, one2, zero2, zero2, zero2))
 
     @classmethod
     def stack(cls, components):
-        """Stack scalar jets into one vector-valued jet (trailing axis),
-        each field stored component-major (see component_major)."""
-        return cls(*(component_major(np.array(
-            [getattr(j, name) for j in components], dtype=complex))
-            for name in ("v", "d1", "d2", "d11", "d12", "d22")))
-
-    def _binary(self, other, op):
-        if isinstance(other, Jet2):
-            return Jet2(*(op(a, b) for a, b in zip(self._fields(),
-                                                   other._fields())))
-        return NotImplemented
+        """Stack scalar jets, broadcast together, into one vector-valued
+        jet (trailing axis) stored component-major (see component_major)."""
+        shape = np.broadcast(*(j.v for j in components)).shape
+        bufs = np.empty((6, len(components)) + shape, dtype=complex)
+        for k, jet in enumerate(components):
+            for buf, field in zip(bufs, jet._fields()):
+                buf[k] = field
+        return cls(*(component_major(buf) for buf in bufs))
 
     def _fields(self):
         return (self.v, self.d1, self.d2, self.d11, self.d12, self.d22)
 
     def __add__(self, other):
         if isinstance(other, Jet2):
-            return self._binary(other, lambda a, b: a + b)
+            return Jet2(*(a + b for a, b in zip(self._fields(),
+                                                other._fields())))
         return Jet2(self.v + other, self.d1, self.d2,
                     self.d11, self.d12, self.d22)
 

@@ -21,7 +21,7 @@ from .numerics import TOLERANCES
 PINCH_THRESHOLD = 1.0 / math.sqrt(2.0)
 # grid round-off allowed below the threshold, and above K = 0 for "flat"
 _PINCH_SLACK = 1e-8
-# points per point_geometry call on a grid: a chunk's temporaries stay in
+# points per point_geometry call on a grid: a tile's temporaries stay in
 # cache, and memory holds only the per-point scalars the reductions read
 _CHUNK = 4096
 # grid points whose K lies within this fraction of the sizes of its
@@ -31,14 +31,18 @@ _CHUNK = 4096
 _K_TIE = 2.0 ** -32
 
 
-def _chunks(n: int):
-    return (slice(i, i + _CHUNK) for i in range(0, n, _CHUNK))
-
-
-def grid_geometry(spec: SurfaceSpec, a1, a2, chart=None):
-    """(slice, point_geometry) per consecutive _CHUNK slice of flat a1, a2."""
-    for s in _chunks(np.size(a1)):
-        yield s, point_geometry(spec, a1[s], a2[s], chart=chart)
+def grid_geometry(spec: SurfaceSpec, axis1, axis2, chart=None):
+    """(flat slice, point_geometry) over tiles of whole rows of the grid
+    axis1 x axis2, at most _CHUNK points each (a longer row goes in
+    pieces), each evaluated on its axes (rows, 1) x (1, cols)."""
+    n2 = np.size(axis2)
+    step = max(1, _CHUNK // n2)
+    for i in range(0, np.size(axis1), step):
+        for j in range(0, n2, _CHUNK):
+            a1, a2 = axis1[i:i + step, None], axis2[None, j:j + _CHUNK]
+            start = i * n2 + j
+            yield (slice(start, start + a1.size * a2.size),
+                   point_geometry(spec, a1, a2, chart=chart))
 
 
 def _first_tied(k, h, c: float, i: int) -> int:
@@ -49,7 +53,8 @@ def _first_tied(k, h, c: float, i: int) -> int:
         h2 = 2.0 * h[s] ** 2
         return abs(c) / 4.0 + h2 + np.abs(c / 4.0 + h2 - k[s])
 
-    for s in _chunks(k.size):
+    for start in range(0, k.size, _CHUNK):
+        s = slice(start, start + _CHUNK)
         tied = np.abs(k[s] - k[i]) <= _K_TIE * (size(s) + size(i))
         if np.any(tied):
             return s.start + int(np.argmax(tied))
@@ -99,30 +104,35 @@ def curvature_scan(spec: SurfaceSpec, grid=(64, 64),
     compact = spec.family.chi is not None
     chart = spec.default_chart
     n1, n2 = grid
-    a1, a2 = build_grid(chart, n1, n2)
-    k, r, d_abs, d_scaled, h = np.empty((5, a1.size))
-    for s, pg in grid_geometry(spec, a1, a2, chart=chart):
-        k[s], r[s], d_abs[s] = pg.K, pg.R, np.abs(pg.D)
-        d_scaled[s] = scaled_circularity(pg)
-        h[s] = np.sqrt(np.clip(pg.H2, 0.0, None))
+    axis1, axis2 = build_grid(chart, n1, n2)
+    # K and |H| per point for the tie search; the rest reduce per tile
+    k, h = np.empty((2, n1 * n2))
+    r_min, r_max, d_max, d_max_scaled = math.inf, -math.inf, 0.0, 0.0
+    for s, pg in grid_geometry(spec, axis1, axis2, chart=chart):
+        k[s], h[s] = pg.K.ravel(), np.sqrt(np.clip(pg.H2, 0.0, None)).ravel()
+        r_min, r_max = min(r_min, np.min(pg.R)), max(r_max, np.max(pg.R))
+        d_max = max(d_max, np.max(np.abs(pg.D)))
+        d_max_scaled = max(d_max_scaled, np.max(scaled_circularity(pg)))
+        del pg  # one tile's geometry at a time, not two
 
     j_min, j_max = int(np.argmin(k)), int(np.argmax(k))
     i_min, i_max = (_first_tied(k, h, spec.ambient.c, j)
                     for j in (j_min, j_max))
-    # the height is read at the two extrema only
-    ends = [i_min, i_max]
-    z = chart.height(a1[ends], a2[ends]) if hasattr(chart, "height") else None
-    h_max, d_max_scaled = float(np.max(h)), float(np.max(d_scaled))
+    # chart points and heights are read at the two extrema only
+    rows, cols = np.divmod([i_min, i_max], n2)
+    p1, p2 = axis1[rows], axis2[cols]
+    z = chart.height(p1, p2) if hasattr(chart, "height") else None
+    h_max, d_max_scaled = float(np.max(h)), float(d_max_scaled)
 
     return ScanReport(
         spec=spec, grid=(n1, n2), compact=compact,
         k_min=float(k[j_min]), k_max=float(k[j_max]),
-        argmin=(float(a1[i_min]), float(a2[i_min])),
-        argmax=(float(a1[i_max]), float(a2[i_max])),
+        argmin=(float(p1[0]), float(p2[0])),
+        argmax=(float(p1[1]), float(p2[1])),
         argmin_z=None if z is None else float(z[0]),
         argmax_z=None if z is None else float(z[1]),
-        r_min=float(np.min(r)), r_max=float(np.max(r)),
-        d_max=float(np.max(d_abs)), d_max_scaled=d_max_scaled,
+        r_min=float(r_min), r_max=float(r_max),
+        d_max=float(d_max), d_max_scaled=d_max_scaled,
         h_max=h_max,
         circular=bool(d_max_scaled <= circ_tol),
         minimal=bool(h_max <= minimal_tol))
@@ -165,7 +175,8 @@ def willmore(spec: SurfaceSpec, orders=(128, 256)) -> WillmoreReport:
     area_element, h2 = np.empty((2, rule.weights.size))
     for s, pg in grid_geometry(spec, rule.nodes1, rule.nodes2):
         det = pg.g[..., 0, 0] * pg.g[..., 1, 1] - pg.g[..., 0, 1] ** 2
-        area_element[s], h2[s] = np.sqrt(det), pg.H2
+        area_element[s], h2[s] = np.sqrt(det).ravel(), pg.H2.ravel()
+        del pg  # one tile's geometry at a time, not two
     area = float(np.sum(rule.weights * area_element))
     integral_h2 = float(np.sum(rule.weights * h2 * area_element))
     w = integral_h2 + spec.ambient.c / 2.0 * area

@@ -69,6 +69,13 @@ def rotate_frame(pg: PointGeometry, alpha: float) -> PointGeometry:
     return geom._assemble(pg.space, pg.g, e1, e2, s11, s12, s22, diag)
 
 
+def flat_grid(axis1, axis2):
+    """The tensor-product grid of two axes as flat chart points, row-major:
+    point i * len(axis2) + j is (axis1[i], axis2[j])."""
+    a1, a2 = np.meshgrid(axis1, axis2, indexing="ij")
+    return a1.ravel(), a2.ravel()
+
+
 def ambient_dim(space) -> int:
     """Number of complex components of the space's points (lifts included)."""
     return len(space.signature)

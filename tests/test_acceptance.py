@@ -12,7 +12,8 @@ import math
 
 import numpy as np
 
-from helpers import StereographicChart, rotate_frame, stereographic_from_xyz
+from helpers import (StereographicChart, flat_grid, rotate_frame,
+                     stereographic_from_xyz)
 from lagsurf.atlas import build_grid, random_points
 from lagsurf.catalog import SurfaceSpec, lift_at
 from lagsurf.cli import main
@@ -54,7 +55,7 @@ def _emit(num: int, ok: bool, text: str) -> bool:
 
 
 def _grid_geometry(spec, n=64):
-    a1, a2 = build_grid(spec.default_chart, n, n)
+    a1, a2 = flat_grid(*build_grid(spec.default_chart, n, n))
     return point_geometry(spec, a1, a2)
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gram_reference import frame_condition, gram, reference_split
-from helpers import ambient_dim
+from helpers import ambient_dim, flat_grid
 from lagsurf.ambient import (C2, CH2, CP2, _norm, gram_condition,
                              horizontality_defect, lagrangian_defect,
                              membership_defect, second_form_split)
@@ -32,7 +32,7 @@ ALL_SPECS = [
 
 
 def _grid_lift(spec, n=9):
-    a1, a2 = build_grid(spec.default_chart, n, n)
+    a1, a2 = flat_grid(*build_grid(spec.default_chart, n, n))
     return lift_at(spec, a1, a2)
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import StereographicChart, stereographic_from_xyz
+from helpers import StereographicChart, flat_grid, stereographic_from_xyz
 from lagsurf.atlas import (ChartDomainError, PlanarChart, PolarAnnulusChart,
                            QuadratureRule, SphereChart, TorusChart,
                            build_grid, random_points, sphere_quadrature,
@@ -13,7 +13,8 @@ from lagsurf.atlas import (ChartDomainError, PlanarChart, PolarAnnulusChart,
 
 
 def integrate(f, rule):
-    return float(np.sum(rule.weights * f(rule.nodes1, rule.nodes2)))
+    nodes = flat_grid(rule.nodes1, rule.nodes2)
+    return float(np.sum(rule.weights * f(*nodes)))
 
 
 def _sphere_xyz(phi, theta):
@@ -22,7 +23,7 @@ def _sphere_xyz(phi, theta):
 
 
 def test_sphere_chart_on_unit_sphere():
-    phi, theta = build_grid(SphereChart(), 13, 17)
+    phi, theta = flat_grid(*build_grid(SphereChart(), 13, 17))
     x, y, z = _sphere_xyz(phi, theta)
     assert np.max(np.abs(x * x + y * y + z * z - 1.0)) < 1e-14
 
@@ -42,7 +43,7 @@ def test_polar_chart_rejects_puncture():
 def test_grid_respects_margins_and_shape():
     chart = SphereChart()
     phi, theta = build_grid(chart, 8, 6)
-    assert phi.shape == theta.shape == (48,)
+    assert phi.shape == (8,) and theta.shape == (6,)
     span = np.pi
     assert np.min(phi) >= 0.02 * span - 1e-15
     assert np.max(phi) <= np.pi - 0.02 * span + 1e-15

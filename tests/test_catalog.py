@@ -71,6 +71,7 @@ def test_psi_rejects_origin():
 
 def test_whitney_cp2_at_zero_is_totally_geodesic():
     phi, theta = build_grid(SphereChart(), 11, 11)
+    phi, theta = phi[:, None], theta[None, :]
     a = lift_at(SurfaceSpec("whitney-cp2", t=0.0), phi, theta)
     b = lift_at(SurfaceSpec("totally-geodesic-cp2"), phi, theta)
     for fa, fb in zip(a._fields(), b._fields()):

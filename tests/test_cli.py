@@ -356,8 +356,9 @@ def test_chunked_verify_matches_one_whole_grid_batch(surface, capsys):
     report = json.loads(out)
     cfg = resolve_config(build_parser().parse_args(argv))
     spec = cfg.spec
-    a1, a2 = build_grid(spec.default_chart, *cfg.grid)
-    whole = point_geometry(spec, a1, a2, chart=spec.default_chart)
+    axis1, axis2 = build_grid(spec.default_chart, *cfg.grid)
+    whole = point_geometry(spec, axis1[:, None], axis2[None, :],
+                           chart=spec.default_chart)
     want = _identity_checks(spec, whole, cfg)
     # every identity check comes first, in order, bitwise equal
     assert report["checks"][:len(want)] == want
@@ -381,10 +382,11 @@ def test_verify_memory_is_flat_in_grid_size(tmp_path):
         finally:
             tracemalloc.stop()
 
-    # one chunk's geometry is a constant; per point only the grid remains
-    # (about 1.2 KB per point in one whole-grid batch)
+    # one tile's geometry is a constant and the grid is two axes, so
+    # nothing is kept per point (44 B with flat grid coordinates, about
+    # 1.2 KB in one whole-grid batch)
     per_point = (peak(256) - peak(64)) / (256 ** 2 - 64 ** 2)
-    assert per_point < 200
+    assert per_point < 16
 
 
 def _assert_close_tree(got, want, path=""):

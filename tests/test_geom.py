@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import rotate_frame
+from helpers import flat_grid, rotate_frame
 from lagsurf import geom
 from lagsurf.atlas import build_grid
 from lagsurf.catalog import SurfaceSpec, lift_at
@@ -32,7 +32,7 @@ CIRCULAR_SPECS = [
 
 
 def _grid_geometry(spec, n=13):
-    a1, a2 = build_grid(spec.default_chart, n, n)
+    a1, a2 = flat_grid(*build_grid(spec.default_chart, n, n))
     return point_geometry(spec, a1, a2)
 
 
@@ -189,7 +189,7 @@ def test_conformal_scaling_in_flat_target():
     # scaling the flat-target immersion by lam: K -> K/lam^2, R -> R/lam,
     # and circularity (a property of the shape) is untouched
     spec = SurfaceSpec("whitney-c2")
-    a1, a2 = build_grid(spec.default_chart, 9, 9)
+    a1, a2 = flat_grid(*build_grid(spec.default_chart, 9, 9))
     lift = lift_at(spec, a1, a2)
     base = geometry_from_jet(lift, spec.ambient)
     for lam in (0.5, 3.0):
@@ -291,6 +291,28 @@ def test_one_point_is_its_row_of_a_batch(spec):
                 assert np.array_equal(got, row), field.name
 
 
+# one member of every catalog kind
+EVERY_KIND = CIRCULAR_SPECS + [SurfaceSpec("product-torus-c2", r1=1.0, r2=2.0)]
+
+
+@pytest.mark.parametrize("spec", EVERY_KIND, ids=lambda s: s.label())
+def test_grid_on_its_axes_is_the_grid_on_flat_points(spec):
+    # a grid evaluated on (rows, 1) x (1, cols) computes what depends on one
+    # parameter once per row or column, yet every array and defect has the
+    # bits of the same points passed flat
+    axis1, axis2 = build_grid(spec.default_chart, 9, 131)
+    tiled = point_geometry(spec, axis1[:, None], axis2[None, :])
+    flat = point_geometry(spec, *flat_grid(axis1, axis2))
+    assert tiled.K.shape == (9, 131)
+    for field in dataclasses.fields(flat):
+        got, want = getattr(tiled, field.name), getattr(flat, field.name)
+        if isinstance(want, np.ndarray):
+            assert got.shape == (9, 131) + want.shape[1:], field.name
+            assert np.array_equal(got.reshape(want.shape), want), field.name
+        else:
+            assert got == want, field.name
+
+
 @pytest.mark.parametrize("spec", [SurfaceSpec("whitney-cp2", t=0.5),
                                   SurfaceSpec("whitney-c2")],
                          ids=lambda s: s.label())
@@ -299,7 +321,7 @@ def test_gaps_of_a_batch_are_the_max_over_its_chunks(spec):
     # `*` with its operands swapped, so chunked and whole products differ
     # in the last bit unless the gaps pair with np.multiply
     a1, a2 = build_grid(spec.default_chart, 150, 131)
-    whole = point_geometry(spec, a1, a2)
+    whole = point_geometry(spec, *flat_grid(a1, a2))
     chunks = [pg for _, pg in grid_geometry(spec, a1, a2)]
     for gap in (circularity_route_gap, density_moduli_gap,
                 product_identity_check, radius_route_gap):

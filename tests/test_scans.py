@@ -8,10 +8,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from helpers import flat_grid
 from lagsurf.atlas import build_grid, sphere_quadrature, torus_quadrature
 from lagsurf.catalog import SurfaceSpec
 from lagsurf.geom import point_geometry, scaled_circularity
-from lagsurf.scans import (PINCH_THRESHOLD, UnsupportedDomainError,
+from lagsurf import scans
+from lagsurf.scans import (_CHUNK, PINCH_THRESHOLD, UnsupportedDomainError,
                            _first_tied, curvature_scan, pinching_hypothesis,
                            pinching_report, willmore)
 
@@ -95,7 +97,7 @@ CHUNKED_SPECS = [SurfaceSpec("whitney-cp2", t=0.5),
 def _whole_grid_scan(spec, grid):
     """curvature_scan's reductions over one point_geometry call."""
     chart = spec.default_chart
-    a1, a2 = build_grid(chart, *grid)
+    a1, a2 = flat_grid(*build_grid(chart, *grid))
     pg = point_geometry(spec, a1, a2, chart=chart)
     j_min, j_max = int(np.argmin(pg.K)), int(np.argmax(pg.K))
     h = np.sqrt(np.clip(pg.H2, 0.0, None))
@@ -128,7 +130,7 @@ def test_chunked_scan_equals_whole_grid_batch(spec, grid):
 def test_chunked_willmore_equals_whole_grid_batch(spec, orders):
     rules = {"sphere": sphere_quadrature, "torus": torus_quadrature}
     rule = rules[spec.family.quadrature](*orders)
-    pg = point_geometry(spec, rule.nodes1, rule.nodes2)
+    pg = point_geometry(spec, *flat_grid(rule.nodes1, rule.nodes2))
     det = pg.g[..., 0, 0] * pg.g[..., 1, 1] - pg.g[..., 0, 1] ** 2
     area_element = np.sqrt(det)
     rep = willmore(spec, orders=orders)
@@ -137,22 +139,58 @@ def test_chunked_willmore_equals_whole_grid_batch(spec, orders):
         np.sum(rule.weights * pg.H2 * area_element))
 
 
-def test_scan_memory_is_flat_in_grid_size():
-    spec = SurfaceSpec("whitney-cp2", t=0.5)
-    curvature_scan(spec, grid=(8, 8))  # first-call caches out of the count
+@pytest.mark.parametrize("grid", [(150, 131), (3, 5000)], ids=str)
+def test_grid_tiles_cover_every_flat_index_once_in_order(grid, monkeypatch):
+    # 150 x 131: 31 whole rows per tile, the last tile ragged; 3 x 5000:
+    # each row longer than a tile, so it goes in two pieces
+    chart = SurfaceSpec("whitney-c2").default_chart
+    axes = build_grid(chart, *grid)
+    want1, want2 = flat_grid(*axes)
+    tiles = []
+
+    def record(spec, a1, a2, chart=None):
+        tiles.append(np.broadcast_arrays(a1, a2))
+        return None
+
+    monkeypatch.setattr(scans, "point_geometry", record)
+    stop = 0
+    for (flat, _), (a1, a2) in zip(scans.grid_geometry(None, *axes), tiles):
+        assert flat.start == stop and 0 < flat.stop - flat.start <= _CHUNK
+        assert a1.ndim == 2 and a1.size == flat.stop - flat.start
+        assert np.array_equal(a1.ravel(), want1[flat])
+        assert np.array_equal(a2.ravel(), want2[flat])
+        stop = flat.stop
+    assert stop == grid[0] * grid[1]
+
+
+def _bytes_per_point(run):
+    """Slope of the tracemalloc peak of run(n) on n x n points, 64 to 256."""
+    run(8)  # first-call caches out of the count
 
     def peak(n):
         tracemalloc.start()
         try:
-            curvature_scan(spec, grid=(n, n))
+            run(n)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    # one chunk's temporaries are a constant; per point only the scalars
-    # the reductions read remain (about 1.45 KB per point unchunked)
-    per_point = (peak(256) - peak(64)) / (256 ** 2 - 64 ** 2)
-    assert per_point < 200
+    return (peak(256) - peak(64)) / (256 ** 2 - 64 ** 2)
+
+
+def test_scan_memory_is_flat_in_grid_size():
+    # one tile's temporaries are a constant; per point only K and |H|
+    # remain for the tie search, 16 B (88 B with flat grid coordinates and
+    # five per-point arrays, about 1.45 KB unchunked)
+    spec = SurfaceSpec("whitney-cp2", t=0.5)
+    assert _bytes_per_point(lambda n: curvature_scan(spec, grid=(n, n))) < 24
+
+
+def test_willmore_memory_is_flat_in_quadrature_size():
+    # per node the flat weights, area element and |H|^2 remain, 24 B (72 B
+    # with flat node coordinates)
+    spec = SurfaceSpec("whitney-cp2", t=0.5)
+    assert _bytes_per_point(lambda n: willmore(spec, orders=(n, n))) < 32
 
 
 # ---------------------------------------------------------------------------
