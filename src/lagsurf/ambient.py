@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (GRAM_COND_LIMIT, DegeneratePointError, Jet2, apply_J,
+from .numerics import (GRAM_COND_LIMIT, DegeneratePointError, Jet2,
                        component_major, herm_pair, real_pair)
 
 
@@ -61,10 +61,9 @@ def horizontality_defect(lift: Jet2, space: AmbientSpace) -> float:
 
 
 def lagrangian_defect(lift: Jet2, space: AmbientSpace) -> float:
-    """Max |Im herm(d_u psi, d_v psi)|: vanishing makes the surface Lagrangian."""
-    d = max(np.max(np.abs(herm_pair(du, dv, space.sig).imag))
-            for du in (lift.d1, lift.d2) for dv in (lift.d1, lift.d2))
-    return float(d)
+    """Max |Im herm(d1 psi, d2 psi)|: vanishing makes the surface Lagrangian
+    (herm(d2, d1) is its conjugate, and herm(d_i, d_i) is real)."""
+    return float(np.max(np.abs(herm_pair(lift.d1, lift.d2, space.sig).imag)))
 
 
 @dataclass(frozen=True)
@@ -72,8 +71,8 @@ class FrameSplit:
     """What the geometry reads off the second derivatives of the lift.
 
     ``metric`` is the induced metric g_ij (``..., 2, 2``).  ``normal``
-    (``..., 3, m``) holds, for the pairs (11, 12, 22), the part of d_uv psi
-    in the span of (J d1, J d2): the second fundamental form.  The tangent
+    (``..., 3, 2``) holds, for the pairs (11, 12, 22), the coefficients on
+    (J d1, J d2) of d_uv psi: the second fundamental form.  The tangent
     and lift parts are fixed by the metric, so only the batch maxima of
     their defects are kept (see second_form_split; 0.0 over a flat target).
     """
@@ -158,8 +157,7 @@ def second_form_split(lift: Jet2, space: AmbientSpace) -> FrameSplit:
 
     # one d_uv psi at a time; normals fill one buffer (see component_major)
     basis = [d1, d2, psi] if space.is_lifted else [d1, d2]
-    jd1, jd2 = apply_J(d1), apply_J(d2)
-    normal = np.empty((3, len(sig)) + np.shape(g11), dtype=complex)
+    normal = np.empty((3, 2) + np.shape(g11))
     residual, position, fiber = [], [0.0], [0.0]
     for p, (x, g) in enumerate(zip((lift.d11, lift.d12, lift.d22),
                                    (g11, g12, g22))):
@@ -167,9 +165,7 @@ def second_form_split(lift: Jet2, space: AmbientSpace) -> FrameSplit:
         # g^-1 (h1, h2) by the closed-form 2x2 inverse
         z1 = (g22 * h[0] - g12 * h[1]) / det
         z2 = (g11 * h[1] - g12 * h[0]) / det
-        normal_p = np.multiply(z1.imag[..., None], jd1,
-                               out=component_major(normal[p]))
-        normal_p += z2.imag[..., None] * jd2
+        normal[p, 0], normal[p, 1] = z1.imag, z2.imag
         gap = x - z1[..., None] * d1
         gap -= z2[..., None] * d2
         if space.is_lifted:

@@ -30,7 +30,7 @@ from .geom import (circularity_route_gap, density_moduli_gap, ellipse_samples,
                    gauss_curvature_intrinsic, point_geometry,
                    product_identity_check, radius_route_gap,
                    scaled_circularity)
-from .numerics import TOLERANCES
+from .numerics import TOLERANCES, apply_J
 from .scans import (WillmoreReport, curvature_scan, grid_geometry,
                     pinching_report, willmore)
 
@@ -360,6 +360,11 @@ def cmd_probe(cfg: RunConfig) -> int:
     pg = point_geometry(spec, a1, a2, chart=chart)
     checks = _identity_checks(spec, pg, cfg)
     k_int = gauss_curvature_intrinsic(spec, a1, a2, chart=chart)
+
+    def normal(coords):  # the normal vector with (J e1, J e2) coordinates
+        return _vector_payload(coords[0] * apply_J(pg.e1)
+                               + coords[1] * apply_J(pg.e2))
+
     checks.append(_gauss_check(k_int, pg.K, "the probe point", cfg))
     report = {
         "surface": spec.kind,
@@ -384,12 +389,12 @@ def cmd_probe(cfg: RunConfig) -> int:
               "112": float(pg.C[..., 0, 0, 1]),
               "122": float(pg.C[..., 0, 1, 1]),
               "222": float(pg.C[..., 1, 1, 1])},
-        "H": _vector_payload(pg.H),
+        "H": normal(0.5 * (pg.C[0, 0] + pg.C[1, 1])),
         "e1": _vector_payload(pg.e1),
         "e2": _vector_payload(pg.e2),
-        "sigma11": _vector_payload(pg.sigma11),
-        "sigma12": _vector_payload(pg.sigma12),
-        "sigma22": _vector_payload(pg.sigma22),
+        "sigma11": normal(pg.C[0, 0]),
+        "sigma12": normal(pg.C[0, 1]),
+        "sigma22": normal(pg.C[1, 1]),
         "checks": checks,
         "pass": all(c["pass"] for c in checks),
     }

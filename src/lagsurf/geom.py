@@ -3,8 +3,8 @@
 The pipeline: induced metric -> orthonormal tangent frame -> second
 fundamental form on that frame -> mean/Gauss curvature, the cubic
 coefficient tensor, and the ellipse-of-curvature data (circularity defect,
-frame densities, radius).  Every quantity is batched: evaluating a grid is
-one call.  Cross-route consistency checks are never folded into each other;
+frame densities, radius).  Every quantity is batched over any broadcast
+shape.  Cross-route consistency checks are never folded into each other;
 each has its own defect number.  Gates read their limits from TOLERANCES.
 """
 
@@ -17,7 +17,7 @@ import numpy as np
 from . import ambient as amb
 from .ambient import AmbientSpace
 from .catalog import SurfaceSpec, lift_at
-from .numerics import TOLERANCES, Jet2, apply_J, component_major, real_pair
+from .numerics import TOLERANCES, Jet2, component_major, real_pair
 
 # angles x points per broadcast of the ellipse fit residual: a group's
 # temporaries stay a few MB, and one point takes all angles at once
@@ -30,22 +30,18 @@ class PointGeometry:
 
     Array fields share the evaluation batch shape; ambient vectors append
     the component axis.  ``C[..., i, j, k]`` is the cubic coefficient
-    real_pair(sigma(e_i, e_j), J e_k); for a Lagrangian immersion it is
-    fully symmetric, and ``c_symmetry_defect`` measures how true that is
-    here.  ``K`` is the ambient-identity route (curvature constant, |H|^2
-    and |sigma|^2); the independent intrinsic route lives in
-    gauss_curvature_intrinsic.
+    real_pair(sigma(e_i, e_j), J e_k): sigma_ij in (J e1, J e2)
+    coordinates, from which every invariant comes.  For a Lagrangian
+    immersion C is fully symmetric, and ``c_symmetry_defect`` measures how
+    true that is here.  ``K`` is the ambient-identity route (curvature
+    constant, |H|^2, |sigma|^2); gauss_curvature_intrinsic is the other.
     """
 
     space: AmbientSpace
     g: np.ndarray
     e1: np.ndarray
     e2: np.ndarray
-    sigma11: np.ndarray
-    sigma12: np.ndarray
-    sigma22: np.ndarray
     C: np.ndarray
-    H: np.ndarray
     H2: np.ndarray
     sigma_sq: np.ndarray
     K: np.ndarray
@@ -62,33 +58,26 @@ class PointGeometry:
     c_symmetry_defect: float
 
 
-def _cubic_tensor(sig, s11, s12, s22, je):
-    C = np.empty((2, 2, 2) + np.shape(s11)[:-1])
-    for (i, j), s in (((0, 0), s11), ((0, 1), s12), ((1, 1), s22)):
-        for k in range(2):
-            C[i, j, k] = real_pair(s, je[k], sig)
-    C[1, 0] = C[0, 1]  # sigma21 is sigma12
-    return component_major(C, 3)
+def _dot(a, b):
+    # inner product of (J e1, J e2) coordinates, one coordinate at a time
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
 
 
-def _assemble(space, g, e1, e2, s11, s12, s22, diag):
-    sig = space.sig
-    je = (apply_J(e1), apply_J(e2))
-    C = _cubic_tensor(sig, s11, s12, s22, je)
+def _assemble(space, g, e1, e2, C, diag):
     # index symmetry in the first two slots is structural; the swap of the
     # second/third slot is the Lagrangian property and gets measured
     c_defect = float(max(np.max(np.abs(C[..., 0, 0, 1] - C[..., 0, 1, 0])),
                          np.max(np.abs(C[..., 1, 1, 0] - C[..., 1, 0, 1]))))
 
+    s11, s12, s22 = C[..., 0, 0, :], C[..., 0, 1, :], C[..., 1, 1, :]
     H = 0.5 * (s11 + s22)
-    H2 = real_pair(H, H, sig)
-    sigma_sq = (real_pair(s11, s11, sig) + 2.0 * real_pair(s12, s12, sig)
-                + real_pair(s22, s22, sig))
+    H2 = _dot(H, H)
+    s12_sq = _dot(s12, s12)
+    sigma_sq = _dot(s11, s11) + 2.0 * s12_sq + _dot(s22, s22)
     K = space.c / 4.0 + 2.0 * H2 - 0.5 * sigma_sq
 
     diff = s11 - s22
-    D = (0.25 * real_pair(diff, diff, sig) - real_pair(s12, s12, sig)
-         + 1j * real_pair(diff, s12, sig))
+    D = 0.25 * _dot(diff, diff) - s12_sq + 1j * _dot(diff, s12)
 
     C111 = C[..., 0, 0, 0]
     C112 = C[..., 0, 0, 1]
@@ -103,10 +92,8 @@ def _assemble(space, g, e1, e2, s11, s12, s22, diag):
         if not np.all(np.isfinite(np.asarray(arr))):
             raise ValueError(f"non-finite geometry field {name!r}")
 
-    return PointGeometry(space=space, g=g, e1=e1, e2=e2,
-                         sigma11=s11, sigma12=s12, sigma22=s22, C=C,
-                         H=H, H2=H2, sigma_sq=sigma_sq, K=K,
-                         D=D, F=F, Hc=Hc, R=R,
+    return PointGeometry(space=space, g=g, e1=e1, e2=e2, C=C,
+                         H2=H2, sigma_sq=sigma_sq, K=K, D=D, F=F, Hc=Hc, R=R,
                          c_symmetry_defect=c_defect, **diag)
 
 
@@ -130,14 +117,19 @@ def geometry_from_jet(lift: Jet2, space: AmbientSpace) -> PointGeometry:
     e1 = p[..., None] * lift.d1
     e2 = q[..., None] * lift.d1 + r[..., None] * lift.d2
 
-    sc11 = split.normal[..., 0, :]
-    sc12 = split.normal[..., 1, :]
-    sc22 = split.normal[..., 2, :]
-
-    pp, qq, rr = p[..., None], q[..., None], r[..., None]
-    s11 = pp * pp * sc11
-    s12 = pp * (qq * sc11 + rr * sc12)
-    s22 = qq * qq * sc11 + 2.0 * qq * rr * sc12 + rr * rr * sc22
+    # sigma(d_u, d_v) on (J d1, J d2) to (J e1, J e2) coordinates, by
+    # J d1 = J e1 / p and J d2 = (J e2 - (q / p) J e1) / r
+    n = split.normal
+    q_r = q / r
+    u11, u12, u22 = (((n[..., i, 0] - q_r * n[..., i, 1]) / p,
+                      n[..., i, 1] / r) for i in range(3))
+    # then to sigma(e_i, e_j): C[i, j, k], with C[1, 0] = C[0, 1]
+    C = np.empty((2, 2, 2) + np.shape(p))
+    for k in range(2):
+        C[0, 0, k] = p * p * u11[k]
+        C[0, 1, k] = p * (q * u11[k] + r * u12[k])
+        C[1, 1, k] = q * q * u11[k] + 2.0 * q * r * u12[k] + r * r * u22[k]
+    C[1, 0] = C[0, 1]
 
     diag = {
         "membership": amb.membership_defect(lift, space),
@@ -147,7 +139,7 @@ def geometry_from_jet(lift: Jet2, space: AmbientSpace) -> PointGeometry:
         "position_defect": split.position_defect,
         "fiber_defect": split.fiber_defect,
     }
-    return _assemble(space, g, e1, e2, s11, s12, s22, diag)
+    return _assemble(space, g, e1, e2, component_major(C, 3), diag)
 
 
 def point_geometry(spec: SurfaceSpec, a1, a2, chart=None) -> PointGeometry:
@@ -226,13 +218,13 @@ def radius_route_gap(pg: PointGeometry) -> float:
     """Largest spread of the three radius routes, relative to 1 + R pointwise.
 
     Routes: the curvature identity sqrt((c/4 + |H|^2 - K) / 2) stored in
-    pg.R, the direct |sigma(e1, e2)|, and |sigma11 - sigma22| / 2.  They
-    coincide exactly where the ellipse is circular.
+    pg.R, the direct |sigma(e1, e2)|, and |sigma11 - sigma22| / 2, both
+    read off C.  They coincide exactly where the ellipse is circular.
     """
-    sig = pg.space.sig
-    r_b = np.sqrt(np.clip(real_pair(pg.sigma12, pg.sigma12, sig), 0.0, None))
-    diff = pg.sigma11 - pg.sigma22
-    r_c = 0.5 * np.sqrt(np.clip(real_pair(diff, diff, sig), 0.0, None))
+    s12 = pg.C[..., 0, 1, :]
+    r_b = np.sqrt(_dot(s12, s12))
+    diff = pg.C[..., 0, 0, :] - pg.C[..., 1, 1, :]
+    r_c = 0.5 * np.sqrt(_dot(diff, diff))
     worst = np.maximum(np.maximum(np.abs(pg.R - r_b), np.abs(pg.R - r_c)),
                        np.abs(r_b - r_c))
     return float(np.max(worst / (1.0 + pg.R)))

@@ -57,16 +57,16 @@ def rotate_frame(pg: PointGeometry, alpha: float) -> PointGeometry:
     and by anything that needs a frame-generic evaluation.
     """
     c, s = np.cos(alpha), np.sin(alpha)
+    rot = np.array([[c, s], [-s, c]])  # e'_i = rot[i, a] e_a
     e1 = c * pg.e1 + s * pg.e2
     e2 = -s * pg.e1 + c * pg.e2
-    s11 = c * c * pg.sigma11 + 2.0 * c * s * pg.sigma12 + s * s * pg.sigma22
-    s12 = (-c * s * pg.sigma11 + (c * c - s * s) * pg.sigma12
-           + c * s * pg.sigma22)
-    s22 = s * s * pg.sigma11 - 2.0 * c * s * pg.sigma12 + c * c * pg.sigma22
+    # every slot of C, the normal one too, is on the frame: J e'_k is
+    # rot[k, c] J e_c
+    C = np.einsum("ia,jb,kc,...abc->...ijk", rot, rot, rot, pg.C)
     diag = {name: getattr(pg, name)
             for name in ("membership", "horizontality", "lagrangian",
                          "split_residual", "position_defect", "fiber_defect")}
-    return geom._assemble(pg.space, pg.g, e1, e2, s11, s12, s22, diag)
+    return geom._assemble(pg.space, pg.g, e1, e2, C, diag)
 
 
 def flat_grid(axis1, axis2):

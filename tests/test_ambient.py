@@ -7,7 +7,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gram_reference import frame_condition, gram, reference_split
+from gram_reference import (frame_condition, gram, normal_vectors,
+                            reference_split)
 from helpers import ambient_dim, flat_grid
 from lagsurf.ambient import (C2, CH2, CP2, _norm, gram_condition,
                              horizontality_defect, lagrangian_defect,
@@ -73,6 +74,24 @@ def test_non_lagrangian_control_map():
     assert lagrangian_defect(circle_lift, C2) < 1e-15
 
 
+def _four_pair_lagrangian_defect(lift, space):
+    # the defect over every ordered pair of d1, d2, as once measured
+    return float(max(np.max(np.abs(herm_pair(du, dv, space.sig).imag))
+                     for du in (lift.d1, lift.d2) for dv in (lift.d1, lift.d2)))
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS + [SurfaceSpec("psi-ch2", s=0.764)],
+                         ids=lambda s: s.label())
+def test_lagrangian_defect_pairs_once(spec):
+    # herm(d2, d1) = conj(herm(d1, d2)) and herm(d_i, d_i) is real, so the
+    # other three pairings add only the round-off of the complex products
+    lift = _grid_lift(spec)
+    one = lagrangian_defect(lift, spec.ambient)
+    assert one == float(np.max(np.abs(
+        herm_pair(lift.d1, lift.d2, spec.ambient.sig).imag)))
+    assert one <= _four_pair_lagrangian_defect(lift, spec.ambient)
+
+
 def test_membership_detects_off_quadric_point():
     lift = _grid_lift(SurfaceSpec("clifford-torus"))
     scaled = dataclasses.replace(lift, v=lift.v * 1.01)
@@ -86,9 +105,9 @@ def test_second_form_split_reconstructs(spec):
     assert split.split_residual < 1e-10
     assert split.fiber_defect < 1e-10
     assert split.position_defect < 1e-10
-    m = ambient_dim(spec.ambient)
     assert split.metric.shape == lift.v.shape[:-1] + (2, 2)
-    assert split.normal.shape == lift.v.shape[:-1] + (3, m)
+    assert split.normal.shape == lift.v.shape[:-1] + (3, 2)
+    assert split.normal.dtype == float
     if not spec.ambient.is_lifted:
         assert split.position_defect == split.fiber_defect == 0.0
 
@@ -106,14 +125,14 @@ def test_position_coefficient_sign():
 
 
 def test_normal_part_is_normal():
-    from lagsurf.numerics import real_pair
+    # the coefficients on (J d1, J d2) make vectors normal to d1 and d2
     spec = SurfaceSpec("whitney-cp2", t=0.4)
     lift = _grid_lift(spec, n=5)
-    split = second_form_split(lift, spec.ambient)
+    normal = normal_vectors(lift, second_form_split(lift, spec.ambient).normal)
     sig = spec.ambient.sig
     for p in range(3):
         for du in (lift.d1, lift.d2):
-            pair = real_pair(split.normal[..., p, :], du, sig)
+            pair = real_pair(normal[..., p, :], du, sig)
             assert np.max(np.abs(pair)) < 1e-11
 
 
@@ -275,7 +294,8 @@ def test_residual_reports_neglected_lagrangian_coupling():
     tangent, normal, _, _ = reference_split(lift, C2)
     second = np.stack([lift.d11, lift.d12, lift.d22], axis=-2)
     recon = (tangent[..., 0, None] * lift.d1[..., None, :]
-             + tangent[..., 1, None] * lift.d2[..., None, :] + normal)
+             + tangent[..., 1, None] * lift.d2[..., None, :]
+             + normal_vectors(lift, normal))
     assert np.max(np.abs(second - recon)) < 1e-12
     split = second_form_split(lift, C2)
     assert split.split_residual > TOLERANCES["split_residual"]
@@ -310,12 +330,13 @@ def test_ambient_components_are_contiguous(spec, shape):
     m = ambient_dim(spec.ambient)
     assert stacked.d1.shape == shape + (3,)
     assert (lift.d1.shape, split.normal.shape, pg.e1.shape) == (
-        shape + (m,), shape + (3, m), shape + (m,))
+        shape + (m,), shape + (3, 2), shape + (m,))
     for k in range(3):
         assert stacked.d1[..., k].flags.c_contiguous
+    for p in range(3):
+        for k in range(2):
+            assert split.normal[..., p, k].flags.c_contiguous
     for k in range(m):
-        for p in range(3):
-            assert split.normal[..., p, :][..., k].flags.c_contiguous
         assert pg.e1[..., k].flags.c_contiguous
 
 

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gram_reference import REFERENCE_GAP, reference_gaps
 from helpers import flat_grid, rotate_frame
 from lagsurf import geom
 from lagsurf.atlas import build_grid
@@ -34,6 +35,16 @@ CIRCULAR_SPECS = [
 def _grid_geometry(spec, n=13):
     a1, a2 = flat_grid(*build_grid(spec.default_chart, n, n))
     return point_geometry(spec, a1, a2)
+
+
+@pytest.mark.parametrize("spec", CIRCULAR_SPECS + [
+    SurfaceSpec("psi-ch2", s=0.7), SurfaceSpec("whitney-cp2", t=3.0),
+    SurfaceSpec("product-torus-c2", r1=1.0, r2=2.0)], ids=lambda s: s.label())
+def test_invariants_match_the_complex_vector_route(spec):
+    lift = lift_at(spec, *flat_grid(*build_grid(spec.default_chart, 33, 33)))
+    pg = geometry_from_jet(lift, spec.ambient)
+    gaps = reference_gaps(pg, lift, spec.ambient)
+    assert max(gaps.values()) <= REFERENCE_GAP, gaps
 
 
 # ---------------------------------------------------------------------------

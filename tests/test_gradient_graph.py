@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gram_reference import reference_split
+from gram_reference import REFERENCE_GAP, reference_gaps, reference_split
 from lagsurf.ambient import C2, second_form_split
 from lagsurf.cli import TOLERANCES
 from lagsurf.geom import circularity_route_gap, geometry_from_jet
@@ -76,6 +76,15 @@ def test_gradient_graph_split_matches_general_gram_solve(coeffs, seed):
     assert normal.shape == want.shape
     gap = np.max(np.abs(normal - want)) / (1.0 + np.max(np.abs(want)))
     assert gap <= 1e-11
+
+
+@given(coefficients, st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_gradient_graph_invariants_match_the_complex_vector_route(coeffs,
+                                                                  seed):
+    lift = gradient_graph(coeffs, *_points(seed))
+    gaps = reference_gaps(geometry_from_jet(lift, C2), lift, C2)
+    assert max(gaps.values()) <= REFERENCE_GAP, gaps
 
 
 @pytest.mark.parametrize("eps", [1e-6, 1e-3])
