@@ -418,7 +418,6 @@ def cmd_verify(cfg: RunConfig) -> int:
         checks = list(map(_worse, checks or rows, rows))
         k_ends += [np.min(pg.K), np.max(pg.K)]
         r_ends += [np.min(pg.R), np.max(pg.R)]
-        del pg  # one tile's geometry at a time, not two
     s1, s2 = random_points(chart, 200, np.random.default_rng(cfg.seed))
     checks.append(_gauss_check(
         gauss_curvature_intrinsic(spec, s1, s2, chart=chart),

@@ -113,7 +113,6 @@ def curvature_scan(spec: SurfaceSpec, grid=(64, 64),
         r_min, r_max = min(r_min, np.min(pg.R)), max(r_max, np.max(pg.R))
         d_max = max(d_max, np.max(np.abs(pg.D)))
         d_max_scaled = max(d_max_scaled, np.max(scaled_circularity(pg)))
-        del pg  # one tile's geometry at a time, not two
 
     j_min, j_max = int(np.argmin(k)), int(np.argmax(k))
     i_min, i_max = (_first_tied(k, h, spec.ambient.c, j)
@@ -176,7 +175,6 @@ def willmore(spec: SurfaceSpec, orders=(128, 256)) -> WillmoreReport:
     for s, pg in grid_geometry(spec, rule.nodes1, rule.nodes2):
         det = pg.g[..., 0, 0] * pg.g[..., 1, 1] - pg.g[..., 0, 1] ** 2
         area_element[s], h2[s] = np.sqrt(det).ravel(), pg.H2.ravel()
-        del pg  # one tile's geometry at a time, not two
     area = float(np.sum(rule.weights * area_element))
     integral_h2 = float(np.sum(rule.weights * h2 * area_element))
     w = integral_h2 + spec.ambient.c / 2.0 * area
