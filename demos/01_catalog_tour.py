@@ -31,8 +31,7 @@ POINTS = {"spherical": (1.1, 0.7), "polar-annulus": (1.3, 0.9),
 
 print(f"{'surface':<26} {'K':>10} {'|H|^2':>10} {'|D| scaled':>12} {'R':>8}")
 for spec in MEMBERS:
-    chart = spec.default_chart
-    a1, a2 = POINTS[chart.kind]
+    a1, a2 = POINTS[spec.chart.kind]
     pg = point_geometry(spec, a1, a2)
     circ = float(scaled_circularity(pg))
     print(f"{spec.label():<26} {float(pg.K):>10.5f} {float(pg.H2):>10.5f} "

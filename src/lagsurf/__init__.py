@@ -4,7 +4,7 @@ from .ambient import C2, CH2, CP2, AmbientSpace, second_form_split
 from .atlas import (ChartDomainError, PlanarChart, PolarAnnulusChart,
                     SphereChart, TorusChart, build_grid, random_points,
                     sphere_quadrature, torus_quadrature)
-from .catalog import KINDS, SurfaceSpec, evaluate_lift, lift_at, validate_params
+from .catalog import KINDS, SurfaceSpec, evaluate_lift, lift_at
 from .geom import (CurvatureEllipse, PointGeometry, ellipse_samples,
                    gauss_curvature_intrinsic, geometry_from_jet,
                    point_geometry, product_identity_check, radius,
@@ -55,6 +55,5 @@ __all__ = [
     "second_form_split",
     "sphere_quadrature",
     "torus_quadrature",
-    "validate_params",
     "__version__",
 ]

@@ -34,6 +34,7 @@ class Family:
     ``params`` are the parameters the kind reads; the rest must stay at
     their defaults.  ``defaults`` replaces a ``SurfaceSpec`` default that
     lies outside the domain when the command line names the kind bare.
+    ``chart`` is the kind's one chart, shared by all its specs.
     ``domain`` is the parameter predicate (None: every finite value) and
     ``domain_error`` the message when it fails.  ``chi`` is the Euler
     characteristic of a compact domain (None: noncompact).  ``quadrature``
@@ -45,7 +46,7 @@ class Family:
     """
 
     ambient: AmbientSpace
-    chart: type
+    chart: object
     evaluator: Callable[..., Jet2]
     n_coords: int
     note: str
@@ -62,7 +63,8 @@ class Family:
 
 @dataclass(frozen=True)
 class SurfaceSpec:
-    """One catalog surface: a kind tag plus its shape parameters."""
+    """One catalog surface: a kind tag plus its shape parameters, checked
+    against the kind's ``Family`` once, when the spec is built."""
 
     kind: str
     t: float = 0.0
@@ -70,9 +72,27 @@ class SurfaceSpec:
     r1: float = 1.0
     r2: float = 1.0
 
+    def __post_init__(self):
+        """Reject unknown kinds, stray or non-finite parameters, and values
+        outside the family's domain."""
+        family = FAMILIES.get(self.kind)
+        if family is None:
+            raise ValueError(f"unknown surface kind {self.kind!r}; expected "
+                             f"one of: {', '.join(KINDS)}")
+        for param in fields(SurfaceSpec)[1:]:  # every field after kind
+            name = param.name
+            if (name not in family.params
+                    and getattr(self, name) != param.default):
+                raise ValueError(f"{self.kind} takes no parameter {name!r}")
+        for name in family.params:
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{self.kind} needs a finite {name}, got "
+                                 f"{getattr(self, name)!r}")
+        if family.domain is not None and not family.domain(self):
+            raise ValueError(family.domain_error)
+
     @property
     def family(self) -> Family:
-        validate_params(self)
         return FAMILIES[self.kind]
 
     @property
@@ -80,39 +100,18 @@ class SurfaceSpec:
         return self.family.ambient
 
     @property
-    def default_chart(self):
-        return self.family.chart()
+    def chart(self):
+        return self.family.chart
 
     def params(self) -> dict[str, float]:
         """The parameters this kind reads, for display and reports."""
-        family = FAMILIES.get(self.kind)
-        return {name: getattr(self, name)
-                for name in (family.params if family else ())}
+        return {name: getattr(self, name) for name in self.family.params}
 
     def label(self) -> str:
         values = self.params()
         if not values:
             return self.kind
         return f"{self.kind}({','.join(f'{v:g}' for v in values.values())})"
-
-
-def validate_params(spec: SurfaceSpec) -> None:
-    """Reject unknown kinds, stray or non-finite parameters, and values
-    outside the family's domain."""
-    family = FAMILIES.get(spec.kind)
-    if family is None:
-        raise ValueError(f"unknown surface kind {spec.kind!r}; expected one "
-                         f"of: {', '.join(KINDS)}")
-    for param in fields(SurfaceSpec)[1:]:  # every field after kind
-        name = param.name
-        if name not in family.params and getattr(spec, name) != param.default:
-            raise ValueError(f"{spec.kind} takes no parameter {name!r}")
-    for name in family.params:
-        if not math.isfinite(getattr(spec, name)):
-            raise ValueError(f"{spec.kind} needs a finite {name}, got "
-                             f"{getattr(spec, name)!r}")
-    if family.domain is not None and not family.domain(spec):
-        raise ValueError(family.domain_error)
 
 
 def _re(j: Jet2) -> Jet2:
@@ -156,12 +155,14 @@ def _totally_geodesic_cp2(spec, x, y, z):
 
 def _psi_ch2(spec, p, q):
     z = p + 1j * q
-    if np.any(np.abs(np.asarray(z.v)) == 0.0):
-        raise ChartDomainError("psi-ch2 is undefined at z = 0")
     c, s = math.cos(spec.s), math.sin(spec.s)
     zb = z.conj()
     w = c * z + s * zb
-    inv = 1.0 / _re(w * w.conj())
+    # |w|^2 vanishes at z = 0, and underflows to 0 next to it
+    w_sq = _re(w * w.conj())
+    if np.any(w_sq.v == 0.0):
+        raise ChartDomainError("psi-ch2 is undefined at or next to z = 0")
+    inv = 1.0 / w_sq
     zsq = _re(z * zb)
     first = ((c * c) * (z * z) - (s * s) * (zb * zb)) * inv
     shared = w * inv * (1.0 / math.sqrt(2.0))
@@ -201,7 +202,7 @@ def _product_torus_energy(spec):
 
 
 def _sphere(ambient, evaluator, note, k_range, **facts) -> Family:
-    return Family(ambient, SphereChart, evaluator, 3, note, chi=2,
+    return Family(ambient, SphereChart(), evaluator, 3, note, chi=2,
                   quadrature="sphere", k_range=k_range,
                   willmore=_sphere_energy, **facts)
 
@@ -230,20 +231,20 @@ FAMILIES: dict[str, Family] = {
         "real form; the second fundamental form vanishes",
         lambda spec: (1.0, 1.0)),
     "psi-ch2": Family(
-        CH2, PolarAnnulusChart, _psi_ch2, 2,
+        CH2, PolarAnnulusChart(), _psi_ch2, 2,
         "complete noncompact family on the punctured plane",
         params=("s",), domain=lambda spec: 0.0 <= spec.s < math.pi / 4.0,
         domain_error="psi-ch2 needs 0 <= s < pi/4; the denominator "
                      "loses positivity at s = pi/4"),
     "eta-ch2": Family(
-        CH2, PlanarChart, _eta_ch2, 2,
+        CH2, PlanarChart(), _eta_ch2, 2,
         "complete noncompact example on the plane"),
     "clifford-torus": Family(
-        CP2, TorusChart, _clifford_torus, 2,
+        CP2, TorusChart(), _clifford_torus, 2,
         "minimal flat torus; ellipse radius 1/sqrt(2) everywhere",
         chi=0, k_range=lambda spec: (0.0, 0.0)),
     "product-torus-c2": Family(
-        C2, TorusChart, _product_torus_c2, 2,
+        C2, TorusChart(), _product_torus_c2, 2,
         "circle product; the ellipse degenerates to a segment",
         params=("r1", "r2"), domain=lambda spec: min(spec.r1, spec.r2) > 0.0,
         domain_error="product-torus-c2 needs positive radii r1, r2",
@@ -268,8 +269,6 @@ def evaluate_lift(spec: SurfaceSpec, coords) -> Jet2:
                          f"at these parameters or chart coordinates") from None
 
 
-def lift_at(spec: SurfaceSpec, a1, a2, chart=None) -> Jet2:
-    """Evaluate the lift jet at chart parameters (default chart when None)."""
-    if chart is None:
-        chart = spec.default_chart
-    return evaluate_lift(spec, chart.coords(a1, a2))
+def lift_at(spec: SurfaceSpec, a1, a2) -> Jet2:
+    """Evaluate the lift jet at parameters of the spec's chart."""
+    return evaluate_lift(spec, spec.chart.coords(a1, a2))

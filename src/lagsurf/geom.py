@@ -142,10 +142,9 @@ def geometry_from_jet(lift: Jet2, space: AmbientSpace) -> PointGeometry:
     return _assemble(space, g, e1, e2, component_major(C, 3), diag)
 
 
-def point_geometry(spec: SurfaceSpec, a1, a2, chart=None) -> PointGeometry:
+def point_geometry(spec: SurfaceSpec, a1, a2) -> PointGeometry:
     """Catalog convenience: lift jet at chart parameters, then invariants."""
-    lift = lift_at(spec, a1, a2, chart=chart)
-    return geometry_from_jet(lift, spec.ambient)
+    return geometry_from_jet(lift_at(spec, a1, a2), spec.ambient)
 
 
 def _sigma_scale(pg):
@@ -311,8 +310,7 @@ def ellipse_samples(pg: PointGeometry, n_angles: int) -> CurvatureEllipse:
     return replace(ellipse, fit_residual=float(np.max(worst)))
 
 
-def gauss_curvature_intrinsic(spec: SurfaceSpec, a1, a2,
-                              chart=None) -> np.ndarray:
+def gauss_curvature_intrinsic(spec: SurfaceSpec, a1, a2) -> np.ndarray:
     """Intrinsic Gauss curvature by finite differences of the metric alone.
 
     Central 3x3 stencil (step 1e-3) in the chart parameters feeds the
@@ -321,23 +319,21 @@ def gauss_curvature_intrinsic(spec: SurfaceSpec, a1, a2,
     so it cross-checks the ambient-identity route.  One step-halving
     extrapolation cancels the leading O(step^2) error.
     """
-    if chart is None:
-        chart = spec.default_chart
-    k1 = _metric_curvature(spec, a1, a2, chart, 1e-3)
-    return (4.0 * _metric_curvature(spec, a1, a2, chart, 5e-4) - k1) / 3.0
+    k1 = _metric_curvature(spec, a1, a2, 1e-3)
+    return (4.0 * _metric_curvature(spec, a1, a2, 5e-4) - k1) / 3.0
 
 
-def _metric_curvature(spec: SurfaceSpec, a1, a2, chart, step) -> np.ndarray:
+def _metric_curvature(spec: SurfaceSpec, a1, a2, step) -> np.ndarray:
     """K from the metric on one central stencil of the given step."""
     a1 = np.asarray(a1, dtype=float)
     a2 = np.asarray(a2, dtype=float)
     offsets = (-step, 0.0, step)
     p1 = np.stack([a1 + da for da in offsets for _ in offsets])
     p2 = np.stack([a2 + db for _ in offsets for db in offsets])
-    if not np.all(chart.contains(p1, p2)):
+    if not np.all(spec.chart.contains(p1, p2)):
         raise ValueError("finite-difference stencil leaves the chart domain")
 
-    lift = lift_at(spec, p1, p2, chart=chart)
+    lift = lift_at(spec, p1, p2)
     sig = spec.ambient.sig
     shape = (3, 3) + a1.shape
     E = real_pair(lift.d1, lift.d1, sig).reshape(shape)

@@ -31,7 +31,7 @@ _CHUNK = 4096
 _K_TIE = 2.0 ** -32
 
 
-def grid_geometry(spec: SurfaceSpec, axis1, axis2, chart=None):
+def grid_geometry(spec: SurfaceSpec, axis1, axis2):
     """(flat slice, point_geometry) over tiles of whole rows of the grid
     axis1 x axis2, at most _CHUNK points each (a longer row goes in
     pieces), each evaluated on its axes (rows, 1) x (1, cols)."""
@@ -42,7 +42,7 @@ def grid_geometry(spec: SurfaceSpec, axis1, axis2, chart=None):
             a1, a2 = axis1[i:i + step, None], axis2[None, j:j + _CHUNK]
             start = i * n2 + j
             yield (slice(start, start + a1.size * a2.size),
-                   point_geometry(spec, a1, a2, chart=chart))
+                   point_geometry(spec, a1, a2))
 
 
 def _first_tied(k, h, c: float, i: int) -> int:
@@ -88,27 +88,23 @@ class ScanReport:
 
 
 def curvature_scan(spec: SurfaceSpec, grid=(64, 64),
-                   circ_tol: float | None = None,
-                   minimal_tol: float | None = None) -> ScanReport:
+                   circ_tol=TOLERANCES["circularity"],
+                   minimal_tol=TOLERANCES["minimality"]) -> ScanReport:
     """Sample the invariants over a chart grid and aggregate the extremes.
 
     The curvature arg-extrema come back as chart points, plus the sphere
     height z where the chart has one — the catalog's extremum structure is
     expressed in z.  Each is the first grid point whose K ties with the
-    extreme (see _K_TIE).  Unset tolerances come from TOLERANCES.
+    extreme (see _K_TIE).
     """
-    if circ_tol is None:
-        circ_tol = TOLERANCES["circularity"]
-    if minimal_tol is None:
-        minimal_tol = TOLERANCES["minimality"]
     compact = spec.family.chi is not None
-    chart = spec.default_chart
+    chart = spec.chart
     n1, n2 = grid
     axis1, axis2 = build_grid(chart, n1, n2)
     # K and |H| per point for the tie search; the rest reduce per tile
     k, h = np.empty((2, n1 * n2))
     r_min, r_max, d_max, d_max_scaled = math.inf, -math.inf, 0.0, 0.0
-    for s, pg in grid_geometry(spec, axis1, axis2, chart=chart):
+    for s, pg in grid_geometry(spec, axis1, axis2):
         k[s], h[s] = pg.K.ravel(), np.sqrt(np.clip(pg.H2, 0.0, None)).ravel()
         r_min, r_max = min(r_min, np.min(pg.R)), max(r_max, np.max(pg.R))
         d_max = max(d_max, np.max(np.abs(pg.D)))

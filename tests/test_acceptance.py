@@ -15,12 +15,12 @@ import numpy as np
 from helpers import (StereographicChart, flat_grid, rotate_frame,
                      stereographic_from_xyz)
 from lagsurf.atlas import build_grid, random_points
-from lagsurf.catalog import SurfaceSpec, lift_at
+from lagsurf.catalog import SurfaceSpec, evaluate_lift, lift_at
 from lagsurf.cli import main
 from lagsurf.geom import (circularity_route_gap, density_moduli_gap,
-                          gauss_curvature_intrinsic, point_geometry,
-                          product_identity_check, radius_route_gap,
-                          scaled_circularity)
+                          gauss_curvature_intrinsic, geometry_from_jet,
+                          point_geometry, product_identity_check,
+                          radius_route_gap, scaled_circularity)
 from lagsurf.scans import curvature_scan, pinching_hypothesis, willmore
 
 CIRCULAR_CONFIGS = [
@@ -55,7 +55,7 @@ def _emit(num: int, ok: bool, text: str) -> bool:
 
 
 def _grid_geometry(spec, n=64):
-    a1, a2 = flat_grid(*build_grid(spec.default_chart, n, n))
+    a1, a2 = flat_grid(*build_grid(spec.chart, n, n))
     return point_geometry(spec, a1, a2)
 
 
@@ -104,10 +104,10 @@ def test_criterion_04_identity_suite_at_random_points():
     gauss_worst = route_worst = moduli_worst = 0.0
     product_worst = sym_worst = 0.0
     for spec in CATALOG_CONFIGS:
-        chart = spec.default_chart
-        a1, a2 = random_points(chart, 200, np.random.default_rng(rng_seed))
-        pg = point_geometry(spec, a1, a2, chart=chart)
-        k_int = gauss_curvature_intrinsic(spec, a1, a2, chart=chart)
+        a1, a2 = random_points(spec.chart, 200,
+                               np.random.default_rng(rng_seed))
+        pg = point_geometry(spec, a1, a2)
+        k_int = gauss_curvature_intrinsic(spec, a1, a2)
         gauss_worst = max(gauss_worst, float(
             np.max(np.abs(k_int - pg.K) / (1.0 + np.abs(pg.K)))))
         if spec.kind != "product-torus-c2":  # radius needs a circular ellipse
@@ -141,7 +141,7 @@ def test_criterion_05_curvature_ranges_and_extrema():
     for spec, lo, hi in cases:
         scan = curvature_scan(spec, grid=(64, 64))
         range_worst = max(range_worst, lo - scan.k_min, scan.k_max - hi, 0.0)
-        phi, _ = build_grid(spec.default_chart, 64, 64)
+        phi, _ = build_grid(spec.chart, 64, 64)
         z = np.cos(np.unique(phi))
         nearest_to_axis = float(np.min(np.abs(z)))
         farthest = float(np.max(np.abs(z)))
@@ -238,16 +238,16 @@ def test_criterion_10_reproducibility_and_chart_overlap(tmp_path):
 
     # same surface points through two overlapping charts
     spec = SurfaceSpec("whitney-cp2", t=0.5)
-    sphere = spec.default_chart
     rng = np.random.default_rng(4)
-    phi, theta = random_points(sphere, 50, rng)
+    phi, theta = random_points(spec.chart, 50, rng)
     x = np.sin(phi) * np.cos(theta)
     y = np.sin(phi) * np.sin(theta)
     z = np.cos(phi)
     stereo = StereographicChart("north")
     u, v = stereographic_from_xyz(stereo, x, y, z)
-    pg_a = point_geometry(spec, phi, theta, chart=sphere)
-    pg_b = point_geometry(spec, u, v, chart=stereo)
+    pg_a = point_geometry(spec, phi, theta)
+    pg_b = geometry_from_jet(evaluate_lift(spec, stereo.coords(u, v)),
+                             spec.ambient)
     overlap = max(
         float(np.max(np.abs(pg_a.K - pg_b.K))),
         float(np.max(np.abs(pg_a.R - pg_b.R))),

@@ -33,7 +33,7 @@ ALL_SPECS = [
 
 
 def _grid_lift(spec, n=9):
-    a1, a2 = flat_grid(*build_grid(spec.default_chart, n, n))
+    a1, a2 = flat_grid(*build_grid(spec.chart, n, n))
     return lift_at(spec, a1, a2)
 
 
@@ -309,7 +309,7 @@ LAYOUT_SHAPES = [(12,), (3, 4)]
 
 def _batch_points(spec, shape):
     # a 1-d or 2-d batch of chart points inside the sampling box
-    (lo1, hi1), (lo2, hi2) = spec.default_chart.bounds
+    (lo1, hi1), (lo2, hi2) = spec.chart.bounds
     n = int(np.prod(shape))
     return (np.linspace(lo1 + 0.1, hi1 - 0.1, n).reshape(shape),
             np.linspace(hi2 - 0.1, lo2 + 0.1, n).reshape(shape))

@@ -7,7 +7,7 @@ import pytest
 
 from lagsurf.atlas import ChartDomainError, SphereChart, build_grid
 from lagsurf.catalog import (FAMILIES, KINDS, SurfaceSpec, evaluate_lift,
-                             lift_at, validate_params)
+                             lift_at)
 from lagsurf.numerics import Jet2
 
 
@@ -20,31 +20,32 @@ def test_kind_inventory():
 
 def test_unknown_kind_lists_alternatives():
     with pytest.raises(ValueError, match="clifford-torus"):
-        validate_params(SurfaceSpec("moebius"))
+        SurfaceSpec("moebius")
 
 
+# the fields of each spec: an invalid spec raises as it is built
 @pytest.mark.parametrize("spec, fragment", [
-    (SurfaceSpec("whitney-cp2", t=-0.1), "t >= 0"),
-    (SurfaceSpec("whitney-ch2", t=0.0), "t > 0"),
-    (SurfaceSpec("whitney-ch2", t=-1.0), "t > 0"),
-    (SurfaceSpec("psi-ch2", s=np.pi / 4.0), "pi/4"),
-    (SurfaceSpec("psi-ch2", s=-0.1), "pi/4"),
-    (SurfaceSpec("product-torus-c2", r1=0.0), "positive radii"),
-    (SurfaceSpec("product-torus-c2", r2=-1.0), "positive radii"),
-    (SurfaceSpec("whitney-cp2", t=float("nan")), "finite t"),
-    (SurfaceSpec("psi-ch2", s=float("nan")), "finite s"),
-    (SurfaceSpec("product-torus-c2", r1=float("inf")), "finite r1"),
+    (dict(kind="whitney-cp2", t=-0.1), "t >= 0"),
+    (dict(kind="whitney-ch2", t=0.0), "t > 0"),
+    (dict(kind="whitney-ch2", t=-1.0), "t > 0"),
+    (dict(kind="psi-ch2", s=np.pi / 4.0), "pi/4"),
+    (dict(kind="psi-ch2", s=-0.1), "pi/4"),
+    (dict(kind="product-torus-c2", r1=0.0), "positive radii"),
+    (dict(kind="product-torus-c2", r2=-1.0), "positive radii"),
+    (dict(kind="whitney-cp2", t=float("nan")), "finite t"),
+    (dict(kind="psi-ch2", s=float("nan")), "finite s"),
+    (dict(kind="product-torus-c2", r1=float("inf")), "finite r1"),
 ])
 def test_out_of_range_parameters(spec, fragment):
     with pytest.raises(ValueError, match=fragment):
-        validate_params(spec)
+        SurfaceSpec(**spec)
 
 
 def test_stray_parameter_rejected():
     with pytest.raises(ValueError, match="takes no parameter"):
-        validate_params(SurfaceSpec("clifford-torus", t=1.0))
+        SurfaceSpec("clifford-torus", t=1.0)
     with pytest.raises(ValueError, match="takes no parameter"):
-        validate_params(SurfaceSpec("whitney-cp2", r1=2.0))
+        SurfaceSpec("whitney-cp2", r1=2.0)
 
 
 def test_params_and_label():

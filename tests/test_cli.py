@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -61,6 +62,9 @@ def test_parse_surface_token_forms():
     assert kind == "product-torus-c2" and params == {"r1": 1.0, "r2": 2.0}
     with pytest.raises(ConfigError, match="unknown surface"):
         parse_surface_token("mystery-surface")
+    # an unknown kind is named before its parameters are counted
+    with pytest.raises(ConfigError, match="unknown surface 'moebius'"):
+        parse_surface_token("moebius(1)")
     with pytest.raises(ConfigError, match="at most"):
         parse_surface_token("whitney-cp2(1,2,3)")
 
@@ -175,6 +179,31 @@ def test_overflow_message_names_chart_coordinates(capsys):
     assert capsys.readouterr().err == (
         "error: eta-ch2: the closed-form lift overflows at these parameters "
         "or chart coordinates\n")
+
+
+@pytest.mark.parametrize("command", ["probe", "ellipse"])
+def test_point_next_to_the_psi_puncture_is_a_domain_error(command, capsys):
+    # r > 0 passes the chart, but |w|^2 underflows to 0
+    assert main([command, "--surface", "psi-ch2(0.5)", "1e-170", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("error: psi-ch2 ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["probe", "--surface", "whitney-cp2(0.5)", "1.0", "0.5"],
+    ["verify", "--surface", "whitney-cp2(0.5)", "--grid", "8x8",
+     "--quad", "8x16"],
+    ["scan", "--surface", "whitney-cp2(0.5)", "--grid", "8x8"],
+], ids=lambda argv: argv[0])
+def test_each_call_validates_its_spec_once(argv, monkeypatch, capsys):
+    checked = []
+    family = FAMILIES["whitney-cp2"]
+    monkeypatch.setitem(FAMILIES, "whitney-cp2", replace(
+        family, domain=lambda spec: checked.append(spec) or True))
+    code, _ = run_cli(capsys, argv)
+    assert code == 0 and len(checked) == 1
 
 
 def test_cli_reads_the_library_tolerance_table():
@@ -356,9 +385,8 @@ def test_chunked_verify_matches_one_whole_grid_batch(surface, capsys):
     report = json.loads(out)
     cfg = resolve_config(build_parser().parse_args(argv))
     spec = cfg.spec
-    axis1, axis2 = build_grid(spec.default_chart, *cfg.grid)
-    whole = point_geometry(spec, axis1[:, None], axis2[None, :],
-                           chart=spec.default_chart)
+    axis1, axis2 = build_grid(spec.chart, *cfg.grid)
+    whole = point_geometry(spec, axis1[:, None], axis2[None, :])
     want = _identity_checks(spec, whole, cfg)
     # every identity check comes first, in order, bitwise equal
     assert report["checks"][:len(want)] == want

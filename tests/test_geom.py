@@ -33,7 +33,7 @@ CIRCULAR_SPECS = [
 
 
 def _grid_geometry(spec, n=13):
-    a1, a2 = flat_grid(*build_grid(spec.default_chart, n, n))
+    a1, a2 = flat_grid(*build_grid(spec.chart, n, n))
     return point_geometry(spec, a1, a2)
 
 
@@ -41,7 +41,7 @@ def _grid_geometry(spec, n=13):
     SurfaceSpec("psi-ch2", s=0.7), SurfaceSpec("whitney-cp2", t=3.0),
     SurfaceSpec("product-torus-c2", r1=1.0, r2=2.0)], ids=lambda s: s.label())
 def test_invariants_match_the_complex_vector_route(spec):
-    lift = lift_at(spec, *flat_grid(*build_grid(spec.default_chart, 33, 33)))
+    lift = lift_at(spec, *flat_grid(*build_grid(spec.chart, 33, 33)))
     pg = geometry_from_jet(lift, spec.ambient)
     gaps = reference_gaps(pg, lift, spec.ambient)
     assert max(gaps.values()) <= REFERENCE_GAP, gaps
@@ -200,7 +200,7 @@ def test_conformal_scaling_in_flat_target():
     # scaling the flat-target immersion by lam: K -> K/lam^2, R -> R/lam,
     # and circularity (a property of the shape) is untouched
     spec = SurfaceSpec("whitney-c2")
-    a1, a2 = flat_grid(*build_grid(spec.default_chart, 9, 9))
+    a1, a2 = flat_grid(*build_grid(spec.chart, 9, 9))
     lift = lift_at(spec, a1, a2)
     base = geometry_from_jet(lift, spec.ambient)
     for lam in (0.5, 3.0):
@@ -311,7 +311,7 @@ def test_grid_on_its_axes_is_the_grid_on_flat_points(spec):
     # a grid evaluated on (rows, 1) x (1, cols) computes what depends on one
     # parameter once per row or column, yet every array and defect has the
     # bits of the same points passed flat
-    axis1, axis2 = build_grid(spec.default_chart, 9, 131)
+    axis1, axis2 = build_grid(spec.chart, 9, 131)
     tiled = point_geometry(spec, axis1[:, None], axis2[None, :])
     flat = point_geometry(spec, *flat_grid(axis1, axis2))
     assert tiled.K.shape == (9, 131)
@@ -331,7 +331,7 @@ def test_gaps_of_a_batch_are_the_max_over_its_chunks(spec):
     # 19,650 points: past the 16,384 where numpy may reuse a temporary of
     # `*` with its operands swapped, so chunked and whole products differ
     # in the last bit unless the gaps pair with np.multiply
-    a1, a2 = build_grid(spec.default_chart, 150, 131)
+    a1, a2 = build_grid(spec.chart, 150, 131)
     whole = point_geometry(spec, *flat_grid(a1, a2))
     chunks = [pg for _, pg in grid_geometry(spec, a1, a2)]
     for gap in (circularity_route_gap, density_moduli_gap,
@@ -407,7 +407,7 @@ def test_ellipse_needs_enough_angles():
 def test_intrinsic_curvature_matches_invariant(spec):
     rng = np.random.default_rng(23)
     from lagsurf.atlas import random_points
-    a1, a2 = random_points(spec.default_chart, 40, rng)
+    a1, a2 = random_points(spec.chart, 40, rng)
     pg = point_geometry(spec, a1, a2)
     k_int = gauss_curvature_intrinsic(spec, a1, a2)
     gap = np.max(np.abs(k_int - pg.K) / (1.0 + np.abs(pg.K)))
@@ -417,7 +417,7 @@ def test_intrinsic_curvature_matches_invariant(spec):
 def test_refinement_actually_helps():
     spec = SurfaceSpec("whitney-cp2", t=2.0)
     pg = point_geometry(spec, 1.1, 0.4)
-    plain = geom._metric_curvature(spec, 1.1, 0.4, spec.default_chart, 1e-3)
+    plain = geom._metric_curvature(spec, 1.1, 0.4, 1e-3)
     refined = gauss_curvature_intrinsic(spec, 1.1, 0.4)
     k = float(pg.K)
     assert abs(float(refined) - k) < abs(float(plain) - k)

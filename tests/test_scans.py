@@ -96,9 +96,9 @@ CHUNKED_SPECS = [SurfaceSpec("whitney-cp2", t=0.5),
 
 def _whole_grid_scan(spec, grid):
     """curvature_scan's reductions over one point_geometry call."""
-    chart = spec.default_chart
+    chart = spec.chart
     a1, a2 = flat_grid(*build_grid(chart, *grid))
-    pg = point_geometry(spec, a1, a2, chart=chart)
+    pg = point_geometry(spec, a1, a2)
     j_min, j_max = int(np.argmin(pg.K)), int(np.argmax(pg.K))
     h = np.sqrt(np.clip(pg.H2, 0.0, None))
     i_min, i_max = (_first_tied(pg.K, h, spec.ambient.c, j)
@@ -143,12 +143,11 @@ def test_chunked_willmore_equals_whole_grid_batch(spec, orders):
 def test_grid_tiles_cover_every_flat_index_once_in_order(grid, monkeypatch):
     # 150 x 131: 31 whole rows per tile, the last tile ragged; 3 x 5000:
     # each row longer than a tile, so it goes in two pieces
-    chart = SurfaceSpec("whitney-c2").default_chart
-    axes = build_grid(chart, *grid)
+    axes = build_grid(SurfaceSpec("whitney-c2").chart, *grid)
     want1, want2 = flat_grid(*axes)
     tiles = []
 
-    def record(spec, a1, a2, chart=None):
+    def record(spec, a1, a2):
         tiles.append(np.broadcast_arrays(a1, a2))
         return None
 
