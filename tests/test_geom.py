@@ -18,7 +18,7 @@ from lagsurf.geom import (circularity_route_gap, density_moduli_gap,
                           geometry_from_jet, point_geometry,
                           product_identity_check, radius, radius_route_gap,
                           scaled_circularity)
-from lagsurf.numerics import TOLERANCES
+from lagsurf.numerics import TOLERANCES, real_pair
 from lagsurf.scans import grid_geometry
 
 CIRCULAR_SPECS = [
@@ -414,10 +414,19 @@ def test_intrinsic_curvature_matches_invariant(spec):
     assert gap < 1e-4
 
 
+def _metric_stencil(spec, a1, a2, h):
+    # E, F, G on the central 3x3 stencil of step h around (a1, a2)
+    offsets = np.array([-h, 0.0, h])
+    lift = lift_at(spec, a1 + offsets[:, None], a2 + offsets[None, :])
+    sig = spec.ambient.sig
+    return [real_pair(u, v, sig) for u, v in
+            ((lift.d1, lift.d1), (lift.d1, lift.d2), (lift.d2, lift.d2))]
+
+
 def test_refinement_actually_helps():
     spec = SurfaceSpec("whitney-cp2", t=2.0)
     pg = point_geometry(spec, 1.1, 0.4)
-    plain = geom._metric_curvature(spec, 1.1, 0.4, 1e-3)
+    plain = geom._brioschi(*_metric_stencil(spec, 1.1, 0.4, 1e-3), 1e-3)
     refined = gauss_curvature_intrinsic(spec, 1.1, 0.4)
     k = float(pg.K)
     assert abs(float(refined) - k) < abs(float(plain) - k)
