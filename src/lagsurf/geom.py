@@ -313,57 +313,47 @@ def ellipse_samples(pg: PointGeometry, n_angles: int) -> CurvatureEllipse:
 def gauss_curvature_intrinsic(spec: SurfaceSpec, a1, a2) -> np.ndarray:
     """Intrinsic Gauss curvature by finite differences of the metric alone.
 
-    One lift on a 5x5 stencil in the chart parameters feeds the classical
-    determinant formula for K in terms of E, F, G and their first/second
-    derivatives, on its central 3x3 sub-stencils of step 1e-3 and 5e-4.
-    Independent of the second fundamental form, so it cross-checks the
-    ambient-identity route.  One step-halving extrapolation cancels the
-    leading O(step^2) error.
+    One lift on a 5x5 stencil (offsets 0, +-5e-4, +-1e-3 on each chart
+    parameter) gives E, F, G; Brioschi's formula runs on its central 3x3
+    sub-stencils of step 1e-3 and 5e-4.  Independent of the second
+    fundamental form, so it cross-checks the ambient-identity route.  One
+    step-halving extrapolation cancels the leading O(step^2) error.
     """
-    a1 = np.asarray(a1, dtype=float)
-    a2 = np.asarray(a2, dtype=float)
-    lead = (1,) * max(a1.ndim, a2.ndim)
-    p1 = a1 + _STENCIL.reshape((5, 1) + lead)
-    p2 = a2 + _STENCIL.reshape((1, 5) + lead)
+    offsets = np.array([-1e-3, -5e-4, 0.0, 5e-4, 1e-3])
+    lead = (1,) * max(np.ndim(a1), np.ndim(a2))
+    p1 = a1 + offsets.reshape((5, 1) + lead)
+    p2 = a2 + offsets.reshape((1, 5) + lead)
     if not np.all(spec.chart.contains(p1, p2)):
         raise ValueError("finite-difference stencil leaves the chart domain")
 
     lift = lift_at(spec, p1, p2)
     sig = spec.ambient.sig
-    E = real_pair(lift.d1, lift.d1, sig)
-    F = real_pair(lift.d1, lift.d2, sig)
-    G = real_pair(lift.d2, lift.d2, sig)
-    k1 = _brioschi(E[0::2, 0::2], F[0::2, 0::2], G[0::2, 0::2], 1e-3)
-    k2 = _brioschi(E[1:4, 1:4], F[1:4, 1:4], G[1:4, 1:4], 5e-4)
+    efg = [real_pair(u, v, sig) for u, v in
+           ((lift.d1, lift.d1), (lift.d1, lift.d2), (lift.d2, lift.d2))]
+    k1 = _brioschi(*(m[0::2, 0::2] for m in efg), 1e-3)
+    k2 = _brioschi(*(m[1:4, 1:4] for m in efg), 5e-4)
     return (4.0 * k2 - k1) / 3.0
 
 
-# chart offsets of the intrinsic-K stencil, on each parameter axis
-_STENCIL = np.array([-1e-3, -5e-4, 0.0, 5e-4, 1e-3])
-
-
 def _brioschi(E, F, G, h) -> np.ndarray:
-    """K from the metric on one central 3x3 stencil of step h."""
+    """K = (det M1 - det M2) / (EG - F^2)^2 on one 3x3 stencil of step h.
+
+    M1 has the rows (-E_vv/2 + F_uv - G_uu/2, E_u/2, F_u - E_v/2),
+    (F_v - G_u/2, E, F), (G_v/2, F, G); M2 has (0, E_v/2, G_u/2),
+    (E_v/2, E, F), (G_u/2, F, G).  Both expand along their first row, and
+    squares are products, so one point's scalars round as a batch does.
+    """
     E0, F0, G0 = E[1, 1], F[1, 1], G[1, 1]
-    E_u = (E[2, 1] - E[0, 1]) / (2 * h)
-    E_v = (E[1, 2] - E[1, 0]) / (2 * h)
-    G_u = (G[2, 1] - G[0, 1]) / (2 * h)
-    G_v = (G[1, 2] - G[1, 0]) / (2 * h)
-    F_u = (F[2, 1] - F[0, 1]) / (2 * h)
-    F_v = (F[1, 2] - F[1, 0]) / (2 * h)
+    E_u, F_u, G_u = ((m[2, 1] - m[0, 1]) / (2 * h) for m in (E, F, G))
+    E_v, F_v, G_v = ((m[1, 2] - m[1, 0]) / (2 * h) for m in (E, F, G))
     E_vv = (E[1, 2] - 2 * E[1, 1] + E[1, 0]) / h ** 2
     G_uu = (G[2, 1] - 2 * G[1, 1] + G[0, 1]) / h ** 2
     F_uv = (F[2, 2] - F[2, 0] - F[0, 2] + F[0, 0]) / (4 * h ** 2)
 
-    def det3(rows):
-        m = np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
-        return np.linalg.det(m)
-
-    zero = np.zeros_like(E0)
-    m1 = det3([[-0.5 * E_vv + F_uv - 0.5 * G_uu, 0.5 * E_u, F_u - 0.5 * E_v],
-               [F_v - 0.5 * G_u, E0, F0],
-               [0.5 * G_v, F0, G0]])
-    m2 = det3([[zero, 0.5 * E_v, 0.5 * G_u],
-               [0.5 * E_v, E0, F0],
-               [0.5 * G_u, F0, G0]])
-    return (m1 - m2) / (E0 * G0 - F0 * F0) ** 2
+    det = E0 * G0 - F0 * F0
+    a, b, c = -0.5 * E_vv + F_uv - 0.5 * G_uu, 0.5 * E_u, F_u - 0.5 * E_v
+    d, e = F_v - 0.5 * G_u, 0.5 * G_v
+    m1 = a * det - b * (d * G0 - F0 * e) + c * (d * F0 - E0 * e)
+    f, k = 0.5 * E_v, 0.5 * G_u
+    m2 = -f * (f * G0 - F0 * k) + k * (f * F0 - E0 * k)
+    return (m1 - m2) / (det * det)
