@@ -270,5 +270,10 @@ def evaluate_lift(spec: SurfaceSpec, coords) -> Jet2:
 
 
 def lift_at(spec: SurfaceSpec, a1, a2) -> Jet2:
-    """Evaluate the lift jet at parameters of the spec's chart."""
-    return evaluate_lift(spec, spec.chart.coords(a1, a2))
+    """Evaluate the lift jet at parameters of the spec's chart.  A single
+    point runs as a batch of one, so it has the bits of a batch's row."""
+    point = np.ndim(a1) == np.ndim(a2) == 0
+    if point:
+        a1, a2 = np.reshape(a1, 1), np.reshape(a2, 1)
+    lift = evaluate_lift(spec, spec.chart.coords(a1, a2))
+    return Jet2(*(f[0] for f in lift._fields())) if point else lift

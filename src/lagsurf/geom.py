@@ -150,7 +150,8 @@ def point_geometry(spec: SurfaceSpec, a1, a2) -> PointGeometry:
 def _sigma_scale(pg):
     # circularity is compared at the scale of |sigma|^2 squared, so the
     # tolerance follows the surface instead of its parametrization
-    return (1.0 + pg.sigma_sq) ** 2
+    scale = 1.0 + pg.sigma_sq
+    return scale * scale
 
 
 def scaled_circularity(pg: PointGeometry) -> np.ndarray:

@@ -11,7 +11,7 @@ import pytest
 from gram_reference import REFERENCE_GAP, reference_gaps
 from helpers import flat_grid, rotate_frame
 from lagsurf import geom
-from lagsurf.atlas import build_grid
+from lagsurf.atlas import build_grid, random_points
 from lagsurf.catalog import SurfaceSpec, lift_at
 from lagsurf.geom import (circularity_route_gap, density_moduli_gap,
                           ellipse_samples, gauss_curvature_intrinsic,
@@ -286,11 +286,15 @@ def test_ellipse_fit_residual_degenerate_segment():
     assert fit > 0.3
 
 
-@pytest.mark.parametrize("spec", [SurfaceSpec("whitney-ch2", t=0.5),
-                                  SurfaceSpec("whitney-c2")],
+# one member of every catalog kind
+EVERY_KIND = CIRCULAR_SPECS + [SurfaceSpec("product-torus-c2", r1=1.0, r2=2.0)]
+
+
+@pytest.mark.parametrize("spec", EVERY_KIND + [SurfaceSpec("psi-ch2")],
                          ids=lambda s: s.label())
 def test_one_point_is_its_row_of_a_batch(spec):
-    # probe at a point and scan over a grid agree bitwise there
+    # probe at a point and scan over a grid agree bitwise there; psi-ch2's
+    # lift multiplies complex jets, which on numpy scalars round otherwise
     a1, a2 = np.array([0.4, 1.1, 2.0]), np.array([0.3, 1.7, 4.0])
     batch = point_geometry(spec, a1, a2)
     for i in range(a1.size):
@@ -300,10 +304,6 @@ def test_one_point_is_its_row_of_a_batch(spec):
             if isinstance(got, np.ndarray):
                 row = getattr(batch, field.name)[i]
                 assert np.array_equal(got, row), field.name
-
-
-# one member of every catalog kind
-EVERY_KIND = CIRCULAR_SPECS + [SurfaceSpec("product-torus-c2", r1=1.0, r2=2.0)]
 
 
 @pytest.mark.parametrize("spec", EVERY_KIND, ids=lambda s: s.label())
@@ -406,7 +406,6 @@ def test_ellipse_needs_enough_angles():
 ], ids=lambda s: s.label())
 def test_intrinsic_curvature_matches_invariant(spec):
     rng = np.random.default_rng(23)
-    from lagsurf.atlas import random_points
     a1, a2 = random_points(spec.chart, 40, rng)
     pg = point_geometry(spec, a1, a2)
     k_int = gauss_curvature_intrinsic(spec, a1, a2)
@@ -421,6 +420,76 @@ def _metric_stencil(spec, a1, a2, h):
     sig = spec.ambient.sig
     return [real_pair(u, v, sig) for u, v in
             ((lift.d1, lift.d1), (lift.d1, lift.d2), (lift.d2, lift.d2))]
+
+
+@pytest.mark.parametrize("spec", [
+    SurfaceSpec("totally-geodesic-cp2"), SurfaceSpec("eta-ch2"),
+    SurfaceSpec("psi-ch2", s=0.3), SurfaceSpec("clifford-torus"),
+    SurfaceSpec("product-torus-c2")], ids=lambda s: s.label())
+def test_one_point_scalars_are_its_row_of_a_batch(spec):
+    # `** 2` on one point's numpy scalars is libm pow, on arrays x * x: the
+    # squares in intrinsic K and in the circularity scale are products.
+    # Each kind here has a point in these draws where the two differ.
+    rng = np.random.default_rng(5)
+    for _ in range(2):
+        a1, a2 = random_points(spec.chart, 200, rng)
+        k_batch = gauss_curvature_intrinsic(spec, a1, a2)
+        circ_batch = scaled_circularity(point_geometry(spec, a1, a2))
+        for i in range(a1.size):
+            k = gauss_curvature_intrinsic(spec, a1[i], a2[i])
+            circ = scaled_circularity(point_geometry(spec, a1[i], a2[i]))
+            assert k == k_batch[i], i
+            assert circ == circ_batch[i], i
+
+
+def test_intrinsic_curvature_lifts_once(monkeypatch):
+    # one 5x5 stencil per call, whatever the batch
+    shapes = []
+
+    def counted(spec, a1, a2):
+        shapes.append(np.broadcast(a1, a2).shape)
+        return lift_at(spec, a1, a2)
+
+    monkeypatch.setattr(geom, "lift_at", counted)
+    spec = SurfaceSpec("whitney-cp2", t=0.5)
+    gauss_curvature_intrinsic(spec, 1.1, 0.4)
+    gauss_curvature_intrinsic(spec, np.full(7, 1.1), np.linspace(0, 1, 7))
+    gauss_curvature_intrinsic(spec, np.full((3, 1), 1.1), np.zeros((1, 4)))
+    assert shapes == [(5, 5), (5, 5, 7), (5, 5, 3, 4)]
+
+
+def _brioschi_by_determinants(E, F, G, h):
+    # Brioschi's two 3x3 determinants, each handed to LAPACK
+    E0, F0, G0 = E[1, 1], F[1, 1], G[1, 1]
+    E_u, F_u, G_u = ((m[2, 1] - m[0, 1]) / (2 * h) for m in (E, F, G))
+    E_v, F_v, G_v = ((m[1, 2] - m[1, 0]) / (2 * h) for m in (E, F, G))
+    E_vv = (E[1, 2] - 2 * E[1, 1] + E[1, 0]) / h ** 2
+    G_uu = (G[2, 1] - 2 * G[1, 1] + G[0, 1]) / h ** 2
+    F_uv = (F[2, 2] - F[2, 0] - F[0, 2] + F[0, 0]) / (4 * h ** 2)
+
+    def det3(rows):
+        return np.linalg.det(np.moveaxis(np.array(rows), (0, 1), (-2, -1)))
+
+    zero = np.zeros_like(E0)
+    m1 = det3([[-0.5 * E_vv + F_uv - 0.5 * G_uu, 0.5 * E_u, F_u - 0.5 * E_v],
+               [F_v - 0.5 * G_u, E0, F0],
+               [0.5 * G_v, F0, G0]])
+    m2 = det3([[zero, 0.5 * E_v, 0.5 * G_u],
+               [0.5 * E_v, E0, F0],
+               [0.5 * G_u, F0, G0]])
+    return (m1 - m2) / (E0 * G0 - F0 * F0) ** 2
+
+
+@pytest.mark.parametrize("h", [1e-3, 5e-4, 0.1])
+def test_closed_form_brioschi_matches_the_determinants(h):
+    # random positive-definite metrics on 3x3 stencils: E, G > 0, F^2 < EG
+    rng = np.random.default_rng(11)
+    E = rng.uniform(0.5, 2.0, (3, 3, 500))
+    G = rng.uniform(0.5, 2.0, (3, 3, 500))
+    F = rng.uniform(-0.9, 0.9, (3, 3, 500)) * np.sqrt(E * G)
+    want = _brioschi_by_determinants(E, F, G, h)
+    np.testing.assert_allclose(geom._brioschi(E, F, G, h), want,
+                               rtol=1e-12, atol=0.0)
 
 
 def test_refinement_actually_helps():
