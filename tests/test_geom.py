@@ -429,7 +429,8 @@ def _metric_stencil(spec, a1, a2, h):
 def test_one_point_scalars_are_its_row_of_a_batch(spec):
     # `** 2` on one point's numpy scalars is libm pow, on arrays x * x: the
     # squares in intrinsic K and in the circularity scale are products.
-    # Each kind here has a point in these draws where the two differ.
+    # Each kind here has a point in these draws where pow rounds otherwise
+    # (for psi-ch2, where its lift's scalar products do).
     rng = np.random.default_rng(5)
     for _ in range(2):
         a1, a2 = random_points(spec.chart, 200, rng)
