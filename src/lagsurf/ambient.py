@@ -43,27 +43,26 @@ C2 = AmbientSpace("c2", 0.0, (1.0, 1.0), None)
 CP2 = AmbientSpace("cp2", 4.0, (1.0, 1.0, 1.0), 1.0)
 CH2 = AmbientSpace("ch2", -4.0, (1.0, 1.0, -1.0), -1.0)
 
-def membership_defect(lift: Jet2, space: AmbientSpace) -> float:
-    """Max deviation of herm(psi, psi) from the required lift norm."""
+def membership_defect(lift: Jet2, space: AmbientSpace) -> np.ndarray | float:
+    """Pointwise deviation of herm(psi, psi) from the required lift norm."""
     if not space.is_lifted:
         return 0.0
-    dev = herm_pair(lift.v, lift.v, space.sig) - space.lift_norm
-    return float(np.max(np.abs(dev)))
+    return np.abs(herm_pair(lift.v, lift.v, space.sig) - space.lift_norm)
 
 
-def horizontality_defect(lift: Jet2, space: AmbientSpace) -> float:
-    """Max |herm(d_u psi, psi)| over both parameters (0 where no lift)."""
+def horizontality_defect(lift: Jet2,
+                         space: AmbientSpace) -> np.ndarray | float:
+    """Pointwise max |herm(d_u psi, psi)| over u (0.0 where no lift)."""
     if not space.is_lifted:
         return 0.0
-    d = max(np.max(np.abs(herm_pair(du, lift.v, space.sig)))
-            for du in (lift.d1, lift.d2))
-    return float(d)
+    return np.maximum(np.abs(herm_pair(lift.d1, lift.v, space.sig)),
+                      np.abs(herm_pair(lift.d2, lift.v, space.sig)))
 
 
-def lagrangian_defect(lift: Jet2, space: AmbientSpace) -> float:
-    """Max |Im herm(d1 psi, d2 psi)|: vanishing makes the surface Lagrangian
-    (herm(d2, d1) is its conjugate, and herm(d_i, d_i) is real)."""
-    return float(np.max(np.abs(herm_pair(lift.d1, lift.d2, space.sig).imag)))
+def lagrangian_defect(lift: Jet2, space: AmbientSpace) -> np.ndarray:
+    """Pointwise |Im herm(d1 psi, d2 psi)|: vanishing makes the surface
+    Lagrangian (herm(d2, d1) is its conjugate, and herm(d_i, d_i) is real)."""
+    return np.abs(herm_pair(lift.d1, lift.d2, space.sig).imag)
 
 
 @dataclass(frozen=True)
@@ -73,15 +72,14 @@ class FrameSplit:
     ``metric`` is the induced metric g_ij (``..., 2, 2``).  ``normal``
     (``..., 3, 2``) holds, for the pairs (11, 12, 22), the coefficients on
     (J d1, J d2) of d_uv psi: the second fundamental form.  The tangent
-    and lift parts are fixed by the metric, so only the batch maxima of
-    their defects are kept (see second_form_split; 0.0 over a flat target).
+    and lift parts are fixed by the metric, so only their pointwise defects
+    are kept, by check name (see second_form_split; over a flat target the
+    lift-part defects are 0.0).
     """
 
     metric: np.ndarray
     normal: np.ndarray
-    split_residual: float
-    position_defect: float
-    fiber_defect: float
+    defects: dict[str, np.ndarray]
 
 
 def _norm(a):
@@ -129,11 +127,11 @@ def second_form_split(lift: Jet2, space: AmbientSpace) -> FrameSplit:
     position + i * fiber; each d_uv psi is split on its own, on arrays of
     the batch shape.  Gates, in order: g positive definite, then
     gram_condition (off-block terms included) under GRAM_COND_LIMIT.
-    Returned: g, the normal parts, and three maxima, each relative to 1 +
-    the local scale: the residual of the full reconstruction against
-    d_uv psi, which certifies the split and sees any neglected coupling;
-    the deviation of position from -g_uv / nu; and fiber, which vanishes
-    precisely when the lift is horizontal and Lagrangian.
+    Returned: g, the normal parts, and three defects, pointwise maxima over
+    uv relative to 1 + the local scale: split_residual, of the whole
+    reconstruction against d_uv psi, which certifies the split and sees any
+    neglected coupling; position_coeff, position against -g_uv / nu; and
+    fiber_coeff, zero exactly where the lift is horizontal and Lagrangian.
     """
     sig = space.sig
     d1, d2, psi = lift.d1, lift.d2, lift.v
@@ -158,7 +156,7 @@ def second_form_split(lift: Jet2, space: AmbientSpace) -> FrameSplit:
     # one d_uv psi at a time; normals fill one buffer (see component_major)
     basis = [d1, d2, psi] if space.is_lifted else [d1, d2]
     normal = np.empty((3, 2) + np.shape(g11))
-    residual, position, fiber = [], [0.0], [0.0]
+    residual = position = fiber = 0.0
     for p, (x, g) in enumerate(zip((lift.d11, lift.d12, lift.d22),
                                    (g11, g12, g22))):
         h = [herm_pair(x, b, sig) for b in basis]
@@ -172,14 +170,14 @@ def second_form_split(lift: Jet2, space: AmbientSpace) -> FrameSplit:
             z_psi = h[2] / space.lift_norm
             gap -= z_psi[..., None] * psi
             gscale = 1.0 + np.abs(g)
-            position.append(np.max(np.abs(z_psi.real + g / space.lift_norm)
-                                   / gscale))
-            fiber.append(np.max(np.abs(z_psi.imag) / gscale))
-        residual.append(np.max(_norm(gap) / (1.0 + _norm(x))))
+            position = np.maximum(
+                position, np.abs(z_psi.real + g / space.lift_norm) / gscale)
+            fiber = np.maximum(fiber, np.abs(z_psi.imag) / gscale)
+        residual = np.maximum(residual, _norm(gap) / (1.0 + _norm(x)))
 
     metric = np.array([[g11, g12], [g12, g22]])
     return FrameSplit(metric=component_major(metric, 2),
                       normal=component_major(normal, 2),
-                      split_residual=float(np.max(residual)),
-                      position_defect=float(np.max(position)),
-                      fiber_defect=float(np.max(fiber)))
+                      defects={"split_residual": residual,
+                               "position_coeff": position,
+                               "fiber_coeff": fiber})

@@ -26,8 +26,8 @@ import numpy as np
 
 from .atlas import build_grid, random_points
 from .catalog import FAMILIES, KINDS, SurfaceSpec
-from .geom import (circularity_route_gap, density_moduli_gap, ellipse_samples,
-                   gauss_curvature_intrinsic, point_geometry,
+from .geom import (MIN_ANGLES, circularity_route_gap, density_moduli_gap,
+                   ellipse_samples, gauss_curvature_intrinsic, point_geometry,
                    product_identity_check, radius_route_gap,
                    scaled_circularity)
 from .numerics import TOLERANCES, apply_J
@@ -51,9 +51,11 @@ def parse_surface_token(token: str) -> tuple[str, dict[str, float]]:
     token = token.strip()
     values: list[str] = []
     if token.endswith(")"):
-        token, _, tail = token.partition("(")
-        token = token.strip()
-        values = [part.strip() for part in tail[:-1].split(",") if part.strip()]
+        kind, _, tail = token.partition("(")
+        values = [part.strip() for part in tail[:-1].split(",")]
+        if "" in values and values != [""]:  # a bare kind() is allowed
+            raise ConfigError(f"empty parameter slot in surface {token!r}")
+        token, values = kind.strip(), [text for text in values if text]
     if token == "product-torus":
         token = "product-torus-c2"
     if token not in FAMILIES:
@@ -124,6 +126,12 @@ def _parse_tol(text: str) -> dict[str, float]:
     return {name: tol}
 
 
+def _parse_angles(text: str) -> int:
+    if int(text) < MIN_ANGLES:
+        raise ConfigError(f"need n_angles >= {MIN_ANGLES} to see the ellipse")
+    return int(text)
+
+
 def _parse_seed(text: str) -> int:
     if int(text) < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {text!r}")
@@ -157,7 +165,7 @@ OPTIONS = {
     "r2": Option(float, None, "second circle radius"),
     "grid": Option(_parse_pair, "64x64", "sample grid", "N1xN2"),
     "quad": Option(_parse_pair, "128x256", "quadrature orders", "N1xN2"),
-    "angles": Option(int, "64", "ellipse sample count"),
+    "angles": Option(_parse_angles, "64", "ellipse sample count"),
     "tol": Option(_parse_tol, None, "override one named tolerance",
                   "NAME=VALUE", repeat=True),
     "seed": Option(_parse_seed, "0", "seed for sampled checks"),
@@ -241,67 +249,65 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 # checks that pass by staying above their tolerance: a larger value is better
 _MARGINS = {"non_circularity"}
 
+# what each pointwise check's row says, by check name, in report order
+_DETAILS = {
+    "membership": "lift lies on the model quadric",
+    "horizontality": "lift tangents are horizontal",
+    "lagrangian": "tangent plane is Lagrangian",
+    "split_residual": "second derivatives recombine from the split",
+    "position_coeff": "position coefficient matches -g/nu",
+    "fiber_coeff": "no fiber component in second derivatives",
+    "c_symmetry": "cubic tensor is fully symmetric",
+    "circularity_routes": "|D| route agrees with the cubic-tensor expansion",
+    "density_moduli": "|Hc| = |H| and |F|^2 = c/2 + |H|^2 - 2K",
+    "product_identity": "F * conj(Hc) matches D up to the Im sign",
+    "non_circularity":
+        "min scaled |D| stays above tol: the ellipse is never a circle",
+    "circularity": "max scaled |D| over the sample",
+    "radius_routes": "R from the invariants matches both sigma routes",
+    "ellipse_fit": "sampled curve fits a circle in the normal plane",
+}
 
-def _check(name: str, detail: str, defect: float, cfg: RunConfig,
+
+def _check(name: str, detail: str, values, cfg: RunConfig,
            tol_name: str | None = None) -> dict:
-    """One report row, judged by the tolerance named tol_name or name."""
+    """One report row: the worst of ``values`` (the max, the min for a
+    margin), judged by the tolerance named tol_name or name."""
     tol = cfg.tolerance(tol_name or name)
-    defect = float(defect)
-    ok = defect > tol if name in _MARGINS else defect <= tol
+    margin = name in _MARGINS
+    defect = float(np.min(values) if margin else np.max(values))
+    ok = defect > tol if margin else defect <= tol
     return {"name": name, "detail": detail, "max_defect": defect,
             "tol": tol, "pass": bool(ok)}
 
 
-def _identity_checks(spec: SurfaceSpec, pg, cfg: RunConfig) -> list[dict]:
-    """The pointwise checks shared by `verify` (per chunk) and `probe`."""
-    checks = [
-        _check("membership", "lift lies on the model quadric",
-               pg.membership, cfg),
-        _check("horizontality", "lift tangents are horizontal",
-               pg.horizontality, cfg),
-        _check("lagrangian", "tangent plane is Lagrangian",
-               pg.lagrangian, cfg),
-        _check("split_residual", "second derivatives recombine from the split",
-               pg.split_residual, cfg),
-        _check("position_coeff", "position coefficient matches -g/nu",
-               pg.position_defect, cfg),
-        _check("fiber_coeff", "no fiber component in second derivatives",
-               pg.fiber_defect, cfg),
-        _check("c_symmetry", "cubic tensor is fully symmetric",
-               pg.c_symmetry_defect, cfg),
-        _check("circularity_routes",
-               "|D| route agrees with the cubic-tensor expansion",
-               circularity_route_gap(pg), cfg),
-        _check("density_moduli", "|Hc| = |H| and |F|^2 = c/2 + |H|^2 - 2K",
-               density_moduli_gap(pg), cfg),
-        _check("product_identity", "F * conj(Hc) matches D up to the Im sign",
-               product_identity_check(pg), cfg),
-    ]
+def _identity_values(spec: SurfaceSpec, pg, n_angles: int) -> dict:
+    """Each pointwise check's values at the points of pg, by check name."""
+    values = pg.defects | {
+        "circularity_routes": circularity_route_gap(pg),
+        "density_moduli": density_moduli_gap(pg),
+        "product_identity": product_identity_check(pg)}
     scaled = scaled_circularity(pg)
     if not spec.family.circular:
-        checks.append(_check(
-            "non_circularity",
-            "min scaled |D| stays above tol: the ellipse is never a circle",
-            float(np.min(scaled)), cfg))
+        values["non_circularity"] = scaled
     else:
-        checks.append(_check("circularity", "max scaled |D| over the sample",
-                             float(np.max(scaled)), cfg))
-        checks.append(_check("radius_routes",
-                             "R from the invariants matches both sigma routes",
-                             radius_route_gap(pg), cfg))
-        checks.append(_check("ellipse_fit",
-                             "sampled curve fits a circle in the normal plane",
-                             ellipse_samples(pg, cfg.angles).fit_residual,
-                             cfg))
-    return checks
+        values |= {"circularity": scaled,
+                   "radius_routes": radius_route_gap(pg),
+                   "ellipse_fit": ellipse_samples(pg, n_angles).fit_residual}
+    return values
+
+
+def _identity_checks(spec: SurfaceSpec, pg, cfg: RunConfig) -> list[dict]:
+    """The checks' rows over pg's points (probe's; verify's per tile)."""
+    return [_check(name, _DETAILS[name], values, cfg) for name, values
+            in _identity_values(spec, pg, cfg.angles).items()]
 
 
 def _gauss_check(k_int, k, where: str, cfg: RunConfig) -> dict:
-    """Intrinsic-vs-extrinsic curvature agreement, max |K_int - K| / (1 + |K|),
+    """Intrinsic-vs-extrinsic curvature agreement, |K_int - K| / (1 + |K|),
     at the points named by ``where``."""
-    gap = np.max(np.abs(k_int - k) / (1.0 + np.abs(k)))
     return _check("gauss_routes", f"metric-only curvature agrees at {where}",
-                  gap, cfg)
+                  np.abs(k_int - k) / (1.0 + np.abs(k)), cfg)
 
 
 def _willmore_payload(rep: WillmoreReport) -> dict:
@@ -401,21 +407,18 @@ def cmd_probe(cfg: RunConfig) -> int:
     return 0 if report["pass"] else 1
 
 
-def _worse(old: dict, new: dict) -> dict:
-    """The worse chunk's row: larger defect, smaller for a margin."""
-    sign = -1.0 if old["name"] in _MARGINS else 1.0
-    return new if sign * new["max_defect"] > sign * old["max_defect"] else old
-
-
 def cmd_verify(cfg: RunConfig) -> int:
     spec = cfg.spec
     axis1, axis2 = build_grid(spec.chart, *cfg.grid)
-    checks, k_ends, r_ends = [], [], []
+    # each check's worst per tile, then its row over the tiles' worst
+    tiles, k_ends, r_ends = {}, [], []
     for _, pg in grid_geometry(spec, axis1, axis2):
-        rows = _identity_checks(spec, pg, cfg)
-        checks = list(map(_worse, checks or rows, rows))
+        for row in _identity_checks(spec, pg, cfg):
+            tiles.setdefault(row["name"], []).append(row["max_defect"])
         k_ends += [np.min(pg.K), np.max(pg.K)]
         r_ends += [np.min(pg.R), np.max(pg.R)]
+    checks = [_check(name, _DETAILS[name], worst, cfg)
+              for name, worst in tiles.items()]
     s1, s2 = random_points(spec.chart, 200, np.random.default_rng(cfg.seed))
     checks.append(_gauss_check(
         gauss_curvature_intrinsic(spec, s1, s2),
@@ -425,9 +428,9 @@ def cmd_verify(cfg: RunConfig) -> int:
     k_lo, k_hi = float(min(k_ends)), float(max(k_ends))
     if family.k_range is not None:
         lo, hi = family.k_range(spec)
-        gap = max(lo - k_lo, k_hi - hi, 0.0)
         checks.append(_check("curvature_range",
-                             f"K stays inside [{lo:g}, {hi:g}]", gap, cfg))
+                             f"K stays inside [{lo:g}, {hi:g}]",
+                             [lo - k_lo, k_hi - hi, 0.0], cfg))
 
     report = {
         "surface": spec.kind,
@@ -457,7 +460,7 @@ def cmd_ellipse(cfg: RunConfig) -> int:
     thetas = ellipse.theta.tolist()
     normals = ellipse.normals(slice(None)).tolist()
     center = ellipse.center.tolist()
-    fit = ellipse.fit_residual
+    fit = float(ellipse.fit_residual)
     if cfg.format == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")

@@ -22,6 +22,8 @@ from .numerics import TOLERANCES, Jet2, component_major, real_pair
 # angles x points per broadcast of the ellipse fit residual: a group's
 # temporaries stay a few MB, and one point takes all angles at once
 _ELLIPSE_BLOCK = 1 << 16
+# fewest angles that sample the ellipse, which is traced twice per turn
+MIN_ANGLES = 8
 
 
 @dataclass(frozen=True)
@@ -31,10 +33,11 @@ class PointGeometry:
     Array fields share the evaluation batch shape; ambient vectors append
     the component axis.  ``C[..., i, j, k]`` is the cubic coefficient
     real_pair(sigma(e_i, e_j), J e_k): sigma_ij in (J e1, J e2)
-    coordinates, from which every invariant comes.  For a Lagrangian
-    immersion C is fully symmetric, and ``c_symmetry_defect`` measures how
-    true that is here.  ``K`` is the ambient-identity route (curvature
-    constant, |H|^2, |sigma|^2); gauss_curvature_intrinsic is the other.
+    coordinates, from which every invariant comes.  ``K`` is the
+    ambient-identity route (curvature constant, |H|^2, |sigma|^2);
+    gauss_curvature_intrinsic is the other.  ``defects`` maps each check
+    name in TOLERANCES to its pointwise defect of the lift, the frame split
+    or C (c_symmetry: C of a Lagrangian immersion is fully symmetric).
     """
 
     space: AmbientSpace
@@ -49,13 +52,7 @@ class PointGeometry:
     F: np.ndarray
     Hc: np.ndarray
     R: np.ndarray
-    membership: float
-    horizontality: float
-    lagrangian: float
-    split_residual: float
-    position_defect: float
-    fiber_defect: float
-    c_symmetry_defect: float
+    defects: dict[str, np.ndarray]
 
 
 def _dot(a, b):
@@ -63,11 +60,11 @@ def _dot(a, b):
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
 
 
-def _assemble(space, g, e1, e2, C, diag):
+def _assemble(space, g, e1, e2, C, defects):
     # index symmetry in the first two slots is structural; the swap of the
     # second/third slot is the Lagrangian property and gets measured
-    c_defect = float(max(np.max(np.abs(C[..., 0, 0, 1] - C[..., 0, 1, 0])),
-                         np.max(np.abs(C[..., 1, 1, 0] - C[..., 1, 0, 1]))))
+    c_symmetry = np.maximum(np.abs(C[..., 0, 0, 1] - C[..., 0, 1, 0]),
+                            np.abs(C[..., 1, 1, 0] - C[..., 1, 0, 1]))
 
     s11, s12, s22 = C[..., 0, 0, :], C[..., 0, 1, :], C[..., 1, 1, :]
     H = 0.5 * (s11 + s22)
@@ -94,7 +91,7 @@ def _assemble(space, g, e1, e2, C, diag):
 
     return PointGeometry(space=space, g=g, e1=e1, e2=e2, C=C,
                          H2=H2, sigma_sq=sigma_sq, K=K, D=D, F=F, Hc=Hc, R=R,
-                         c_symmetry_defect=c_defect, **diag)
+                         defects=defects | {"c_symmetry": c_symmetry})
 
 
 def geometry_from_jet(lift: Jet2, space: AmbientSpace) -> PointGeometry:
@@ -131,15 +128,13 @@ def geometry_from_jet(lift: Jet2, space: AmbientSpace) -> PointGeometry:
         C[1, 1, k] = q * q * u11[k] + 2.0 * q * r * u12[k] + r * r * u22[k]
     C[1, 0] = C[0, 1]
 
-    diag = {
+    defects = {
         "membership": amb.membership_defect(lift, space),
         "horizontality": amb.horizontality_defect(lift, space),
         "lagrangian": amb.lagrangian_defect(lift, space),
-        "split_residual": split.split_residual,
-        "position_defect": split.position_defect,
-        "fiber_defect": split.fiber_defect,
+        **split.defects,
     }
-    return _assemble(space, g, e1, e2, component_major(C, 3), diag)
+    return _assemble(space, g, e1, e2, component_major(C, 3), defects)
 
 
 def point_geometry(spec: SurfaceSpec, a1, a2) -> PointGeometry:
@@ -163,8 +158,8 @@ def scaled_circularity(pg: PointGeometry) -> np.ndarray:
     return np.abs(pg.D) / _sigma_scale(pg)
 
 
-def circularity_route_gap(pg: PointGeometry) -> float:
-    """Largest (scale-aware) gap between the two circularity routes.
+def circularity_route_gap(pg: PointGeometry) -> np.ndarray:
+    """Pointwise (scale-aware) gap between the two circularity routes.
 
     Route one reads D off the sigma-vectors directly; route two expands it
     in the cubic coefficients:
@@ -183,22 +178,23 @@ def circularity_route_gap(pg: PointGeometry) -> float:
     re4 = (C111 ** 2 - 2.0 * C111 * C122 - 3.0 * C122 ** 2
            - 3.0 * C112 ** 2 - 2.0 * C112 * C222 + C222 ** 2)
     expanded = 0.25 * re4 + 1j * (C111 * C112 - C122 * C222)
-    return float(np.max(np.abs(expanded - pg.D) / _sigma_scale(pg)))
+    return np.abs(expanded - pg.D) / _sigma_scale(pg)
 
 
-def density_moduli_gap(pg: PointGeometry) -> float:
-    """Worst relative defect of |Hc|^2 = |H|^2 and |F|^2 = c/2 + |H|^2 - 2K.
+def density_moduli_gap(pg: PointGeometry) -> np.ndarray:
+    """Pointwise worse relative defect of |Hc|^2 = |H|^2, |F|^2 = c/2 +
+    |H|^2 - 2K.
 
     F == 0 characterizes the Whitney-type examples, Hc == 0 the minimal ones.
     """
     hc_gap = np.abs(np.abs(pg.Hc) ** 2 - pg.H2) / (1.0 + pg.H2)
     f_rhs = pg.space.c / 2.0 + pg.H2 - 2.0 * pg.K
     f_gap = np.abs(np.abs(pg.F) ** 2 - f_rhs) / (1.0 + np.abs(f_rhs))
-    return float(max(np.max(hc_gap), np.max(f_gap)))
+    return np.maximum(hc_gap, f_gap)
 
 
-def product_identity_check(pg: PointGeometry) -> float:
-    """Defect of the product identity F * conj(Hc) against D.
+def product_identity_check(pg: PointGeometry) -> np.ndarray:
+    """Pointwise defect of the product identity F * conj(Hc) against D.
 
     The real parts must match and the imaginary parts must match up to the
     orientation convention, so the defect is
@@ -211,11 +207,11 @@ def product_identity_check(pg: PointGeometry) -> float:
     re_gap = np.abs(prod.real - pg.D.real) / scale
     im_gap = np.abs(np.abs(prod.imag) - np.abs(pg.D.imag)) / scale
     mod_gap = np.abs(np.abs(prod) - np.abs(pg.D)) / scale
-    return float(max(np.max(re_gap), np.max(im_gap), np.max(mod_gap)))
+    return np.maximum(np.maximum(re_gap, im_gap), mod_gap)
 
 
-def radius_route_gap(pg: PointGeometry) -> float:
-    """Largest spread of the three radius routes, relative to 1 + R pointwise.
+def radius_route_gap(pg: PointGeometry) -> np.ndarray:
+    """Pointwise spread of the three radius routes, relative to 1 + R.
 
     Routes: the curvature identity sqrt((c/4 + |H|^2 - K) / 2) stored in
     pg.R, the direct |sigma(e1, e2)|, and |sigma11 - sigma22| / 2, both
@@ -227,7 +223,7 @@ def radius_route_gap(pg: PointGeometry) -> float:
     r_c = 0.5 * np.sqrt(_dot(diff, diff))
     worst = np.maximum(np.maximum(np.abs(pg.R - r_b), np.abs(pg.R - r_c)),
                        np.abs(r_b - r_c))
-    return float(np.max(worst / (1.0 + pg.R)))
+    return worst / (1.0 + pg.R)
 
 
 def radius(pg: PointGeometry) -> np.ndarray:
@@ -244,7 +240,7 @@ def radius(pg: PointGeometry) -> np.ndarray:
         raise ValueError(
             f"ellipse is not circular: scaled |D| = {circ:.3e} "
             f"(tol {circ_tol:.0e}); radius is undefined")
-    worst = radius_route_gap(pg)
+    worst = float(np.max(radius_route_gap(pg)))
     if worst > route_tol:
         raise RuntimeError(
             f"radius routes disagree by {worst:.3e} (tol {route_tol:.0e})")
@@ -261,7 +257,7 @@ class CurvatureEllipse:
     the mean curvature vector H, ``half_diff`` is (sigma11 - sigma22) / 2
     and ``cross`` is sigma12, each with the batch shape plus a trailing
     axis of 2.  Angles theta and theta + pi give one normal: the ellipse is
-    traced twice per turn of v.  ``fit_residual`` is
+    traced twice per turn of v.  ``fit_residual`` is, pointwise,
     max_theta | |sigma(v,v) - H| - R |, tiny exactly when the ellipse is
     the circle of radius R.
     """
@@ -270,7 +266,7 @@ class CurvatureEllipse:
     center: np.ndarray
     half_diff: np.ndarray
     cross: np.ndarray
-    fit_residual: float
+    fit_residual: np.ndarray
 
     def normals(self, rows: slice) -> np.ndarray:
         """sigma(v, v) at the angles ``theta[rows]``, angle axis first."""
@@ -288,8 +284,8 @@ def ellipse_samples(pg: PointGeometry, n_angles: int) -> CurvatureEllipse:
     does not grow with n_angles x N; the normals are formed only when
     ``normals`` is called.
     """
-    if n_angles < 8:
-        raise ValueError("need n_angles >= 8 to see the ellipse")
+    if n_angles < MIN_ANGLES:
+        raise ValueError(f"need n_angles >= {MIN_ANGLES} to see the ellipse")
     # the (J e1, J e2) coordinates of sigma_ij are the cubic tensor C_ij
     c11, c12, c22 = pg.C[..., 0, 0, :], pg.C[..., 0, 1, :], pg.C[..., 1, 1, :]
     ellipse = CurvatureEllipse(
@@ -303,12 +299,13 @@ def ellipse_samples(pg: PointGeometry, n_angles: int) -> CurvatureEllipse:
         # by coordinate: a full-shape temporary is the group times the batch
         dist = (group[..., 0] - center[..., 0]) ** 2
         dist += (group[..., 1] - center[..., 1]) ** 2
-        return np.max(np.abs(np.sqrt(dist) - pg.R))
+        return np.max(np.abs(np.sqrt(dist) - pg.R), axis=0)
 
     step = max(1, _ELLIPSE_BLOCK // max(1, np.size(pg.R)))
-    worst = [group_residual(slice(start, start + step))
-             for start in range(0, n_angles, step)]
-    return replace(ellipse, fit_residual=float(np.max(worst)))
+    worst = group_residual(slice(0, step))
+    for start in range(step, n_angles, step):
+        worst = np.maximum(worst, group_residual(slice(start, start + step)))
+    return replace(ellipse, fit_residual=worst)
 
 
 def gauss_curvature_intrinsic(spec: SurfaceSpec, a1, a2) -> np.ndarray:

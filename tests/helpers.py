@@ -63,10 +63,8 @@ def rotate_frame(pg: PointGeometry, alpha: float) -> PointGeometry:
     # every slot of C, the normal one too, is on the frame: J e'_k is
     # rot[k, c] J e_c
     C = np.einsum("ia,jb,kc,...abc->...ijk", rot, rot, rot, pg.C)
-    diag = {name: getattr(pg, name)
-            for name in ("membership", "horizontality", "lagrangian",
-                         "split_residual", "position_defect", "fiber_defect")}
-    return geom._assemble(pg.space, pg.g, e1, e2, C, diag)
+    # _assemble measures c_symmetry again, on the rotated C
+    return geom._assemble(pg.space, pg.g, e1, e2, C, pg.defects)
 
 
 def flat_grid(axis1, axis2):

@@ -20,12 +20,12 @@ import pytest
 
 from lagsurf import numerics, scans
 from lagsurf.atlas import build_grid
-from lagsurf.catalog import FAMILIES, KINDS
-from lagsurf.cli import (TOLERANCES, ConfigError, _identity_checks,
-                         _parse_number, build_parser, main,
+from lagsurf.catalog import FAMILIES, KINDS, SurfaceSpec
+from lagsurf.cli import (_DETAILS, TOLERANCES, ConfigError, _identity_checks,
+                         _identity_values, _parse_number, build_parser, main,
                          parse_surface_token, read_config_file,
                          resolve_config)
-from lagsurf.geom import point_geometry
+from lagsurf.geom import MIN_ANGLES, point_geometry
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -67,6 +67,22 @@ def test_parse_surface_token_forms():
         parse_surface_token("moebius(1)")
     with pytest.raises(ConfigError, match="at most"):
         parse_surface_token("whitney-cp2(1,2,3)")
+    # a bare kind() takes the defaults
+    assert parse_surface_token("whitney-cp2()") == ("whitney-cp2", {})
+    assert parse_surface_token("whitney-cp2( )") == ("whitney-cp2", {})
+
+
+@pytest.mark.parametrize("token", ["product-torus(1,,2)", "whitney-cp2(,)",
+                                   "whitney-cp2(0.5,)", "whitney-cp2(,0.5)",
+                                   "product-torus( , 2)"])
+def test_empty_parameter_slot_is_a_usage_error(token, capsys):
+    # once such a slot was dropped: (1,,2) ran as (1, 2), (,) as t = 0
+    with pytest.raises(ConfigError, match="empty parameter slot"):
+        parse_surface_token(token)
+    assert main(["probe", "--surface", token, "0.4", "1.1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        f"error: empty parameter slot in surface {token!r}\n")
 
 
 def test_config_file_round_trip(tmp_path, capsys):
@@ -397,6 +413,21 @@ def test_chunked_verify_matches_one_whole_grid_batch(surface, capsys):
     assert code == 0 and report["pass"]
 
 
+@pytest.mark.parametrize("spec", [SurfaceSpec("whitney-cp2", t=0.5),
+                                  SurfaceSpec("product-torus-c2",
+                                              r1=1.0, r2=2.0)],
+                         ids=lambda s: s.label())
+def test_every_check_is_named_by_its_tolerance(spec):
+    # one name per check: its key in pg.defects, its report row and its
+    # TOLERANCES entry; the detail table fixes the report order
+    assert set(_DETAILS) <= set(TOLERANCES)
+    pg = point_geometry(spec, 0.4, 1.1)
+    assert set(pg.defects) <= set(TOLERANCES)
+    values = _identity_values(spec, pg, MIN_ANGLES)
+    assert list(values) == [name for name in _DETAILS if name in values]
+    assert list(values)[:len(pg.defects)] == list(pg.defects)
+
+
 def test_verify_memory_is_flat_in_grid_size(tmp_path):
     argv = ["verify", "--surface", "whitney-cp2(0.5)", "--quad", "8x16",
             "--out", str(tmp_path / "report.json")]
@@ -602,6 +633,34 @@ def test_bad_flag_value_returns_2_with_one_error_line(argv, message, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("surface", ["clifford-torus", "product-torus(1,2)"])
+@pytest.mark.parametrize("argv", [
+    ["probe", "--angles", "-5", "0.4", "1.1"],
+    ["verify", "--grid", "8x8", "--quad", "8x8", "--angles", "3"],
+    ["ellipse", "--angles", str(MIN_ANGLES - 1), "0.4", "1.1"],
+], ids=lambda argv: argv[0])
+def test_too_few_angles_is_a_usage_error_on_every_surface(surface, argv,
+                                                          capsys):
+    # the bound is ellipse_samples', whether or not the surface's report
+    # samples the ellipse (a non-circular one's probe and verify do not)
+    assert main(argv[:1] + ["--surface", surface] + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        f"error: need n_angles >= {MIN_ANGLES} to see the ellipse\n")
+
+
+def test_too_few_angles_in_config_file_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    surface = "surface = product-torus(1,2)\n"
+    cfg.write_text(surface + f"angles = {MIN_ANGLES - 1}\n")
+    assert main(["scan", "--config", str(cfg)]) == 2  # scan reads no angles
+    assert capsys.readouterr().err == (
+        f"error: need n_angles >= {MIN_ANGLES} to see the ellipse\n")
+    cfg.write_text(surface + f"angles = {MIN_ANGLES}\n")
+    assert main(["ellipse", "--config", str(cfg), "0.4", "1.1"]) == 0
+    capsys.readouterr()
 
 
 def test_negative_seed_in_config_file_names_the_option(tmp_path, capsys):

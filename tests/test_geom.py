@@ -13,6 +13,7 @@ from helpers import flat_grid, rotate_frame
 from lagsurf import geom
 from lagsurf.atlas import build_grid, random_points
 from lagsurf.catalog import SurfaceSpec, lift_at
+from lagsurf.cli import _identity_values
 from lagsurf.geom import (circularity_route_gap, density_moduli_gap,
                           ellipse_samples, gauss_curvature_intrinsic,
                           geometry_from_jet, point_geometry,
@@ -116,10 +117,11 @@ def test_circular_members_have_tiny_defect(spec):
     SurfaceSpec("product-torus-c2", r1=1.0, r2=2.0)], ids=lambda s: s.label())
 def test_route_and_moduli_identities(spec):
     pg = _grid_geometry(spec)
-    assert circularity_route_gap(pg) < 1e-10
-    assert density_moduli_gap(pg) < 1e-10
-    assert product_identity_check(pg) < 1e-9
-    assert radius_route_gap(pg) < 1e-8 or spec.kind == "product-torus-c2"
+    assert np.max(circularity_route_gap(pg)) < 1e-10
+    assert np.max(density_moduli_gap(pg)) < 1e-10
+    assert np.max(product_identity_check(pg)) < 1e-9
+    assert (np.max(radius_route_gap(pg)) < 1e-8
+            or spec.kind == "product-torus-c2")
 
 
 def test_density_dichotomy():
@@ -174,9 +176,9 @@ def test_frame_rotation_covariance():
         assert abs(np.abs(complex(rot.F)) - np.abs(complex(pg.F))) < 1e-12
         assert abs(np.abs(complex(rot.Hc)) - np.abs(complex(pg.Hc))) < 1e-12
         # identities survive the rotation
-        assert circularity_route_gap(rot) < 1e-10
-        assert density_moduli_gap(rot) < 1e-10
-        assert product_identity_check(rot) < 1e-9
+        assert np.max(circularity_route_gap(rot)) < 1e-10
+        assert np.max(density_moduli_gap(rot)) < 1e-10
+        assert np.max(product_identity_check(rot)) < 1e-9
 
 
 def test_expansion_typo_regression():
@@ -273,7 +275,8 @@ def test_ellipse_samples_period_pi():
 def test_ellipse_fit_residual_circular(spec):
     pg = _grid_geometry(spec, n=7)
     fit = ellipse_samples(pg, 32).fit_residual
-    assert fit < 1e-8
+    assert fit.shape == pg.R.shape
+    assert np.max(fit) < 1e-8
 
 
 def test_ellipse_fit_residual_degenerate_segment():
@@ -304,6 +307,9 @@ def test_one_point_is_its_row_of_a_batch(spec):
             if isinstance(got, np.ndarray):
                 row = getattr(batch, field.name)[i]
                 assert np.array_equal(got, row), field.name
+        for name, values in batch.defects.items():
+            row = np.broadcast_to(values, a1.shape)[i]
+            assert np.array_equal(single.defects[name], row), name
 
 
 @pytest.mark.parametrize("spec", EVERY_KIND, ids=lambda s: s.label())
@@ -320,23 +326,37 @@ def test_grid_on_its_axes_is_the_grid_on_flat_points(spec):
         if isinstance(want, np.ndarray):
             assert got.shape == (9, 131) + want.shape[1:], field.name
             assert np.array_equal(got.reshape(want.shape), want), field.name
+        elif isinstance(want, dict):
+            assert got.keys() == want.keys(), field.name
+            for name in want:
+                got_flat = np.reshape(got[name], np.shape(want[name]))
+                assert np.array_equal(got_flat, want[name]), name
         else:
             assert got == want, field.name
 
 
 @pytest.mark.parametrize("spec", [SurfaceSpec("whitney-cp2", t=0.5),
-                                  SurfaceSpec("whitney-c2")],
+                                  SurfaceSpec("whitney-c2"),
+                                  SurfaceSpec("product-torus-c2",
+                                              r1=1.0, r2=2.0)],
                          ids=lambda s: s.label())
-def test_gaps_of_a_batch_are_the_max_over_its_chunks(spec):
+def test_every_check_of_a_batch_is_its_tiles_concatenated(spec):
     # 19,650 points: past the 16,384 where numpy may reuse a temporary of
-    # `*` with its operands swapped, so chunked and whole products differ
-    # in the last bit unless the gaps pair with np.multiply
+    # `*` with its operands swapped, so tiled and whole products differ
+    # in the last bit unless the checks pair with np.multiply.  Every
+    # pointwise check, whichever branch of the report it is on, is bitwise
+    # the same on the whole batch as on the grid_geometry tiles joined.
     a1, a2 = build_grid(spec.chart, 150, 131)
     whole = point_geometry(spec, *flat_grid(a1, a2))
-    chunks = [pg for _, pg in grid_geometry(spec, a1, a2)]
-    for gap in (circularity_route_gap, density_moduli_gap,
-                product_identity_check, radius_route_gap):
-        assert gap(whole) == max(gap(pg) for pg in chunks), gap.__name__
+    want = _identity_values(spec, whole, 64)
+    tiles = [(pg.K.shape, _identity_values(spec, pg, 64))
+             for _, pg in grid_geometry(spec, a1, a2)]
+    assert len(tiles) > 1
+    for name, values in want.items():
+        whole_values = np.broadcast_to(values, whole.K.shape)
+        joined = np.concatenate([np.broadcast_to(tile[name], shape).ravel()
+                                 for shape, tile in tiles])
+        assert np.array_equal(joined, whole_values), name
 
 
 def _one_broadcast_fit_residual(pg, n_angles):
@@ -351,7 +371,7 @@ def _one_broadcast_fit_residual(pg, n_angles):
     normals = center + cos2 * (0.5 * (c11 - c22)) + sin2 * c12
     dist = ((normals[..., 0] - center[..., 0]) ** 2
             + (normals[..., 1] - center[..., 1]) ** 2)
-    return float(np.max(np.abs(np.sqrt(dist) - pg.R)))
+    return np.max(np.abs(np.sqrt(dist) - pg.R), axis=0)
 
 
 @pytest.mark.parametrize("spec", [SurfaceSpec("whitney-cp2", t=0.5),
@@ -366,7 +386,9 @@ def test_ellipse_fit_residual_equals_one_broadcast(spec):
     for pg in (grid, single):
         for n_angles in (8, 64, 200):
             fit = ellipse_samples(pg, n_angles).fit_residual
-            assert fit == _one_broadcast_fit_residual(pg, n_angles)
+            want = _one_broadcast_fit_residual(pg, n_angles)
+            assert fit.shape == want.shape == pg.R.shape
+            assert np.array_equal(fit, want)
 
 
 def test_ellipse_fit_residual_memory_is_flat_in_angles():

@@ -1,7 +1,8 @@
 """No public name in src/ exists only for the tests, no dataclass field
 in src/ is left unread, no defaulted parameter in src/ is left at its
-default by every other caller, and no src/ module imports a name it never
-uses.
+default by every other caller, no src/ module imports a name it never
+uses, and every Python file of the project parses as Python 3.10, the
+requires-python floor.
 
 A public function, class or constant must be the console-script entry
 point, or be used by other src/ code or by demos/ or bench/: loaded as a
@@ -18,6 +19,8 @@ import ast
 import pathlib
 import re
 from collections import Counter
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "lagsurf"
@@ -300,3 +303,31 @@ def unset_parameters() -> list[str]:
 
 def test_every_defaulted_parameter_is_set_by_some_call():
     assert unset_parameters() == []
+
+
+# ---------------------------------------------------------------------------
+# the requires-python floor
+
+FLOOR = (3, 10)
+
+
+def too_new_syntax() -> list[str]:
+    """path: message for each .py file under src/, tests/, demos/ or bench/
+    that does not parse at the FLOOR grammar."""
+    bad = []
+    for top in ("src", "tests", "demos", "bench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            try:
+                ast.parse(path.read_text(encoding="utf-8"), str(path),
+                          feature_version=FLOOR)
+            except SyntaxError as exc:
+                bad.append(f"{path.relative_to(ROOT)}: {exc.msg}")
+    return bad
+
+
+def test_every_file_parses_at_the_python_floor():
+    # the grammar check sees syntax the floor lacks, such as except*
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n",
+                  feature_version=FLOOR)
+    assert too_new_syntax() == []
