@@ -69,17 +69,16 @@ def lagrangian_defect(lift: Jet2, space: AmbientSpace) -> np.ndarray:
 class FrameSplit:
     """What the geometry reads off the second derivatives of the lift.
 
-    ``metric`` is the induced metric g_ij (``..., 2, 2``).  ``normal``
-    (``..., 3, 2``) holds, for the pairs (11, 12, 22), the coefficients on
-    (J d1, J d2) of d_uv psi: the second fundamental form.  The tangent
-    and lift parts are fixed by the metric, so only their pointwise defects
-    are kept, by check name (see second_form_split; over a flat target the
-    lift-part defects are 0.0).
+    ``metric`` is the induced metric g_ij (``..., 2, 2``).  ``coeff``
+    (``..., 3, k``, complex) holds, for the pairs (11, 12, 22), the
+    coefficients of d_uv psi on the complex basis (d1, d2[, psi]): real
+    parts on (d1, d2) are tangent, imaginary parts on (J d1, J d2) are the
+    second fundamental form, and the psi coefficient is position + i *
+    fiber.  split_defects certifies them.
     """
 
     metric: np.ndarray
-    normal: np.ndarray
-    defects: dict[str, np.ndarray]
+    coeff: np.ndarray
 
 
 def _norm(a):
@@ -127,11 +126,7 @@ def second_form_split(lift: Jet2, space: AmbientSpace) -> FrameSplit:
     position + i * fiber; each d_uv psi is split on its own, on arrays of
     the batch shape.  Gates, in order: g positive definite, then
     gram_condition (off-block terms included) under GRAM_COND_LIMIT.
-    Returned: g, the normal parts, and three defects, pointwise maxima over
-    uv relative to 1 + the local scale: split_residual, of the whole
-    reconstruction against d_uv psi, which certifies the split and sees any
-    neglected coupling; position_coeff, position against -g_uv / nu; and
-    fiber_coeff, zero exactly where the lift is horizontal and Lagrangian.
+    Returned: g and the coefficients; split_defects certifies them.
     """
     sig = space.sig
     d1, d2, psi = lift.d1, lift.d2, lift.v
@@ -153,31 +148,42 @@ def second_form_split(lift: Jet2, space: AmbientSpace) -> FrameSplit:
             f"frame Gram condition number {np.max(cond):.3e} exceeds "
             f"{GRAM_COND_LIMIT:.0e}; singular or non-immersed point")
 
-    # one d_uv psi at a time; normals fill one buffer (see component_major)
+    # one d_uv psi at a time into one buffer (see component_major)
     basis = [d1, d2, psi] if space.is_lifted else [d1, d2]
-    normal = np.empty((3, 2) + np.shape(g11))
-    residual = position = fiber = 0.0
-    for p, (x, g) in enumerate(zip((lift.d11, lift.d12, lift.d22),
-                                   (g11, g12, g22))):
+    coeff = np.empty((3, len(basis)) + np.shape(g11), dtype=complex)
+    for p, x in enumerate((lift.d11, lift.d12, lift.d22)):
         h = [herm_pair(x, b, sig) for b in basis]
         # g^-1 (h1, h2) by the closed-form 2x2 inverse
-        z1 = (g22 * h[0] - g12 * h[1]) / det
-        z2 = (g11 * h[1] - g12 * h[0]) / det
-        normal[p, 0], normal[p, 1] = z1.imag, z2.imag
-        gap = x - z1[..., None] * d1
-        gap -= z2[..., None] * d2
+        coeff[p, 0] = (g22 * h[0] - g12 * h[1]) / det
+        coeff[p, 1] = (g11 * h[1] - g12 * h[0]) / det
         if space.is_lifted:
-            z_psi = h[2] / space.lift_norm
-            gap -= z_psi[..., None] * psi
-            gscale = 1.0 + np.abs(g)
-            position = np.maximum(
-                position, np.abs(z_psi.real + g / space.lift_norm) / gscale)
-            fiber = np.maximum(fiber, np.abs(z_psi.imag) / gscale)
-        residual = np.maximum(residual, _norm(gap) / (1.0 + _norm(x)))
+            coeff[p, 2] = h[2] / space.lift_norm
 
     metric = np.array([[g11, g12], [g12, g22]])
     return FrameSplit(metric=component_major(metric, 2),
-                      normal=component_major(normal, 2),
-                      defects={"split_residual": residual,
-                               "position_coeff": position,
-                               "fiber_coeff": fiber})
+                      coeff=component_major(coeff, 2))
+
+
+def split_defects(lift: Jet2, space: AmbientSpace,
+                  split: FrameSplit) -> dict[str, np.ndarray | float]:
+    """The split's certification from its own coefficients, by check name:
+    pointwise maxima over uv, relative to 1 + the local scale, of
+    split_residual (the whole reconstruction against d_uv psi, so it sees
+    any neglected coupling), position_coeff (position against -g_uv / nu)
+    and fiber_coeff (zero exactly where the lift is horizontal and
+    Lagrangian; these two are 0.0 over a flat target)."""
+    g_uv = [split.metric[..., i, j] for i, j in ((0, 0), (0, 1), (1, 1))]
+    residual = position = fiber = 0.0
+    for p, x in enumerate((lift.d11, lift.d12, lift.d22)):
+        z = split.coeff[..., p, :]
+        gap = x - z[..., 0, None] * lift.d1
+        gap -= z[..., 1, None] * lift.d2
+        if space.is_lifted:
+            gap -= z[..., 2, None] * lift.v
+            gscale = 1.0 + np.abs(g_uv[p])
+            position = np.maximum(position, np.abs(
+                z[..., 2].real + g_uv[p] / space.lift_norm) / gscale)
+            fiber = np.maximum(fiber, np.abs(z[..., 2].imag) / gscale)
+        residual = np.maximum(residual, _norm(gap) / (1.0 + _norm(x)))
+    return {"split_residual": residual, "position_coeff": position,
+            "fiber_coeff": fiber}

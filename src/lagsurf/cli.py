@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import ast
-import csv
 import functools
-import io
 import json
 import math
 import operator
@@ -24,14 +22,15 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from .ambient import split_defects
 from .atlas import build_grid, random_points
-from .catalog import FAMILIES, KINDS, SurfaceSpec
+from .catalog import FAMILIES, KINDS, SurfaceSpec, lift_at
 from .geom import (MIN_ANGLES, circularity_route_gap, density_moduli_gap,
                    ellipse_samples, gauss_curvature_intrinsic, point_geometry,
                    product_identity_check, radius_route_gap,
-                   scaled_circularity)
+                   scaled_circularity, split_geometry, tangent_frame)
 from .numerics import TOLERANCES, apply_J
-from .scans import (WillmoreReport, curvature_scan, grid_geometry,
+from .scans import (WillmoreReport, curvature_scan, grid_tiles,
                     pinching_report, willmore)
 
 
@@ -281,9 +280,9 @@ def _check(name: str, detail: str, values, cfg: RunConfig,
             "tol": tol, "pass": bool(ok)}
 
 
-def _identity_values(spec: SurfaceSpec, pg, n_angles: int) -> dict:
-    """Each pointwise check's values at the points of pg, by check name."""
-    values = pg.defects | {
+def _identity_values(spec, lift, split, pg, n_angles: int) -> dict:
+    """Each pointwise check's values at pg's points, in report order."""
+    values = pg.defects | split_defects(lift, pg.space, split) | {
         "circularity_routes": circularity_route_gap(pg),
         "density_moduli": density_moduli_gap(pg),
         "product_identity": product_identity_check(pg)}
@@ -294,13 +293,13 @@ def _identity_values(spec: SurfaceSpec, pg, n_angles: int) -> dict:
         values |= {"circularity": scaled,
                    "radius_routes": radius_route_gap(pg),
                    "ellipse_fit": ellipse_samples(pg, n_angles).fit_residual}
-    return values
+    return {name: values[name] for name in _DETAILS if name in values}
 
 
-def _identity_checks(spec: SurfaceSpec, pg, cfg: RunConfig) -> list[dict]:
+def _identity_checks(spec, lift, split, pg, cfg: RunConfig) -> list[dict]:
     """The checks' rows over pg's points (probe's; verify's per tile)."""
     return [_check(name, _DETAILS[name], values, cfg) for name, values
-            in _identity_values(spec, pg, cfg.angles).items()]
+            in _identity_values(spec, lift, split, pg, cfg.angles).items()]
 
 
 def _gauss_check(k_int, k, where: str, cfg: RunConfig) -> dict:
@@ -362,13 +361,15 @@ def _vector_payload(vec: np.ndarray) -> dict:
 def cmd_probe(cfg: RunConfig) -> int:
     spec = cfg.spec
     a1, a2 = cfg.point
-    pg = point_geometry(spec, a1, a2)
-    checks = _identity_checks(spec, pg, cfg)
+    lift = lift_at(spec, a1, a2)
+    split, pg = split_geometry(lift, spec.ambient)
+    checks = _identity_checks(spec, lift, split, pg, cfg)
     k_int = gauss_curvature_intrinsic(spec, a1, a2)
+    e1, e2 = tangent_frame(lift, pg.g)
 
     def normal(coords):  # the normal vector with (J e1, J e2) coordinates
-        return _vector_payload(coords[0] * apply_J(pg.e1)
-                               + coords[1] * apply_J(pg.e2))
+        return _vector_payload(coords[0] * apply_J(e1)
+                               + coords[1] * apply_J(e2))
 
     checks.append(_gauss_check(k_int, pg.K, "the probe point", cfg))
     report = {
@@ -395,8 +396,8 @@ def cmd_probe(cfg: RunConfig) -> int:
               "122": float(pg.C[..., 0, 1, 1]),
               "222": float(pg.C[..., 1, 1, 1])},
         "H": normal(0.5 * (pg.C[0, 0] + pg.C[1, 1])),
-        "e1": _vector_payload(pg.e1),
-        "e2": _vector_payload(pg.e2),
+        "e1": _vector_payload(e1),
+        "e2": _vector_payload(e2),
         "sigma11": normal(pg.C[0, 0]),
         "sigma12": normal(pg.C[0, 1]),
         "sigma22": normal(pg.C[1, 1]),
@@ -407,13 +408,20 @@ def cmd_probe(cfg: RunConfig) -> int:
     return 0 if report["pass"] else 1
 
 
+def _certifiable_tiles(spec: SurfaceSpec, axis1, axis2):
+    """(lift, split, geometry) per tile, each held till the next is built."""
+    for _, a1, a2 in grid_tiles(axis1, axis2):
+        lift = lift_at(spec, a1, a2)
+        yield (lift, *split_geometry(lift, spec.ambient))
+
+
 def cmd_verify(cfg: RunConfig) -> int:
     spec = cfg.spec
     axis1, axis2 = build_grid(spec.chart, *cfg.grid)
     # each check's worst per tile, then its row over the tiles' worst
     tiles, k_ends, r_ends = {}, [], []
-    for _, pg in grid_geometry(spec, axis1, axis2):
-        for row in _identity_checks(spec, pg, cfg):
+    for lift, split, pg in _certifiable_tiles(spec, axis1, axis2):
+        for row in _identity_checks(spec, lift, split, pg, cfg):
             tiles.setdefault(row["name"], []).append(row["max_defect"])
         k_ends += [np.min(pg.K), np.max(pg.K)]
         r_ends += [np.min(pg.R), np.max(pg.R)]
@@ -457,29 +465,28 @@ def cmd_ellipse(cfg: RunConfig) -> int:
     spec = cfg.spec
     pg = point_geometry(spec, *cfg.point)
     ellipse = ellipse_samples(pg, cfg.angles)
-    thetas = ellipse.theta.tolist()
-    normals = ellipse.normals(slice(None)).tolist()
+    # (theta, normal1, normal2) per row of a template holding the constants;
+    # the geometry's non-finite gate keeps NaN and Infinity out
+    samples = zip(ellipse.theta.tolist(),
+                  *ellipse.normals(slice(None)).T.tolist())
     center = ellipse.center.tolist()
     fit = float(ellipse.fit_residual)
     if cfg.format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["theta", "normal1", "normal2",
-                         "center1", "center2", "fit_residual"])
-        for theta, normal in zip(thetas, normals):
-            writer.writerow([f"{v:.17g}" for v in
-                             (theta, *normal, *center, fit)])
-        _emit(buffer.getvalue().rstrip("\n"), cfg)
+        # csv.writer's rows: no .17g cell needs quoting
+        row = "%.17g,%.17g,%.17g," + ",".join(
+            f"{v:.17g}" for v in (*center, fit))
+        _emit("\n".join(["theta,normal1,normal2,center1,center2,"
+                         "fit_residual"] + [row % s for s in samples]), cfg)
         return 0
-    payload = {
-        "surface": spec.kind,
-        "params": spec.params(),
-        "point": list(cfg.point),
-        "fit_residual": fit,
-        "samples": [{"theta": theta, "normal": normal, "center": center}
-                    for theta, normal in zip(thetas, normals)],
-    }
-    _emit(json.dumps(payload, indent=2), cfg)
+    # json.dumps(payload, indent=2), the samples written after the header
+    head = json.dumps({"surface": spec.kind, "params": spec.params(),
+                       "point": list(cfg.point), "fit_residual": fit},
+                      indent=2)
+    row = ('    {\n      "theta": %r,\n      "normal": [\n        %r,\n'
+           '        %r\n      ],\n      "center": [\n        '
+           + ",\n        ".join(map(repr, center)) + "\n      ]\n    }")
+    _emit(head[:-2] + ',\n  "samples": [\n'
+          + ",\n".join(row % s for s in samples) + "\n  ]\n}", cfg)
     return 0
 
 

@@ -30,20 +30,17 @@ MIN_ANGLES = 8
 class PointGeometry:
     """All pointwise invariants plus the consistency defects that built them.
 
-    Array fields share the evaluation batch shape; ambient vectors append
-    the component axis.  ``C[..., i, j, k]`` is the cubic coefficient
-    real_pair(sigma(e_i, e_j), J e_k): sigma_ij in (J e1, J e2)
-    coordinates, from which every invariant comes.  ``K`` is the
+    Array fields share the evaluation batch shape.  ``C[..., i, j, k]`` is
+    the cubic coefficient real_pair(sigma(e_i, e_j), J e_k): sigma_ij in
+    (J e1, J e2) coordinates, from which every invariant comes.  ``K`` is the
     ambient-identity route (curvature constant, |H|^2, |sigma|^2);
     gauss_curvature_intrinsic is the other.  ``defects`` maps each check
-    name in TOLERANCES to its pointwise defect of the lift, the frame split
-    or C (c_symmetry: C of a Lagrangian immersion is fully symmetric).
+    name in TOLERANCES to its pointwise defect of the lift or of C
+    (c_symmetry: C of a Lagrangian immersion is fully symmetric).
     """
 
     space: AmbientSpace
     g: np.ndarray
-    e1: np.ndarray
-    e2: np.ndarray
     C: np.ndarray
     H2: np.ndarray
     sigma_sq: np.ndarray
@@ -60,7 +57,7 @@ def _dot(a, b):
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
 
 
-def _assemble(space, g, e1, e2, C, defects):
+def _assemble(space, g, C, defects):
     # index symmetry in the first two slots is structural; the swap of the
     # second/third slot is the Lagrangian property and gets measured
     c_symmetry = np.maximum(np.abs(C[..., 0, 0, 1] - C[..., 0, 1, 0]),
@@ -89,7 +86,7 @@ def _assemble(space, g, e1, e2, C, defects):
         if not np.all(np.isfinite(np.asarray(arr))):
             raise ValueError(f"non-finite geometry field {name!r}")
 
-    return PointGeometry(space=space, g=g, e1=e1, e2=e2, C=C,
+    return PointGeometry(space=space, g=g, C=C,
                          H2=H2, sigma_sq=sigma_sq, K=K, D=D, F=F, Hc=Hc, R=R,
                          defects=defects | {"c_symmetry": c_symmetry})
 
@@ -102,21 +99,18 @@ def geometry_from_jet(lift: Jet2, space: AmbientSpace) -> PointGeometry:
     with the stated lift constraints (and it measures those rather than
     assuming them).  Degenerate points are rejected by the split's gates.
     """
-    split = amb.second_form_split(lift, space)
-    g = split.metric
-    g11, g12, g22 = g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]
-    det = g11 * g22 - g12 * g12
+    return split_geometry(lift, space)[1]
 
-    # Gram-Schmidt in chart order fixes the frame orientation
-    p = 1.0 / np.sqrt(g11)
-    r = np.sqrt(g11 / det)
-    q = -g12 / np.sqrt(g11 * det)
-    e1 = p[..., None] * lift.d1
-    e2 = q[..., None] * lift.d1 + r[..., None] * lift.d2
+
+def split_geometry(lift: Jet2, space: AmbientSpace):
+    """(frame split, geometry_from_jet's invariants) of a jet, for a caller
+    that keeps the split to certify it with split_defects."""
+    split = amb.second_form_split(lift, space)
+    p, q, r = _gram_schmidt(split.metric)
 
     # sigma(d_u, d_v) on (J d1, J d2) to (J e1, J e2) coordinates, by
     # J d1 = J e1 / p and J d2 = (J e2 - (q / p) J e1) / r
-    n = split.normal
+    n = split.coeff.imag  # on (J d1, J d2): the second fundamental form
     q_r = q / r
     u11, u12, u22 = (((n[..., i, 0] - q_r * n[..., i, 1]) / p,
                       n[..., i, 1] / r) for i in range(3))
@@ -128,13 +122,25 @@ def geometry_from_jet(lift: Jet2, space: AmbientSpace) -> PointGeometry:
         C[1, 1, k] = q * q * u11[k] + 2.0 * q * r * u12[k] + r * r * u22[k]
     C[1, 0] = C[0, 1]
 
-    defects = {
+    return split, _assemble(space, split.metric, component_major(C, 3), {
         "membership": amb.membership_defect(lift, space),
         "horizontality": amb.horizontality_defect(lift, space),
-        "lagrangian": amb.lagrangian_defect(lift, space),
-        **split.defects,
-    }
-    return _assemble(space, g, e1, e2, component_major(C, 3), defects)
+        "lagrangian": amb.lagrangian_defect(lift, space)})
+
+
+def _gram_schmidt(g):
+    # e1 = p d1, e2 = q d1 + r d2: Gram-Schmidt in chart order, oriented
+    g11, g12, g22 = g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]
+    det = g11 * g22 - g12 * g12
+    return 1.0 / np.sqrt(g11), -g12 / np.sqrt(g11 * det), np.sqrt(g11 / det)
+
+
+def tangent_frame(lift: Jet2, g) -> tuple[np.ndarray, np.ndarray]:
+    """The orthonormal frame (e1, e2) on which C is written, as ambient
+    vectors, from the lift jet and its metric g."""
+    p, q, r = _gram_schmidt(g)
+    return (p[..., None] * lift.d1,
+            q[..., None] * lift.d1 + r[..., None] * lift.d2)
 
 
 def point_geometry(spec: SurfaceSpec, a1, a2) -> PointGeometry:
@@ -270,11 +276,10 @@ class CurvatureEllipse:
 
     def normals(self, rows: slice) -> np.ndarray:
         """sigma(v, v) at the angles ``theta[rows]``, angle axis first."""
-        theta = self.theta[rows]
-        # scalar cos and sin per angle, as in a loop over them
-        shape = (theta.size,) + (1,) * self.center.ndim
-        cos2, sin2 = (np.array([f(2.0 * t) for t in theta]).reshape(shape)
-                      for f in (np.cos, np.sin))
+        # one call each over the angles: bitwise the per-angle calls
+        two_theta = (2.0 * self.theta[rows]).reshape(
+            (-1,) + (1,) * self.center.ndim)
+        cos2, sin2 = np.cos(two_theta), np.sin(two_theta)
         return self.center + cos2 * self.half_diff + sin2 * self.cross
 
 

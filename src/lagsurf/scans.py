@@ -31,18 +31,17 @@ _CHUNK = 4096
 _K_TIE = 2.0 ** -32
 
 
-def grid_geometry(spec: SurfaceSpec, axis1, axis2):
-    """(flat slice, point_geometry) over tiles of whole rows of the grid
-    axis1 x axis2, at most _CHUNK points each (a longer row goes in
-    pieces), each evaluated on its axes (rows, 1) x (1, cols)."""
+def grid_tiles(axis1, axis2):
+    """(flat slice, a1, a2) over tiles of whole rows of the grid axis1 x
+    axis2, at most _CHUNK points each (a longer row goes in pieces), each
+    given as its axes (rows, 1) x (1, cols) to evaluate it on."""
     n2 = np.size(axis2)
     step = max(1, _CHUNK // n2)
     for i in range(0, np.size(axis1), step):
         for j in range(0, n2, _CHUNK):
             a1, a2 = axis1[i:i + step, None], axis2[None, j:j + _CHUNK]
             start = i * n2 + j
-            yield (slice(start, start + a1.size * a2.size),
-                   point_geometry(spec, a1, a2))
+            yield slice(start, start + a1.size * a2.size), a1, a2
 
 
 def _first_tied(k, h, c: float, i: int) -> int:
@@ -104,7 +103,8 @@ def curvature_scan(spec: SurfaceSpec, grid=(64, 64),
     # K and |H| per point for the tie search; the rest reduce per tile
     k, h = np.empty((2, n1 * n2))
     r_min, r_max, d_max, d_max_scaled = math.inf, -math.inf, 0.0, 0.0
-    for s, pg in grid_geometry(spec, axis1, axis2):
+    for s, a1, a2 in grid_tiles(axis1, axis2):
+        pg = point_geometry(spec, a1, a2)
         k[s], h[s] = pg.K.ravel(), np.sqrt(np.clip(pg.H2, 0.0, None)).ravel()
         r_min, r_max = min(r_min, np.min(pg.R)), max(r_max, np.max(pg.R))
         d_max = max(d_max, np.max(np.abs(pg.D)))
@@ -168,7 +168,8 @@ def willmore(spec: SurfaceSpec, orders=(128, 256)) -> WillmoreReport:
     rule = rules[family.quadrature](*orders)
 
     area_element, h2 = np.empty((2, rule.weights.size))
-    for s, pg in grid_geometry(spec, rule.nodes1, rule.nodes2):
+    for s, a1, a2 in grid_tiles(rule.nodes1, rule.nodes2):
+        pg = point_geometry(spec, a1, a2)
         det = pg.g[..., 0, 0] * pg.g[..., 1, 1] - pg.g[..., 0, 1] ** 2
         area_element[s], h2[s] = np.sqrt(det).ravel(), pg.H2.ravel()
     area = float(np.sum(rule.weights * area_element))

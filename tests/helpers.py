@@ -3,10 +3,14 @@ tests need, kept out of src/."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from lagsurf import geom
-from lagsurf.geom import PointGeometry
+from lagsurf.ambient import split_defects
+from lagsurf.catalog import lift_at
+from lagsurf.geom import PointGeometry, split_geometry, tangent_frame
 from lagsurf.numerics import Jet2
 
 
@@ -58,13 +62,37 @@ def rotate_frame(pg: PointGeometry, alpha: float) -> PointGeometry:
     """
     c, s = np.cos(alpha), np.sin(alpha)
     rot = np.array([[c, s], [-s, c]])  # e'_i = rot[i, a] e_a
-    e1 = c * pg.e1 + s * pg.e2
-    e2 = -s * pg.e1 + c * pg.e2
     # every slot of C, the normal one too, is on the frame: J e'_k is
     # rot[k, c] J e_c
     C = np.einsum("ia,jb,kc,...abc->...ijk", rot, rot, rot, pg.C)
     # _assemble measures c_symmetry again, on the rotated C
-    return geom._assemble(pg.space, pg.g, e1, e2, C, pg.defects)
+    return geom._assemble(pg.space, pg.g, C, pg.defects)
+
+
+def certifiable(spec, a1, a2):
+    """(lift, split, pg) at the chart points (a1, a2): the lift jet, its
+    frame split and its geometry, as verify and probe keep them to certify
+    the split."""
+    lift = lift_at(spec, a1, a2)
+    return (lift, *split_geometry(lift, spec.ambient))
+
+
+def every_array(spec, a1, a2) -> dict[str, np.ndarray]:
+    """Every array a report can read at the chart points (a1, a2), by name:
+    the fields of the lift jet, of its geometry and of the frame split,
+    each defect (the split's certification too), and the tangent frame."""
+    lift, split, pg = certifiable(spec, a1, a2)
+    arrays = {}
+    for prefix, record in (("", pg), ("lift.", lift), ("split.", split)):
+        for field in dataclasses.fields(record):
+            value = getattr(record, field.name)
+            if isinstance(value, (np.ndarray, np.generic)):
+                arrays[prefix + field.name] = value
+    defects = pg.defects | split_defects(lift, pg.space, split)
+    arrays |= {f"defects.{name}": np.broadcast_to(values, np.shape(pg.K))
+               for name, values in defects.items()}
+    arrays["e1"], arrays["e2"] = tangent_frame(lift, pg.g)
+    return arrays
 
 
 def flat_grid(axis1, axis2):

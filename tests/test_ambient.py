@@ -12,10 +12,11 @@ from gram_reference import (frame_condition, gram, normal_vectors,
 from helpers import ambient_dim, flat_grid
 from lagsurf.ambient import (C2, CH2, CP2, _norm, gram_condition,
                              horizontality_defect, lagrangian_defect,
-                             membership_defect, second_form_split)
+                             membership_defect, second_form_split,
+                             split_defects)
 from lagsurf.atlas import build_grid
 from lagsurf.catalog import SurfaceSpec, lift_at
-from lagsurf.geom import geometry_from_jet
+from lagsurf.geom import geometry_from_jet, tangent_frame
 from lagsurf.cli import TOLERANCES
 from lagsurf.numerics import (GRAM_COND_LIMIT, DegeneratePointError, Jet2,
                               herm_pair, real_pair)
@@ -103,15 +104,18 @@ def test_membership_detects_off_quadric_point():
 def test_second_form_split_reconstructs(spec):
     lift = _grid_lift(spec)
     split = second_form_split(lift, spec.ambient)
-    assert np.max(split.defects["split_residual"]) < 1e-10
-    assert np.max(split.defects["fiber_coeff"]) < 1e-10
-    assert np.max(split.defects["position_coeff"]) < 1e-10
+    defects = split_defects(lift, spec.ambient, split)
+    assert np.max(defects["split_residual"]) < 1e-10
+    assert np.max(defects["fiber_coeff"]) < 1e-10
+    assert np.max(defects["position_coeff"]) < 1e-10
     assert split.metric.shape == lift.v.shape[:-1] + (2, 2)
-    assert split.normal.shape == lift.v.shape[:-1] + (3, 2)
-    assert split.normal.dtype == float
+    # one coefficient per basis vector: (d1, d2), and psi when lifted
+    assert split.coeff.shape == lift.v.shape[:-1] + (3, 2 + (
+        1 if spec.ambient.is_lifted else 0))
+    assert split.coeff.dtype == complex
     if not spec.ambient.is_lifted:
-        assert split.defects["position_coeff"] == 0.0
-        assert split.defects["fiber_coeff"] == 0.0
+        assert defects["position_coeff"] == 0.0
+        assert defects["fiber_coeff"] == 0.0
 
 
 def test_position_coefficient_sign():
@@ -124,14 +128,16 @@ def test_position_coefficient_sign():
     g11 = real_pair(lift.d1, lift.d1, CP2.sig)
     assert float(position[..., 0]) == pytest.approx(-float(g11), abs=1e-12)
     split = second_form_split(lift, spec.ambient)
-    assert np.max(split.defects["position_coeff"]) < 1e-12
+    assert np.max(split_defects(lift, spec.ambient,
+                                split)["position_coeff"]) < 1e-12
 
 
 def test_normal_part_is_normal():
     # the coefficients on (J d1, J d2) make vectors normal to d1 and d2
     spec = SurfaceSpec("whitney-cp2", t=0.4)
     lift = _grid_lift(spec, n=5)
-    normal = normal_vectors(lift, second_form_split(lift, spec.ambient).normal)
+    coeff = second_form_split(lift, spec.ambient).coeff
+    normal = normal_vectors(lift, coeff[..., :2].imag)
     sig = spec.ambient.sig
     for p in range(3):
         for du in (lift.d1, lift.d2):
@@ -194,9 +200,11 @@ def _lift_part_defects(position, fiber, lift, space):
 def test_split_matches_general_gram_solve(spec):
     lift = _grid_lift(spec, n=181)
     split = second_form_split(lift, spec.ambient)
+    defects = split_defects(lift, spec.ambient, split)
     _, normal, position, fiber = reference_split(lift, spec.ambient)
     metric = gram([lift.d1, lift.d2], spec.ambient.sig)[0]
-    for got, want in ((split.normal, normal), (split.metric, metric)):
+    for got, want in ((split.coeff[..., :2].imag, normal),
+                      (split.metric, metric)):
         assert got.shape == want.shape
         gap = np.max(np.abs(got - want)) / (1.0 + np.max(np.abs(want)))
         assert gap <= 1e-11
@@ -204,11 +212,11 @@ def test_split_matches_general_gram_solve(spec):
         # both routes measure the lift parts against -g / nu and 0
         want = _lift_part_defects(position, fiber, lift, spec.ambient)
         for name, ref in zip(("position_coeff", "fiber_coeff"), want):
-            assert abs(np.max(split.defects[name]) - ref) <= 1e-11
+            assert abs(np.max(defects[name]) - ref) <= 1e-11
     else:
         assert position is None and fiber is None
-        assert split.defects["position_coeff"] == 0.0
-        assert split.defects["fiber_coeff"] == 0.0
+        assert defects["position_coeff"] == 0.0
+        assert defects["fiber_coeff"] == 0.0
 
 
 @pytest.mark.parametrize("spec", [SurfaceSpec("whitney-ch2", t=0.5),
@@ -218,24 +226,27 @@ def test_split_of_one_point_is_its_row_of_a_batch(spec):
     # a 2-d batch and each of its points alone: every array field and every
     # defect of the single split is, bitwise, that point's row of the
     # batched one (a flat target's lift-part defects are 0.0 throughout)
+    space = spec.ambient
     a1, a2 = np.meshgrid(np.linspace(0.4, 2.7, 3), np.linspace(0.1, 5.9, 4),
                          indexing="ij")
     lift = lift_at(spec, a1, a2)
-    batch = second_form_split(lift, spec.ambient)
+    batch = second_form_split(lift, space)
+    batch_defects = split_defects(lift, space, batch)
     arrays = [f.name for f in dataclasses.fields(batch)
               if isinstance(getattr(batch, f.name), np.ndarray)]
-    assert arrays == ["metric", "normal"]
+    assert arrays == ["metric", "coeff"]
     for index in np.ndindex(a1.shape):
         point = Jet2(*(f[index] for f in lift._fields()))
-        single = second_form_split(point, spec.ambient)
+        single = second_form_split(point, space)
+        single_defects = split_defects(point, space, single)
         for name in arrays:
             got, row = getattr(single, name), getattr(batch, name)[index]
             assert got.shape == row.shape, name
             assert np.array_equal(got, row), name
-        assert single.defects.keys() == batch.defects.keys()
-        for name, values in batch.defects.items():
+        assert single_defects.keys() == batch_defects.keys()
+        for name, values in batch_defects.items():
             row = np.broadcast_to(values, a1.shape)[index]
-            assert np.array_equal(single.defects[name], row), name
+            assert np.array_equal(single_defects[name], row), name
 
 
 def _closed_form_condition(lift, space):
@@ -300,7 +311,7 @@ def test_residual_reports_neglected_lagrangian_coupling():
              + normal_vectors(lift, normal))
     assert np.max(np.abs(second - recon)) < 1e-12
     split = second_form_split(lift, C2)
-    residual = np.max(split.defects["split_residual"])
+    residual = np.max(split_defects(lift, C2, split)["split_residual"])
     assert residual > TOLERANCES["split_residual"]
 
 
@@ -330,17 +341,18 @@ def test_ambient_components_are_contiguous(spec, shape):
     lift = lift_at(spec, a1, a2)
     split = second_form_split(lift, spec.ambient)
     pg = geometry_from_jet(lift, spec.ambient)
+    e1, _ = tangent_frame(lift, pg.g)
     m = ambient_dim(spec.ambient)
     assert stacked.d1.shape == shape + (3,)
-    assert (lift.d1.shape, split.normal.shape, pg.e1.shape) == (
-        shape + (m,), shape + (3, 2), shape + (m,))
+    assert (lift.d1.shape, split.coeff.shape, e1.shape) == (
+        shape + (m,), shape + (3, m), shape + (m,))
     for k in range(3):
         assert stacked.d1[..., k].flags.c_contiguous
     for p in range(3):
-        for k in range(2):
-            assert split.normal[..., p, k].flags.c_contiguous
+        for k in range(split.coeff.shape[-1]):
+            assert split.coeff[..., p, k].flags.c_contiguous
     for k in range(m):
-        assert pg.e1[..., k].flags.c_contiguous
+        assert e1[..., k].flags.c_contiguous
 
 
 def _row_major(lift):
@@ -350,7 +362,7 @@ def _row_major(lift):
 @pytest.mark.parametrize("spec", GOLDEN_SPECS, ids=lambda s: s.label())
 def test_storage_order_leaves_every_bit(spec):
     # one lift jet stored row-major and component-major: the pairings, the
-    # split and the invariants agree bitwise, defects included
+    # split and the invariants agree bitwise, defects and frame included
     a1, a2 = _batch_points(spec, (5, 7))
     lift = lift_at(spec, a1, a2)
     rows = _row_major(lift)
@@ -358,21 +370,36 @@ def test_storage_order_leaves_every_bit(spec):
     sig = spec.ambient.sig
     assert np.array_equal(herm_pair(lift.d1, lift.d11, sig),
                           herm_pair(rows.d1, rows.d11, sig))
-    for got, want in ((second_form_split(rows, spec.ambient),
-                       second_form_split(lift, spec.ambient)),
-                      (geometry_from_jet(rows, spec.ambient),
-                       geometry_from_jet(lift, spec.ambient))):
+    space = spec.ambient
+    got, want = (second_form_split(jet, space) for jet in (rows, lift))
+    _assert_same_bits(got, want)
+    _assert_same_bits(split_defects(rows, space, got),
+                      split_defects(lift, space, want))
+    got, want = (geometry_from_jet(jet, space) for jet in (rows, lift))
+    _assert_same_bits(got, want)
+    _assert_same_bits(tangent_frame(rows, got.g), tangent_frame(lift, want.g))
+
+
+def _assert_same_bits(got, want, path=""):
+    """Equal bits through dataclass fields, dicts and tuples."""
+    if dataclasses.is_dataclass(want):
         for field in dataclasses.fields(want):
-            g, w = getattr(got, field.name), getattr(want, field.name)
-            if isinstance(w, np.ndarray):
-                assert g.shape == w.shape and g.dtype == w.dtype, field.name
-                assert np.array_equal(g, w), field.name
-            elif isinstance(w, dict):
-                assert g.keys() == w.keys(), field.name
-                for name in w:
-                    assert np.array_equal(g[name], w[name]), name
-            else:
-                assert g == w, field.name
+            _assert_same_bits(getattr(got, field.name),
+                              getattr(want, field.name),
+                              f"{path}.{field.name}")
+    elif isinstance(want, dict):
+        assert got.keys() == want.keys(), path
+        for key in want:
+            _assert_same_bits(got[key], want[key], f"{path}[{key}]")
+    elif isinstance(want, tuple):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_same_bits(g, w, f"{path}[{i}]")
+    elif isinstance(want, np.ndarray):
+        assert got.shape == want.shape and got.dtype == want.dtype, path
+        assert np.array_equal(got, want), path
+    else:
+        assert got == want, path
 
 
 @pytest.mark.parametrize("m", [2, 3])

@@ -18,14 +18,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from helpers import certifiable
 from lagsurf import numerics, scans
+from lagsurf.ambient import split_defects
 from lagsurf.atlas import build_grid
 from lagsurf.catalog import FAMILIES, KINDS, SurfaceSpec
 from lagsurf.cli import (_DETAILS, TOLERANCES, ConfigError, _identity_checks,
                          _identity_values, _parse_number, build_parser, main,
                          parse_surface_token, read_config_file,
                          resolve_config)
-from lagsurf.geom import MIN_ANGLES, point_geometry
+from lagsurf.geom import MIN_ANGLES
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -402,8 +404,8 @@ def test_chunked_verify_matches_one_whole_grid_batch(surface, capsys):
     cfg = resolve_config(build_parser().parse_args(argv))
     spec = cfg.spec
     axis1, axis2 = build_grid(spec.chart, *cfg.grid)
-    whole = point_geometry(spec, axis1[:, None], axis2[None, :])
-    want = _identity_checks(spec, whole, cfg)
+    lift, split, whole = certifiable(spec, axis1[:, None], axis2[None, :])
+    want = _identity_checks(spec, lift, split, whole, cfg)
     # every identity check comes first, in order, bitwise equal
     assert report["checks"][:len(want)] == want
     assert report["K_range"] == [float(np.min(whole.K)),
@@ -418,14 +420,16 @@ def test_chunked_verify_matches_one_whole_grid_batch(surface, capsys):
                                               r1=1.0, r2=2.0)],
                          ids=lambda s: s.label())
 def test_every_check_is_named_by_its_tolerance(spec):
-    # one name per check: its key in pg.defects, its report row and its
-    # TOLERANCES entry; the detail table fixes the report order
+    # one name per check: its key in pg.defects or the split's
+    # certification, its report row and its TOLERANCES entry; the detail
+    # table fixes the report order, the pointwise defects first
     assert set(_DETAILS) <= set(TOLERANCES)
-    pg = point_geometry(spec, 0.4, 1.1)
-    assert set(pg.defects) <= set(TOLERANCES)
-    values = _identity_values(spec, pg, MIN_ANGLES)
+    lift, split, pg = certifiable(spec, 0.4, 1.1)
+    defects = pg.defects | split_defects(lift, pg.space, split)
+    assert set(defects) <= set(TOLERANCES)
+    values = _identity_values(spec, lift, split, pg, MIN_ANGLES)
     assert list(values) == [name for name in _DETAILS if name in values]
-    assert list(values)[:len(pg.defects)] == list(pg.defects)
+    assert set(list(values)[:len(defects)]) == set(defects)
 
 
 def test_verify_memory_is_flat_in_grid_size(tmp_path):
@@ -442,7 +446,7 @@ def test_verify_memory_is_flat_in_grid_size(tmp_path):
             tracemalloc.stop()
 
     # a tile's geometry is a constant and the grid is two axes, so nothing
-    # is kept per point; measured 5 B, from the tile held while the next is
+    # is kept per point; measured 0.4 B, the tile held while the next is
     # built (44 B with flat grid coordinates, about 1.2 KB in one
     # whole-grid batch)
     per_point = (peak(256) - peak(64)) / (256 ** 2 - 64 ** 2)

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from gram_reference import REFERENCE_GAP, reference_gaps
-from helpers import flat_grid, rotate_frame
+from helpers import certifiable, every_array, flat_grid, rotate_frame
 from lagsurf import geom
 from lagsurf.atlas import build_grid, random_points
 from lagsurf.catalog import SurfaceSpec, lift_at
@@ -20,7 +19,7 @@ from lagsurf.geom import (circularity_route_gap, density_moduli_gap,
                           product_identity_check, radius, radius_route_gap,
                           scaled_circularity)
 from lagsurf.numerics import TOLERANCES, real_pair
-from lagsurf.scans import grid_geometry
+from lagsurf.scans import grid_tiles
 
 CIRCULAR_SPECS = [
     SurfaceSpec("whitney-c2"),
@@ -299,17 +298,12 @@ def test_one_point_is_its_row_of_a_batch(spec):
     # probe at a point and scan over a grid agree bitwise there; psi-ch2's
     # lift multiplies complex jets, which on numpy scalars round otherwise
     a1, a2 = np.array([0.4, 1.1, 2.0]), np.array([0.3, 1.7, 4.0])
-    batch = point_geometry(spec, a1, a2)
+    batch = every_array(spec, a1, a2)
     for i in range(a1.size):
-        single = point_geometry(spec, a1[i], a2[i])
-        for field in dataclasses.fields(single):
-            got = getattr(single, field.name)
-            if isinstance(got, np.ndarray):
-                row = getattr(batch, field.name)[i]
-                assert np.array_equal(got, row), field.name
-        for name, values in batch.defects.items():
-            row = np.broadcast_to(values, a1.shape)[i]
-            assert np.array_equal(single.defects[name], row), name
+        single = every_array(spec, a1[i], a2[i])
+        assert single.keys() == batch.keys()
+        for name, got in single.items():
+            assert np.array_equal(got, batch[name][i]), name
 
 
 @pytest.mark.parametrize("spec", EVERY_KIND, ids=lambda s: s.label())
@@ -318,21 +312,14 @@ def test_grid_on_its_axes_is_the_grid_on_flat_points(spec):
     # parameter once per row or column, yet every array and defect has the
     # bits of the same points passed flat
     axis1, axis2 = build_grid(spec.chart, 9, 131)
-    tiled = point_geometry(spec, axis1[:, None], axis2[None, :])
-    flat = point_geometry(spec, *flat_grid(axis1, axis2))
-    assert tiled.K.shape == (9, 131)
-    for field in dataclasses.fields(flat):
-        got, want = getattr(tiled, field.name), getattr(flat, field.name)
-        if isinstance(want, np.ndarray):
-            assert got.shape == (9, 131) + want.shape[1:], field.name
-            assert np.array_equal(got.reshape(want.shape), want), field.name
-        elif isinstance(want, dict):
-            assert got.keys() == want.keys(), field.name
-            for name in want:
-                got_flat = np.reshape(got[name], np.shape(want[name]))
-                assert np.array_equal(got_flat, want[name]), name
-        else:
-            assert got == want, field.name
+    tiled = every_array(spec, axis1[:, None], axis2[None, :])
+    flat = every_array(spec, *flat_grid(axis1, axis2))
+    assert tiled["K"].shape == (9, 131)
+    assert tiled.keys() == flat.keys()
+    for name, want in flat.items():
+        got = tiled[name]
+        assert got.shape == (9, 131) + want.shape[1:], name
+        assert np.array_equal(got.reshape(want.shape), want), name
 
 
 @pytest.mark.parametrize("spec", [SurfaceSpec("whitney-cp2", t=0.5),
@@ -345,12 +332,14 @@ def test_every_check_of_a_batch_is_its_tiles_concatenated(spec):
     # `*` with its operands swapped, so tiled and whole products differ
     # in the last bit unless the checks pair with np.multiply.  Every
     # pointwise check, whichever branch of the report it is on, is bitwise
-    # the same on the whole batch as on the grid_geometry tiles joined.
+    # the same on the whole batch as on the grid_tiles tiles joined.
     a1, a2 = build_grid(spec.chart, 150, 131)
-    whole = point_geometry(spec, *flat_grid(a1, a2))
-    want = _identity_values(spec, whole, 64)
-    tiles = [(pg.K.shape, _identity_values(spec, pg, 64))
-             for _, pg in grid_geometry(spec, a1, a2)]
+    geometry = certifiable(spec, *flat_grid(a1, a2))
+    whole = geometry[2]
+    want = _identity_values(spec, *geometry, 64)
+    tiles = [(tile[2].K.shape, _identity_values(spec, *tile, 64))
+             for tile in (certifiable(spec, t1, t2)
+                          for _, t1, t2 in grid_tiles(a1, a2))]
     assert len(tiles) > 1
     for name, values in want.items():
         whole_values = np.broadcast_to(values, whole.K.shape)

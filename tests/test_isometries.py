@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from lagsurf.ambient import second_form_split, split_defects
 from lagsurf.atlas import random_points
 from lagsurf.catalog import SurfaceSpec, lift_at
 from lagsurf.geom import geometry_from_jet
@@ -76,6 +77,9 @@ def test_isometries_keep_invariants_and_defects(seed, spec):
         want = getattr(fixed, name)
         drift = np.abs(getattr(pg, name) - want) / (1.0 + np.abs(want))
         assert np.max(drift) <= DRIFT, name
-    assert set(pg.defects) == set(fixed.defects)
-    for name, values in pg.defects.items():
+    defects = pg.defects | split_defects(
+        moved, space, second_form_split(moved, space))
+    assert set(defects) == set(fixed.defects) | {
+        "split_residual", "position_coeff", "fiber_coeff"}
+    for name, values in defects.items():
         assert np.max(values) <= TOLERANCES[name], name

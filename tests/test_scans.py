@@ -140,20 +140,14 @@ def test_chunked_willmore_equals_whole_grid_batch(spec, orders):
 
 
 @pytest.mark.parametrize("grid", [(150, 131), (3, 5000)], ids=str)
-def test_grid_tiles_cover_every_flat_index_once_in_order(grid, monkeypatch):
+def test_grid_tiles_cover_every_flat_index_once_in_order(grid):
     # 150 x 131: 31 whole rows per tile, the last tile ragged; 3 x 5000:
     # each row longer than a tile, so it goes in two pieces
     axes = build_grid(SurfaceSpec("whitney-c2").chart, *grid)
     want1, want2 = flat_grid(*axes)
-    tiles = []
-
-    def record(spec, a1, a2):
-        tiles.append(np.broadcast_arrays(a1, a2))
-        return None
-
-    monkeypatch.setattr(scans, "point_geometry", record)
     stop = 0
-    for (flat, _), (a1, a2) in zip(scans.grid_geometry(None, *axes), tiles):
+    for flat, a1, a2 in scans.grid_tiles(*axes):
+        a1, a2 = np.broadcast_arrays(a1, a2)
         assert flat.start == stop and 0 < flat.stop - flat.start <= _CHUNK
         assert a1.ndim == 2 and a1.size == flat.stop - flat.start
         assert np.array_equal(a1.ravel(), want1[flat])
@@ -179,12 +173,12 @@ def _bytes_per_point(run):
 
 # 64 x 64 is one tile, so the slope from it also counts, spread over the
 # extra points, the geometry of the tile before held while the next one is
-# built (about 1.1 MB, or 18 B per point here)
+# built (about 0.8 MB, or 14 B per point here)
 
 
 def test_scan_memory_is_flat_in_grid_size():
     # per point only K and |H| remain for the tie search, 16 B; measured
-    # 34 B (88 B with flat grid coordinates and five per-point arrays,
+    # 30 B (88 B with flat grid coordinates and five per-point arrays,
     # about 1.45 KB unchunked)
     spec = SurfaceSpec("whitney-cp2", t=0.5)
     assert _bytes_per_point(lambda n: curvature_scan(spec, grid=(n, n))) < 40

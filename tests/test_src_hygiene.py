@@ -312,10 +312,10 @@ FLOOR = (3, 10)
 
 
 def too_new_syntax() -> list[str]:
-    """path: message for each .py file under src/, tests/, demos/ or bench/
-    that does not parse at the FLOOR grammar."""
+    """path: message for each .py file under src/, tests/, demos/, bench/
+    or tools/ that does not parse at the FLOOR grammar."""
     bad = []
-    for top in ("src", "tests", "demos", "bench"):
+    for top in ("src", "tests", "demos", "bench", "tools"):
         for path in sorted((ROOT / top).rglob("*.py")):
             try:
                 ast.parse(path.read_text(encoding="utf-8"), str(path),
