@@ -23,7 +23,7 @@ for spec, point in ((SurfaceSpec("clifford-torus"), (0.4, 1.1)),
     print(f"== {spec.label()} at {point}")
     print(f"{'theta':>8} {'n1':>10} {'n2':>10}")
     for theta, (n1, n2) in zip(ellipse.theta.tolist(),
-                               ellipse.normals(slice(None)).tolist()):
+                               ellipse.normals().tolist()):
         print(f"{theta:>8.4f} {n1:>10.6f} {n2:>10.6f}")
     c1, c2 = ellipse.center.tolist()
     print(f"center: ({c1:.6f}, {c2:.6f})   "

@@ -42,7 +42,8 @@ class Family:
     integral runs on (None: no integral).  ``k_range`` and ``willmore``
     give the closed-form Gauss curvature range and (energy, tolerance
     name) where the paper has one.  ``circular`` is False for the one
-    family whose ellipse must never be a circle.
+    family whose ellipse must never be a circle, ``pinched`` True for the
+    one radius pinching singles out; ``alias`` is a command-line name.
     """
 
     ambient: AmbientSpace
@@ -59,6 +60,8 @@ class Family:
     k_range: Callable[[SurfaceSpec], tuple[float, float]] | None = None
     willmore: Callable[[SurfaceSpec], tuple[float, str]] | None = None
     circular: bool = True
+    pinched: bool = False
+    alias: str = ""
 
 
 @dataclass(frozen=True)
@@ -242,14 +245,15 @@ FAMILIES: dict[str, Family] = {
     "clifford-torus": Family(
         CP2, TorusChart(), _clifford_torus, 2,
         "minimal flat torus; ellipse radius 1/sqrt(2) everywhere",
-        chi=0, k_range=lambda spec: (0.0, 0.0)),
+        chi=0, k_range=lambda spec: (0.0, 0.0), pinched=True),
     "product-torus-c2": Family(
         C2, TorusChart(), _product_torus_c2, 2,
         "circle product; the ellipse degenerates to a segment",
         params=("r1", "r2"), domain=lambda spec: min(spec.r1, spec.r2) > 0.0,
         domain_error="product-torus-c2 needs positive radii r1, r2",
         chi=0, quadrature="torus", k_range=lambda spec: (0.0, 0.0),
-        willmore=_product_torus_energy, circular=False),
+        willmore=_product_torus_energy, circular=False,
+        alias="product-torus"),
 }
 
 KINDS = tuple(FAMILIES)

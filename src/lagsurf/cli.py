@@ -55,8 +55,7 @@ def parse_surface_token(token: str) -> tuple[str, dict[str, float]]:
         if "" in values and values != [""]:  # a bare kind() is allowed
             raise ConfigError(f"empty parameter slot in surface {token!r}")
         token, values = kind.strip(), [text for text in values if text]
-    if token == "product-torus":
-        token = "product-torus-c2"
+    token = next((k for k, f in FAMILIES.items() if token == f.alias), token)
     if token not in FAMILIES:
         raise ConfigError(
             f"unknown surface {token!r}; choose one of {', '.join(KINDS)}")
@@ -467,8 +466,7 @@ def cmd_ellipse(cfg: RunConfig) -> int:
     ellipse = ellipse_samples(pg, cfg.angles)
     # (theta, normal1, normal2) per row of a template holding the constants;
     # the geometry's non-finite gate keeps NaN and Infinity out
-    samples = zip(ellipse.theta.tolist(),
-                  *ellipse.normals(slice(None)).T.tolist())
+    samples = zip(ellipse.theta.tolist(), *ellipse.normals().T.tolist())
     center = ellipse.center.tolist()
     fit = float(ellipse.fit_residual)
     if cfg.format == "csv":

@@ -10,7 +10,8 @@ each has its own defect number.  Gates read their limits from TOLERANCES.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,8 +20,7 @@ from .ambient import AmbientSpace
 from .catalog import SurfaceSpec, lift_at
 from .numerics import TOLERANCES, Jet2, component_major, real_pair
 
-# angles x points per broadcast of the ellipse fit residual: a group's
-# temporaries stay a few MB, and one point takes all angles at once
+# angles x points per group of the ellipse fit residual: 512 KB a temporary
 _ELLIPSE_BLOCK = 1 << 16
 # fewest angles that sample the ellipse, which is traced twice per turn
 MIN_ANGLES = 8
@@ -274,43 +274,41 @@ class CurvatureEllipse:
     cross: np.ndarray
     fit_residual: np.ndarray
 
-    def normals(self, rows: slice) -> np.ndarray:
-        """sigma(v, v) at the angles ``theta[rows]``, angle axis first."""
+    def normals(self) -> np.ndarray:
+        """sigma(v, v) at every angle of ``theta``, angle axis first."""
         # one call each over the angles: bitwise the per-angle calls
-        two_theta = (2.0 * self.theta[rows]).reshape(
-            (-1,) + (1,) * self.center.ndim)
+        two_theta = (2.0 * self.theta).reshape((-1,) + (1,) * self.center.ndim)
         cos2, sin2 = np.cos(two_theta), np.sin(two_theta)
         return self.center + cos2 * self.half_diff + sin2 * self.cross
 
 
+def _fit_group(c, s, uu, uw, ww, R):
+    # |sigma(v,v) - H|^2 = c^2 |u|^2 + 2cs <u,w> + s^2 |w|^2 on a group of
+    # angles; it rounds below 0 where the ellipse is a segment (u || w)
+    dist = (c * c) * uu + (2.0 * c * s) * uw + (s * s) * ww
+    np.sqrt(np.maximum(dist, 0.0, out=dist), out=dist)
+    return np.max(np.abs(dist - R), axis=0)
+
+
 def ellipse_samples(pg: PointGeometry, n_angles: int) -> CurvatureEllipse:
     """The ellipse of curvature at n_angles uniform angles, with its circle
-    fit residual.  The residual runs over groups of angles, so its memory
-    does not grow with n_angles x N; the normals are formed only when
-    ``normals`` is called.
-    """
+    fit residual from |u|^2, <u, w> and |w|^2 (u = half_diff, w = cross):
+    no normals, and a group of angles at a time, so memory is flat in them."""
     if n_angles < MIN_ANGLES:
         raise ValueError(f"need n_angles >= {MIN_ANGLES} to see the ellipse")
     # the (J e1, J e2) coordinates of sigma_ij are the cubic tensor C_ij
     c11, c12, c22 = pg.C[..., 0, 0, :], pg.C[..., 0, 1, :], pg.C[..., 1, 1, :]
-    ellipse = CurvatureEllipse(
-        theta=np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False),
-        center=0.5 * (c11 + c22), half_diff=0.5 * (c11 - c22), cross=c12,
-        fit_residual=np.nan)
-    center = ellipse.center
-
-    def group_residual(rows):
-        group = ellipse.normals(rows)
-        # by coordinate: a full-shape temporary is the group times the batch
-        dist = (group[..., 0] - center[..., 0]) ** 2
-        dist += (group[..., 1] - center[..., 1]) ** 2
-        return np.max(np.abs(np.sqrt(dist) - pg.R), axis=0)
-
+    u, w = 0.5 * (c11 - c22), c12
+    theta = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
+    two_theta = (2.0 * theta).reshape((-1,) + (1,) * np.ndim(pg.R))
+    cos2, sin2 = np.cos(two_theta), np.sin(two_theta)
+    coeffs = _dot(u, u), _dot(u, w), _dot(w, w)
     step = max(1, _ELLIPSE_BLOCK // max(1, np.size(pg.R)))
-    worst = group_residual(slice(0, step))
-    for start in range(step, n_angles, step):
-        worst = np.maximum(worst, group_residual(slice(start, start + step)))
-    return replace(ellipse, fit_residual=worst)
+    groups = (_fit_group(cos2[i:i + step], sin2[i:i + step], *coeffs, pg.R)
+              for i in range(0, n_angles, step))
+    return CurvatureEllipse(theta=theta, center=0.5 * (c11 + c22),
+                            half_diff=u, cross=w,
+                            fit_residual=functools.reduce(np.maximum, groups))
 
 
 def gauss_curvature_intrinsic(spec: SurfaceSpec, a1, a2) -> np.ndarray:

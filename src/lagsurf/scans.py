@@ -197,7 +197,7 @@ def pinching_report(scan: ScanReport) -> str:
     minimal flat torus is the only member expected to pass.
     """
     holds = pinching_hypothesis(scan)
-    expected = scan.spec.kind == "clifford-torus"
+    expected = scan.spec.family.pinched
     lines = [
         f"surface: {scan.spec.label()}   grid: {scan.grid[0]}x{scan.grid[1]}",
         f"compact: {scan.compact}   circular: {scan.circular} "

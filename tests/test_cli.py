@@ -74,6 +74,16 @@ def test_parse_surface_token_forms():
     assert parse_surface_token("whitney-cp2( )") == ("whitney-cp2", {})
 
 
+def test_a_family_alias_names_its_kind_only_on_the_command_line():
+    aliased = {f.alias: kind for kind, f in FAMILIES.items() if f.alias}
+    assert aliased == {"product-torus": "product-torus-c2"}
+    for alias, kind in aliased.items():
+        assert alias not in FAMILIES
+        assert parse_surface_token(f"{alias}(1,2)")[0] == kind
+        with pytest.raises(ValueError, match="unknown surface kind"):
+            SurfaceSpec(alias)
+
+
 @pytest.mark.parametrize("token", ["product-torus(1,,2)", "whitney-cp2(,)",
                                    "whitney-cp2(0.5,)", "whitney-cp2(,0.5)",
                                    "product-torus( , 2)"])

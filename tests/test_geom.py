@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -262,7 +263,7 @@ def test_radius_gate_widens_with_the_tolerance_table(monkeypatch):
 def test_ellipse_samples_period_pi():
     pg = point_geometry(SurfaceSpec("whitney-cp2", t=0.8), 1.1, 0.6)
     ellipse = ellipse_samples(pg, 16)
-    normals = ellipse.normals(slice(None))
+    normals = ellipse.normals()
     for k in range(8):
         delta = normals[k] - normals[k + 8]
         assert np.max(np.abs(delta)) < 1e-12
@@ -348,9 +349,10 @@ def test_every_check_of_a_batch_is_its_tiles_concatenated(spec):
         assert np.array_equal(joined, whole_values), name
 
 
-def _one_broadcast_fit_residual(pg, n_angles):
-    # reference route: every angle's normals in one full-shape array, in
-    # the (J e1, J e2) coordinates the cubic tensor holds
+def _normals_route_distances(pg, n_angles):
+    # reference route: every angle's normal in one full-shape array, in the
+    # (J e1, J e2) coordinates the cubic tensor holds, then its distance to
+    # the center; angle axis first
     c11, c12, c22 = pg.C[..., 0, 0, :], pg.C[..., 0, 1, :], pg.C[..., 1, 1, :]
     center = 0.5 * (c11 + c22)
     thetas = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
@@ -358,26 +360,76 @@ def _one_broadcast_fit_residual(pg, n_angles):
     cos2, sin2 = (np.array([f(2.0 * t) for t in thetas]).reshape(shape)
                   for f in (np.cos, np.sin))
     normals = center + cos2 * (0.5 * (c11 - c22)) + sin2 * c12
-    dist = ((normals[..., 0] - center[..., 0]) ** 2
-            + (normals[..., 1] - center[..., 1]) ** 2)
-    return np.max(np.abs(np.sqrt(dist) - pg.R), axis=0)
+    return np.sqrt((normals[..., 0] - center[..., 0]) ** 2
+                   + (normals[..., 1] - center[..., 1]) ** 2)
 
 
-@pytest.mark.parametrize("spec", [SurfaceSpec("whitney-cp2", t=0.5),
-                                  SurfaceSpec("product-torus-c2",
-                                              r1=1.0, r2=2.0)],
-                         ids=lambda s: s.label())
-def test_ellipse_fit_residual_equals_one_broadcast(spec):
-    # 4,096 points: 64 and 200 angles run in several groups, 200 with a
-    # ragged last one; a single point runs in one
+def _one_broadcast_fit_residual(pg, n_angles):
+    return np.max(np.abs(_normals_route_distances(pg, n_angles) - pg.R),
+                  axis=0)
+
+
+def _fit_route_bound(pg):
+    # 4 ulps at the normals route's scale: it adds H in and takes it off
+    # again, so its round-off grows with |H| as well as with R
+    return 4.0 * np.spacing(1.0 + pg.R + np.sqrt(pg.H2))
+
+
+@pytest.mark.parametrize("spec", EVERY_KIND, ids=lambda s: s.label())
+def test_ellipse_fit_residual_matches_the_normals_route(spec):
+    # 4,096 points: 64 angles and more run in several groups, 200 and 1001
+    # with a ragged last one; a single point runs in one
     grid = _grid_geometry(spec, n=64)
     single = point_geometry(spec, 0.7, 1.3)
     for pg in (grid, single):
-        for n_angles in (8, 64, 200):
+        for n_angles in (8, 9, 64, 200, 1001):
             fit = ellipse_samples(pg, n_angles).fit_residual
             want = _one_broadcast_fit_residual(pg, n_angles)
             assert fit.shape == want.shape == pg.R.shape
-            assert np.array_equal(fit, want)
+            assert np.all(np.abs(fit - want) <= _fit_route_bound(pg))
+
+
+def _hand_built_geometry(s11, s12, s22):
+    # sigma_ij on (J e1, J e2), batch first, in an orthonormal chart frame
+    C = np.empty(s11.shape[:-1] + (2, 2, 2))
+    C[..., 0, 0, :], C[..., 1, 1, :] = s11, s22
+    C[..., 0, 1, :] = C[..., 1, 0, :] = s12
+    g = np.broadcast_to(np.eye(2), s11.shape[:-1] + (2, 2))
+    return geom._assemble(SurfaceSpec("whitney-c2").ambient, g, C, {})
+
+
+def test_ellipse_fit_residual_of_degenerate_ellipses():
+    # segments (w = lambda u, product-torus points) and points (u = w = 0).
+    # The quadratic form in |u|^2, <u, w> and |w|^2 vanishes at a segment's
+    # ends.  Next to them it keeps an absolute round-off of about
+    # eps (|u|^2 + |w|^2), which the square root divides by the distance d,
+    # or takes the root of where d is smaller: up to sqrt(eps) relative
+    # where a sampled angle meets an end, as lambda = tan(pi / 8) does on
+    # 64 angles.  At lambda = -1 the form rounds below 0 on 16 and 64
+    # angles, where an unclamped square root would warn and give NaN.
+    rng = np.random.default_rng(7)
+    s11, s22 = rng.normal(size=(2, 1024, 2))
+    half_diff = 0.5 * (s11 - s22)
+    cases = [_grid_geometry(SurfaceSpec("product-torus-c2", r1=r1, r2=r2),
+                            n=64) for r1, r2 in ((1.0, 1.0), (1.0, 2.0))]
+    cases += [_hand_built_geometry(s11, lam * half_diff, s22)
+              for lam in (1.0, -1.0, 2.0, 0.5, 1e-3, np.tan(np.pi / 8))]
+    cases.append(_hand_built_geometry(s11, 0.0 * half_diff, s11))
+    for pg in cases:
+        u = 0.5 * (pg.C[..., 0, 0, :] - pg.C[..., 1, 1, :])
+        w = pg.C[..., 0, 1, :]
+        round_off = 8.0 * np.finfo(float).eps * np.sum(u * u + w * w, axis=-1)
+        for n_angles in (8, 16, 64, 200):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                fit = ellipse_samples(pg, n_angles).fit_residual
+            dist = _normals_route_distances(pg, n_angles)
+            want = np.max(np.abs(dist - pg.R), axis=0)
+            near_end = np.min(dist, axis=0) ** 2 + round_off
+            bound = _fit_route_bound(pg) + round_off / np.sqrt(
+                near_end + np.finfo(float).tiny)
+            assert np.all(np.isfinite(fit))
+            assert np.all(np.abs(fit - want) <= bound)
 
 
 def test_ellipse_fit_residual_memory_is_flat_in_angles():
