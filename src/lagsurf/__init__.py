@@ -9,7 +9,8 @@ from .geom import (CurvatureEllipse, PointGeometry, ellipse_samples,
                    gauss_curvature_intrinsic, geometry_from_jet,
                    point_geometry, product_identity_check, radius,
                    scaled_circularity)
-from .numerics import DegeneratePointError, Jet2, apply_J, herm_pair, real_pair
+from .numerics import (DegeneratePointError, Jet2, Jet3, apply_J, herm_pair,
+                       real_pair)
 from .scans import (ScanReport, UnsupportedDomainError, WillmoreReport,
                     curvature_scan, pinching_hypothesis, pinching_report,
                     willmore)
@@ -25,6 +26,7 @@ __all__ = [
     "CurvatureEllipse",
     "DegeneratePointError",
     "Jet2",
+    "Jet3",
     "KINDS",
     "PlanarChart",
     "PointGeometry",

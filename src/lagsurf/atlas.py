@@ -2,8 +2,8 @@
 
 Charts map two real parameters to the domain coordinates the immersion
 formulas consume (sphere points, complex-plane coordinates, torus angles),
-with exact second-order jets.  Grids are deterministic lattices that keep a
-margin from excluded sets (sphere poles, the plane puncture).
+with exact jets of the class a call seeds.  Grids are deterministic lattices
+that keep a margin from excluded sets (sphere poles, the plane puncture).
 """
 
 from __future__ import annotations
@@ -31,14 +31,10 @@ class SphereChart:
     # grids keep 2% of the colatitude span away from each pole
     bounds = ((0.02 * np.pi, np.pi - 0.02 * np.pi), (0.0, 2.0 * np.pi))
 
-    def contains(self, phi, theta):
-        phi = np.asarray(phi, dtype=float)
-        return (phi > 0.0) & (phi < np.pi)
-
-    def coords(self, phi, theta):
-        if not np.all(self.contains(phi, theta)):
+    def coords(self, phi, theta, jet=Jet2):
+        if not np.all((phi > 0.0) & (phi < np.pi)):
             raise ChartDomainError("spherical chart excludes the poles phi in {0, pi}")
-        jp, jt = Jet2.variables(phi, theta)
+        jp, jt = jet.variables(phi, theta)
         sp, cp = jet_sin_cos(jp)
         st, ct = jet_sin_cos(jt)
         return sp * ct, sp * st, cp
@@ -55,12 +51,8 @@ class PlanarChart:
     periodic = (False, False)
     bounds = ((-3.0, 3.0), (-3.0, 3.0))
 
-    def contains(self, x, y):
-        return np.ones(np.broadcast(np.asarray(x), np.asarray(y)).shape,
-                       dtype=bool)
-
-    def coords(self, x, y):
-        return Jet2.variables(x, y)
+    def coords(self, x, y, jet=Jet2):
+        return jet.variables(x, y)
 
 
 class PolarAnnulusChart:
@@ -74,13 +66,10 @@ class PolarAnnulusChart:
     periodic = (False, True)
     bounds = ((0.2, 5.0), (0.0, 2.0 * np.pi))
 
-    def contains(self, r, theta):
-        return np.asarray(r, dtype=float) > 0.0
-
-    def coords(self, r, theta):
-        if not np.all(self.contains(r, theta)):
+    def coords(self, r, theta, jet=Jet2):
+        if not np.all(r > 0.0):
             raise ChartDomainError("polar chart requires r > 0")
-        jr, jt = Jet2.variables(r, theta)
+        jr, jt = jet.variables(r, theta)
         st, ct = jet_sin_cos(jt)
         return jr * ct, jr * st
 
@@ -96,12 +85,8 @@ class TorusChart:
     periodic = (True, True)
     bounds = ((0.0, 2.0 * np.pi), (0.0, 2.0 * np.pi))
 
-    def contains(self, t1, t2):
-        return np.ones(np.broadcast(np.asarray(t1), np.asarray(t2)).shape,
-                       dtype=bool)
-
-    def coords(self, t1, t2):
-        return Jet2.variables(t1, t2)
+    def coords(self, t1, t2, jet=Jet2):
+        return jet.variables(t1, t2)
 
 
 def _axis(chart, i, n):

@@ -1,7 +1,7 @@
 """Catalog of built-in Lagrangian immersions, evaluated as lift jets.
 
 Each entry maps domain coordinates (sphere points, a complex plane
-coordinate, torus angles) to a second-order jet of the immersion into C^2,
+coordinate, torus angles) to the component jets of the immersion into C^2,
 or of its horizontal lift when the target is curved.  All formulas are
 closed-form; derivatives come from jet arithmetic, not differencing.  Every
 other fact about a kind (target, chart, parameter domain, compactness,
@@ -48,7 +48,7 @@ class Family:
 
     ambient: AmbientSpace
     chart: object
-    evaluator: Callable[..., Jet2]
+    evaluator: Callable[..., list[Jet2]]
     n_coords: int
     note: str
     params: tuple[str, ...] = ()
@@ -130,7 +130,7 @@ def _unit_circle(angle: Jet2) -> Jet2:
 def _whitney_c2(spec, x, y, z):
     # normalized so the Gauss curvature spans exactly [0, 1]
     f = math.sqrt(2.0) * (1.0 + 1j * z) / (z * z + 1.0)
-    return Jet2.stack([f * x, f * y])
+    return [f * x, f * y]
 
 
 def _whitney_cp2(spec, x, y, z):
@@ -139,7 +139,7 @@ def _whitney_cp2(spec, x, y, z):
     inv = ((st * st) * zz + ct * ct).reciprocal()
     f = (ct + (1j * st) * z) * inv
     third = (z + (1j * st * ct) * (zz + 1.0)) * inv
-    return Jet2.stack([x * f, y * f, third])
+    return [x * f, y * f, third]
 
 
 def _whitney_ch2(spec, x, y, z):
@@ -148,12 +148,12 @@ def _whitney_ch2(spec, x, y, z):
     inv = ((ct * ct) * zz + st * st).reciprocal()
     f = (st + (1j * ct) * z) * inv
     third = (z - (1j * st * ct) * (zz + 1.0)) * inv
-    return Jet2.stack([x * f, y * f, third])
+    return [x * f, y * f, third]
 
 
 def _totally_geodesic_cp2(spec, x, y, z):
     # the real slice of the sphere model, lifted as-is
-    return Jet2.stack([x, y, z])
+    return [x, y, z]
 
 
 def _psi_ch2(spec, p, q):
@@ -169,7 +169,7 @@ def _psi_ch2(spec, p, q):
     zsq = _re(z * zb)
     first = ((c * c) * (z * z) - (s * s) * (zb * zb)) * inv
     shared = w * inv * (1.0 / math.sqrt(2.0))
-    return Jet2.stack([first, (zsq - 1.0) * shared, (zsq + 1.0) * shared])
+    return [first, (zsq - 1.0) * shared, (zsq + 1.0) * shared]
 
 
 def _eta_ch2(spec, x, y):
@@ -180,18 +180,17 @@ def _eta_ch2(spec, x, y):
           + 1j * (6.0 * x2 + 2.0 * y2)) * inv
     e3 = ((6.0 * x2 + 2.0 * y2 + 1.0)
           + 1j * (4.0 * (x2 * x) + 4.0 * (x * y2))) * inv
-    return Jet2.stack([e1, e2, e3])
+    return [e1, e2, e3]
 
 
 def _clifford_torus(spec, t1, t2):
-    parts = [_unit_circle(t1), _unit_circle(t2),
-             _unit_circle(t1 + t2).conj()]
-    return Jet2.stack(parts) * (1.0 / math.sqrt(3.0))
+    scale = 1.0 / math.sqrt(3.0)
+    return [_unit_circle(t1) * scale, _unit_circle(t2) * scale,
+            _unit_circle(t1 + t2).conj() * scale]
 
 
 def _product_torus_c2(spec, t1, t2):
-    return Jet2.stack([_unit_circle(t1) * spec.r1,
-                       _unit_circle(t2) * spec.r2])
+    return [_unit_circle(t1) * spec.r1, _unit_circle(t2) * spec.r2]
 
 
 def _sphere_energy(spec):
@@ -267,17 +266,19 @@ def evaluate_lift(spec: SurfaceSpec, coords) -> Jet2:
                          f"coordinates, got {len(coords)}")
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return family.evaluator(spec, *coords)
+            parts = family.evaluator(spec, *coords)
     except (OverflowError, FloatingPointError):
         raise ValueError(f"{spec.label()}: the closed-form lift overflows "
                          f"at these parameters or chart coordinates") from None
+    return type(parts[0]).stack(parts)  # in the class the chart seeded
 
 
-def lift_at(spec: SurfaceSpec, a1, a2) -> Jet2:
-    """Evaluate the lift jet at parameters of the spec's chart.  A single
-    point runs as a batch of one, so it has the bits of a batch's row."""
+def lift_at(spec: SurfaceSpec, a1, a2, jet=Jet2) -> Jet2:
+    """Evaluate the lift jet at parameters of the spec's chart, seeded as
+    ``jet`` (Jet3 adds the third partials).  A single point runs as a batch
+    of one, so it has the bits of a batch's row."""
     point = np.ndim(a1) == np.ndim(a2) == 0
     if point:
         a1, a2 = np.reshape(a1, 1), np.reshape(a2, 1)
-    lift = evaluate_lift(spec, spec.chart.coords(a1, a2))
-    return Jet2(*(f[0] for f in lift._fields())) if point else lift
+    lift = evaluate_lift(spec, spec.chart.coords(a1, a2, jet))
+    return jet(*(f[0] for f in lift._fields())) if point else lift

@@ -26,10 +26,11 @@ from .ambient import split_defects
 from .atlas import build_grid, random_points
 from .catalog import FAMILIES, KINDS, SurfaceSpec, lift_at
 from .geom import (MIN_ANGLES, circularity_route_gap, density_moduli_gap,
-                   ellipse_samples, gauss_curvature_intrinsic, point_geometry,
-                   product_identity_check, radius_route_gap,
-                   scaled_circularity, split_geometry, tangent_frame)
-from .numerics import TOLERANCES, apply_J
+                   ellipse_samples, gauss_curvature_intrinsic,
+                   geometry_from_jet, point_geometry, product_identity_check,
+                   radius_route_gap, scaled_circularity, split_geometry,
+                   tangent_frame)
+from .numerics import TOLERANCES, Jet3, apply_J
 from .scans import (WillmoreReport, curvature_scan, grid_tiles,
                     pinching_report, willmore)
 
@@ -360,10 +361,10 @@ def _vector_payload(vec: np.ndarray) -> dict:
 def cmd_probe(cfg: RunConfig) -> int:
     spec = cfg.spec
     a1, a2 = cfg.point
-    lift = lift_at(spec, a1, a2)
+    lift = lift_at(spec, a1, a2, Jet3)  # one lift serves both K routes
     split, pg = split_geometry(lift, spec.ambient)
     checks = _identity_checks(spec, lift, split, pg, cfg)
-    k_int = gauss_curvature_intrinsic(spec, a1, a2)
+    k_int = gauss_curvature_intrinsic(lift, spec.ambient)
     e1, e2 = tangent_frame(lift, pg.g)
 
     def normal(coords):  # the normal vector with (J e1, J e2) coordinates
@@ -427,9 +428,10 @@ def cmd_verify(cfg: RunConfig) -> int:
     checks = [_check(name, _DETAILS[name], worst, cfg)
               for name, worst in tiles.items()]
     s1, s2 = random_points(spec.chart, 200, np.random.default_rng(cfg.seed))
+    lift = lift_at(spec, s1, s2, Jet3)
     checks.append(_gauss_check(
-        gauss_curvature_intrinsic(spec, s1, s2),
-        point_geometry(spec, s1, s2).K, "200 seeded points", cfg))
+        gauss_curvature_intrinsic(lift, spec.ambient),
+        geometry_from_jet(lift, spec.ambient).K, "200 seeded points", cfg))
 
     family = spec.family
     k_lo, k_hi = float(min(k_ends)), float(max(k_ends))

@@ -18,7 +18,7 @@ import numpy as np
 from . import ambient as amb
 from .ambient import AmbientSpace
 from .catalog import SurfaceSpec, lift_at
-from .numerics import TOLERANCES, Jet2, component_major, real_pair
+from .numerics import TOLERANCES, Jet2, Jet3, component_major, real_pair
 
 # angles x points per group of the ellipse fit residual: 512 KB a temporary
 _ELLIPSE_BLOCK = 1 << 16
@@ -311,46 +311,36 @@ def ellipse_samples(pg: PointGeometry, n_angles: int) -> CurvatureEllipse:
                             fit_residual=functools.reduce(np.maximum, groups))
 
 
-def gauss_curvature_intrinsic(spec: SurfaceSpec, a1, a2) -> np.ndarray:
-    """Intrinsic Gauss curvature by finite differences of the metric alone.
+def gauss_curvature_intrinsic(lift: Jet3, space: AmbientSpace) -> np.ndarray:
+    """Intrinsic Gauss curvature from the metric alone, by Brioschi's formula.
 
-    One lift on a 5x5 stencil (offsets 0, +-5e-4, +-1e-3 on each chart
-    parameter) gives E, F, G; Brioschi's formula runs on its central 3x3
-    sub-stencils of step 1e-3 and 5e-4.  Independent of the second
-    fundamental form, so it cross-checks the ambient-identity route.  One
-    step-halving extrapolation cancels the leading O(step^2) error.
+    E, F, G and their partials up to order 2 are pairings of the lift's
+    exact partials up to order 3, so nothing is differenced.  Independent of
+    the second fundamental form, so it cross-checks the ambient-identity route.
     """
-    offsets = np.array([-1e-3, -5e-4, 0.0, 5e-4, 1e-3])
-    lead = (1,) * max(np.ndim(a1), np.ndim(a2))
-    p1 = a1 + offsets.reshape((5, 1) + lead)
-    p2 = a2 + offsets.reshape((1, 5) + lead)
-    if not np.all(spec.chart.contains(p1, p2)):
-        raise ValueError("finite-difference stencil leaves the chart domain")
+    pair = functools.partial(real_pair, sig=space.sig)
+    d1, d2, d11, d12, d22 = lift.d1, lift.d2, lift.d11, lift.d12, lift.d22
+    # <d1, d122>, <d112, d2> and <d12, d12> each serve two second partials
+    a, b, c = pair(d1, lift.d122), pair(lift.d112, d2), pair(d12, d12)
+    return _brioschi(
+        pair(d1, d1), pair(d1, d2), pair(d2, d2),  # E, F, G
+        2.0 * pair(d11, d1), 2.0 * pair(d12, d1),  # E_u, E_v
+        pair(d11, d2) + pair(d1, d12),  # F_u
+        pair(d12, d2) + pair(d1, d22),  # F_v
+        2.0 * pair(d12, d2), 2.0 * pair(d22, d2),  # G_u, G_v
+        2.0 * a + 2.0 * c,  # E_vv
+        b + pair(d11, d22) + c + a,  # F_uv
+        2.0 * b + 2.0 * c)  # G_uu
 
-    lift = lift_at(spec, p1, p2)
-    sig = spec.ambient.sig
-    efg = [real_pair(u, v, sig) for u, v in
-           ((lift.d1, lift.d1), (lift.d1, lift.d2), (lift.d2, lift.d2))]
-    k1 = _brioschi(*(m[0::2, 0::2] for m in efg), 1e-3)
-    k2 = _brioschi(*(m[1:4, 1:4] for m in efg), 5e-4)
-    return (4.0 * k2 - k1) / 3.0
 
-
-def _brioschi(E, F, G, h) -> np.ndarray:
-    """K = (det M1 - det M2) / (EG - F^2)^2 on one 3x3 stencil of step h.
+def _brioschi(E0, F0, G0, E_u, E_v, F_u, F_v, G_u, G_v, E_vv, F_uv, G_uu):
+    """K = (det M1 - det M2) / (EG - F^2)^2 from the metric's partials.
 
     M1 has the rows (-E_vv/2 + F_uv - G_uu/2, E_u/2, F_u - E_v/2),
     (F_v - G_u/2, E, F), (G_v/2, F, G); M2 has (0, E_v/2, G_u/2),
     (E_v/2, E, F), (G_u/2, F, G).  Both expand along their first row, and
     squares are products, so one point's scalars round as a batch does.
     """
-    E0, F0, G0 = E[1, 1], F[1, 1], G[1, 1]
-    E_u, F_u, G_u = ((m[2, 1] - m[0, 1]) / (2 * h) for m in (E, F, G))
-    E_v, F_v, G_v = ((m[1, 2] - m[1, 0]) / (2 * h) for m in (E, F, G))
-    E_vv = (E[1, 2] - 2 * E[1, 1] + E[1, 0]) / h ** 2
-    G_uu = (G[2, 1] - 2 * G[1, 1] + G[0, 1]) / h ** 2
-    F_uv = (F[2, 2] - F[2, 0] - F[0, 2] + F[0, 0]) / (4 * h ** 2)
-
     det = E0 * G0 - F0 * F0
     a, b, c = -0.5 * E_vv + F_uv - 0.5 * G_uu, 0.5 * E_u, F_u - 0.5 * E_v
     d, e = F_v - 0.5 * G_u, 0.5 * G_v

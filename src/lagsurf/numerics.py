@@ -1,4 +1,4 @@
-"""Signature-aware linear algebra on C^2/C^3 and second-order jet arithmetic.
+"""Signature-aware linear algebra on C^2/C^3 and exact jet arithmetic.
 
 Ambient points are complex numpy arrays of shape (..., m), m in {2, 3}, and
 the ones built here are stored component-major (see component_major).  The
@@ -7,9 +7,10 @@ flat real form interleaves real and imaginary parts, so six reals
 per-component signature eps in {+1, -1}^m, which is what distinguishes the
 round lift sphere (+,+,+) from the anti-De Sitter lift space (+,+,-).
 
-Jets hold a value and all chart partials up to second order and propagate
-them through arithmetic exactly (up to round-off), so no numerical
-differentiation enters the geometry pipeline.  Complex conjugation is
+Jets hold a value and all chart partials up to second order (Jet2), or up
+to third (Jet3, whose lower orders run Jet2's code and so keep its bits),
+and propagate them through arithmetic exactly (up to round-off), so no
+numerical differentiation enters the package.  Complex conjugation is
 real-linear and therefore jet-compatible; holomorphic differentiation is
 deliberately out of scope.
 """
@@ -127,7 +128,8 @@ class Jet2:
         """Stack scalar jets, broadcast together, into one vector-valued
         jet (trailing axis) stored component-major (see component_major)."""
         shape = np.broadcast(*(j.v for j in components)).shape
-        bufs = np.empty((6, len(components)) + shape, dtype=complex)
+        bufs = np.empty((len(components[0]._fields()), len(components))
+                        + shape, dtype=complex)
         for k, jet in enumerate(components):
             for buf, field in zip(bufs, jet._fields()):
                 buf[k] = field
@@ -138,15 +140,14 @@ class Jet2:
 
     def __add__(self, other):
         if isinstance(other, Jet2):
-            return Jet2(*(a + b for a, b in zip(self._fields(),
-                                                other._fields())))
-        return Jet2(self.v + other, self.d1, self.d2,
-                    self.d11, self.d12, self.d22)
+            return type(self)(*(a + b for a, b in zip(self._fields(),
+                                                      other._fields())))
+        return type(self)(self.v + other, *self._fields()[1:])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet2(*(-f for f in self._fields()))
+        return type(self)(*(-f for f in self._fields()))
 
     def __sub__(self, other):
         return self + (-other)
@@ -156,7 +157,7 @@ class Jet2:
 
     def __mul__(self, other):
         if not isinstance(other, Jet2):
-            return Jet2(*(f * other for f in self._fields()))
+            return type(self)(*(f * other for f in self._fields()))
         a, b = self, other
         return Jet2(
             a.v * b.v,
@@ -195,11 +196,11 @@ class Jet2:
 
     def conj(self):
         """Componentwise complex conjugate (a real-linear map)."""
-        return Jet2(*(np.conj(f) for f in self._fields()))
+        return type(self)(*(np.conj(f) for f in self._fields()))
 
-    def compose_scalar(self, fv, d1f, d2fv):
+    def compose_scalar(self, fv, d1f, d2fv, d3fv):
         """Chain rule through a scalar function f, given the values f(v),
-        f'(v) and f''(v) at this jet's value v."""
+        f'(v), f''(v) and f'''(v) at this jet's value v (f''' for Jet3)."""
         return Jet2(
             fv,
             d1f * self.d1,
@@ -210,7 +211,66 @@ class Jet2:
         )
 
 
+@dataclass(frozen=True)
+class Jet3(Jet2):
+    """Third-order jet: a Jet2 plus the four third partials.
+
+    Field-wise operations are Jet2's own; the product, reciprocal and chain
+    rules run Jet2's for the orders up to 2 and add the third order here.
+    """
+
+    d111: np.ndarray
+    d112: np.ndarray
+    d122: np.ndarray
+    d222: np.ndarray
+
+    @classmethod
+    def variables(cls, a1, a2):
+        return tuple(cls(*j._fields(), *(np.zeros_like(j.v),) * 4)
+                     for j in Jet2.variables(a1, a2))
+
+    def _fields(self):
+        return (*super()._fields(), self.d111, self.d112, self.d122, self.d222)
+
+    def __mul__(self, other):
+        low = super().__mul__(other)
+        if not isinstance(other, Jet2):  # kept a Jet3, also by __rmul__
+            return low
+        a, b = self, other
+        return Jet3(
+            *low._fields(),
+            a.d111 * b.v + 3.0 * (a.d11 * b.d1 + a.d1 * b.d11) + a.v * b.d111,
+            a.d112 * b.v + a.d11 * b.d2 + 2.0 * (a.d12 * b.d1 + a.d1 * b.d12)
+            + a.d2 * b.d11 + a.v * b.d112,
+            a.d122 * b.v + a.d22 * b.d1 + 2.0 * (a.d12 * b.d2 + a.d2 * b.d12)
+            + a.d1 * b.d22 + a.v * b.d122,
+            a.d222 * b.v + 3.0 * (a.d22 * b.d2 + a.d2 * b.d22) + a.v * b.d222,
+        )
+
+    def reciprocal(self):
+        low = super().reciprocal()
+        inv2 = low.v * low.v
+        return self._chain(low, -inv2, 2.0 * inv2 * low.v, -6.0 * inv2 * inv2)
+
+    def compose_scalar(self, fv, d1f, d2fv, d3fv):
+        return self._chain(super().compose_scalar(fv, d1f, d2fv, d3fv),
+                           d1f, d2fv, d3fv)
+
+    def _chain(self, low, d1f, d2f, d3f):
+        # the third partials of f(self), from f', f'' and f''' at self.v
+        a1, a2 = self.d1, self.d2
+        return Jet3(
+            *low._fields(),
+            d3f * a1 * a1 * a1 + 3.0 * d2f * self.d11 * a1 + d1f * self.d111,
+            d3f * a1 * a1 * a2 + d2f * (2.0 * self.d12 * a1 + self.d11 * a2)
+            + d1f * self.d112,
+            d3f * a1 * a2 * a2 + d2f * (2.0 * self.d12 * a2 + self.d22 * a1)
+            + d1f * self.d122,
+            d3f * a2 * a2 * a2 + 3.0 * d2f * self.d22 * a2 + d1f * self.d222,
+        )
+
+
 def jet_sin_cos(j: Jet2) -> tuple[Jet2, Jet2]:
     """(sin j, cos j), with one sin and one cos pass over the values."""
     s, c = np.sin(j.v), np.cos(j.v)
-    return j.compose_scalar(s, c, -s), j.compose_scalar(c, -s, -c)
+    return j.compose_scalar(s, c, -s, -c), j.compose_scalar(c, -s, -c, s)

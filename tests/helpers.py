@@ -30,10 +30,6 @@ class StereographicChart:
         self.pole = pole
         self.kind = f"stereographic-{pole}"
 
-    def contains(self, u, v):
-        return np.ones(np.broadcast(np.asarray(u), np.asarray(v)).shape,
-                       dtype=bool)
-
     def coords(self, u, v):
         ju, jv = Jet2.variables(u, v)
         den = ju * ju + jv * jv + 1.0

@@ -5,10 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from lagsurf.atlas import ChartDomainError, SphereChart, build_grid
+from lagsurf.atlas import (ChartDomainError, SphereChart, build_grid,
+                           random_points)
 from lagsurf.catalog import (FAMILIES, KINDS, SurfaceSpec, evaluate_lift,
                              lift_at)
-from lagsurf.numerics import Jet2
+from lagsurf.numerics import Jet2, Jet3
 
 
 def test_kind_inventory():
@@ -114,3 +115,78 @@ def test_lift_shapes_follow_batch():
     lift = lift_at(SurfaceSpec("whitney-cp2", t=1.0), phi, theta)
     assert lift.v.shape == (7, 3)
     assert lift.d12.shape == (7, 3)
+
+
+# ---------------------------------------------------------------------------
+# third-order lifts
+
+EVERY_KIND = [SurfaceSpec(kind, **dict(FAMILIES[kind].defaults))
+              for kind in KINDS]
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("spec", EVERY_KIND, ids=lambda s: s.label())
+def test_jet3_low_part_is_bitwise_the_jet2_lift(spec):
+    a1, a2 = random_points(spec.chart, 300, np.random.default_rng(7))
+    pairs = [(lift_at(spec, a1, a2, Jet3), lift_at(spec, a1, a2))]
+    # one point runs as a batch of one in either class
+    pairs += [(lift_at(spec, a1[i], a2[i], Jet3), lift_at(spec, a1[i], a2[i]))
+              for i in range(0, 300, 15)]
+    for lift3, lift2 in pairs:
+        assert isinstance(lift3, Jet3)
+        assert all(_same_bits(got, want) for got, want in
+                   zip(lift3._fields()[:6], lift2._fields(), strict=True))
+
+
+# each closed form as written in the catalog, composed with its chart
+def _sympy_lift(kind, a1, a2):
+    import sympy as sp
+
+    if kind == "whitney-cp2":  # at t = 1/2
+        x, y, z = (sp.sin(a1) * sp.cos(a2), sp.sin(a1) * sp.sin(a2),
+                   sp.cos(a1))
+        ct, st = sp.cosh(sp.Rational(1, 2)), sp.sinh(sp.Rational(1, 2))
+        inv = 1 / (st ** 2 * z ** 2 + ct ** 2)
+        f = (ct + sp.I * st * z) * inv
+        return [x * f, y * f, (z + sp.I * st * ct * (z ** 2 + 1)) * inv]
+    if kind == "psi-ch2":  # at s = 3/10, on the polar chart (r, theta)
+        z, zb = a1 * sp.exp(sp.I * a2), a1 * sp.exp(-sp.I * a2)
+        c, s = sp.cos(sp.Rational(3, 10)), sp.sin(sp.Rational(3, 10))
+        w = c * z + s * zb
+        # |w|^2 = r^2 (1 + 2 c s cos 2 theta), with |z|^2 = r^2
+        inv = 1 / (a1 ** 2 * (1 + 2 * c * s * sp.cos(2 * a2)))
+        shared = w * inv / sp.sqrt(2)
+        return [(c ** 2 * z ** 2 - s ** 2 * zb ** 2) * inv,
+                (a1 ** 2 - 1) * shared, (a1 ** 2 + 1) * shared]
+    if kind == "clifford-torus":
+        return [sp.exp(sp.I * a1) / sp.sqrt(3), sp.exp(sp.I * a2) / sp.sqrt(3),
+                sp.exp(-sp.I * (a1 + a2)) / sp.sqrt(3)]
+    raise KeyError(kind)
+
+
+# the jet fields as (order in a1, order in a2)
+ORDERS = {"v": (0, 0), "d1": (1, 0), "d2": (0, 1), "d11": (2, 0),
+          "d12": (1, 1), "d22": (0, 2), "d111": (3, 0), "d112": (2, 1),
+          "d122": (1, 2), "d222": (0, 3)}
+
+
+@pytest.mark.parametrize("spec", [
+    SurfaceSpec("whitney-cp2", t=0.5), SurfaceSpec("psi-ch2", s=0.3),
+    SurfaceSpec("clifford-torus")], ids=lambda s: s.label())
+def test_jet3_partials_match_sympy_derivatives(spec):
+    import sympy as sp
+
+    a1, a2 = sp.symbols("a1 a2", real=True)
+    parts = _sympy_lift(spec.kind, a1, a2)
+    u1, u2 = random_points(spec.chart, 20, np.random.default_rng(3))
+    lift = lift_at(spec, u1, u2, Jet3)
+    for name, (n1, n2) in ORDERS.items():
+        want = np.stack([np.broadcast_to(sp.lambdify(
+            (a1, a2), sp.diff(part, a1, n1, a2, n2), "numpy")(u1, u2),
+            u1.shape) for part in parts], axis=-1)
+        got = getattr(lift, name)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), \
+            name

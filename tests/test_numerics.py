@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lagsurf.ambient import C2, CH2, CP2
-from lagsurf.numerics import (Jet2, apply_J, herm_pair, jet_sin_cos,
+from lagsurf.numerics import (Jet2, Jet3, apply_J, herm_pair, jet_sin_cos,
                               real_pair)
 
 SIG_C2, SIG_S5, SIG_H51 = C2.sig, CP2.sig, CH2.sig
@@ -134,13 +134,38 @@ def test_jet_exp_product_rule():
     x, y = 0.7, -1.3
     j1, j2 = Jet2.variables(x, y)
     e = np.exp(x * y)
-    j = (j1 * j2).compose_scalar(e, e, e)
+    j = (j1 * j2).compose_scalar(e, e, e, e)
     assert j.v == pytest.approx(e, rel=1e-14)
     assert j.d1 == pytest.approx(y * e, rel=1e-14)
     assert j.d2 == pytest.approx(x * e, rel=1e-14)
     assert j.d11 == pytest.approx(y * y * e, rel=1e-14)
     assert j.d12 == pytest.approx((1.0 + x * y) * e, rel=1e-14)
     assert j.d22 == pytest.approx(x * x * e, rel=1e-14)
+
+
+def test_jet3_exp_product_rule_to_third_order():
+    # exp(x*y) again, with its third partials in closed form
+    x, y = 0.7, -1.3
+    j1, j2 = Jet3.variables(x, y)
+    e = np.exp(x * y)
+    j = (j1 * j2).compose_scalar(e, e, e, e)
+    assert j.d111 == pytest.approx(y ** 3 * e, rel=1e-14)
+    assert j.d112 == pytest.approx((2.0 * y + x * y * y) * e, rel=1e-14)
+    assert j.d122 == pytest.approx((2.0 * x + x * x * y) * e, rel=1e-14)
+    assert j.d222 == pytest.approx(x ** 3 * e, rel=1e-14)
+
+
+def test_jet3_reciprocal_and_stack_keep_the_third_order():
+    j1, j2 = Jet3.variables(0.4, 1.7)
+    f = j1 * j1 * j2 + j2 * j2 * j2 + 1.0
+    prod = f * f.reciprocal()
+    assert isinstance(prod, Jet3)
+    assert prod.v == pytest.approx(1.0, abs=1e-15)
+    for value in prod._fields()[1:]:
+        assert abs(value) < 1e-14
+    stacked = Jet3.stack([f, f.conj() * 1j])
+    assert isinstance(stacked, Jet3) and stacked.d112.shape == (2,)
+    assert stacked.d112[0] == 2.0 and stacked.d222[1] == 6j
 
 
 def test_jet_reciprocal_matches_quotient_rule():

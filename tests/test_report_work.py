@@ -19,7 +19,7 @@ import sys
 import numpy as np
 import pytest
 
-from lagsurf import ambient, cli, geom, scans
+from lagsurf import ambient, catalog, cli, geom, scans
 from lagsurf.catalog import KINDS, SurfaceSpec, lift_at
 from lagsurf.cli import build_parser, main, resolve_config
 from lagsurf.geom import ellipse_samples, geometry_from_jet, point_geometry
@@ -154,6 +154,20 @@ def _count_calls(monkeypatch, func) -> list:
     return calls
 
 
+def _count_tiles(monkeypatch) -> list:
+    """Count the tiles that scans and cli take from grid_tiles."""
+    tiles = []
+
+    def counted_tiles(axis1, axis2):
+        for tile in grid_tiles(axis1, axis2):
+            tiles.append(None)
+            yield tile
+
+    for module in (scans, cli):
+        monkeypatch.setattr(module, "grid_tiles", counted_tiles)
+    return tiles
+
+
 LIFT_DEFECTS = ("membership_defect", "horizontality_defect",
                 "lagrangian_defect")
 
@@ -172,15 +186,7 @@ def test_grid_commands_certify_only_in_verify(argv, certified, monkeypatch,
     certify = _count_calls(monkeypatch, ambient.split_defects)
     lift = {name: _count_calls(monkeypatch, getattr(ambient, name))
             for name in LIFT_DEFECTS}
-    tiles = []
-
-    def counted_tiles(axis1, axis2):
-        for tile in grid_tiles(axis1, axis2):
-            tiles.append(None)
-            yield tile
-
-    for module in (scans, cli):
-        monkeypatch.setattr(module, "grid_tiles", counted_tiles)
+    tiles = _count_tiles(monkeypatch)
     assert main(argv) == 0
     capsys.readouterr()
     assert len(tiles) > 1
@@ -202,6 +208,22 @@ def test_point_commands_certify_only_in_probe(command, certifications,
     assert len(certify) == certifications
     for name, calls in lift.items():
         assert len(calls) == 1, name
+
+
+@pytest.mark.parametrize("argv", [
+    ["probe", "--surface", "whitney-cp2(0.5)", "0.4", "1.1"],
+    ["verify", "--surface", "psi-ch2(0.3)", "--grid", "100x77"],
+], ids=["probe", "verify"])
+def test_both_curvature_routes_read_one_lift(argv, monkeypatch, capsys):
+    # probe lifts its point once, and verify its tiles and then its 200
+    # seeded Gauss points once each: the intrinsic route lifts nothing
+    lifts = _count_calls(monkeypatch, catalog.lift_at)
+    geometries = _count_calls(monkeypatch, geom.point_geometry)
+    tiles = _count_tiles(monkeypatch)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(lifts) == len(tiles) + 1
+    assert geometries == []
 
 
 # the rows probe prints, in order: the split's three between the lift

@@ -49,9 +49,13 @@ def cli_cases() -> list[list[str]]:
     """The argv (after ``lagsurf``) of every command-line case."""
     cases = [["list"], ["list", "--json"]]
     cases += [["verify", "--surface", s, *STANDARD] for s in GOLDEN]
-    # a failing check (exit 1) and a degenerate frame (exit 2)
+    # a failing check (exit 1), a degenerate frame (exit 2), and curvature
+    # concentrated on a scale of about t (exit 1, gauss_routes passes)
     cases += [["verify", "--surface", "psi-ch2(0.764)"],
-              ["verify", "--surface", "whitney-cp2(7)"]]
+              ["verify", "--surface", "whitney-cp2(7)"],
+              ["verify", "--surface", "whitney-ch2(0.005)"],
+              # next to the sphere chart's pole
+              ["probe", "--surface", "whitney-c2", "0.0005", "1.0"]]
     for s in SURFACES:
         cases += [["probe", "--surface", s, *p] for p in POINTS]
         cases += [["ellipse", "--surface", s, "--format", fmt, *POINTS[1]]
