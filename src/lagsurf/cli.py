@@ -274,7 +274,8 @@ def _check(name: str, detail: str, values, cfg: RunConfig,
     margin), judged by the tolerance named tol_name or name."""
     tol = cfg.tolerance(tol_name or name)
     margin = name in _MARGINS
-    defect = float(np.min(values) if margin else np.max(values))
+    # np.min or np.max, without their wrapper's cost on a one-point value
+    defect = float((np.minimum if margin else np.maximum).reduce(values, None))
     ok = defect > tol if margin else defect <= tol
     return {"name": name, "detail": detail, "max_defect": defect,
             "tol": tol, "pass": bool(ok)}
@@ -353,9 +354,32 @@ def cmd_list(cfg: RunConfig) -> int:
     return 0
 
 
-def _vector_payload(vec: np.ndarray) -> dict:
-    return {"re": [float(x) for x in np.real(vec)],
-            "im": [float(x) for x in np.imag(vec)]}
+def _json_float(x: float) -> str:
+    """x as json writes a float: its repr, or NaN, Infinity, -Infinity."""
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
+
+
+@functools.cache
+def _probe_template(kind: str, n_checks: int) -> str:
+    """json.dumps(report, indent=2) of a probe report on this kind, with a
+    %s for each number and check field: json lays out a skeleton once per
+    kind and check count."""
+    family, s = FAMILIES[kind], "%s"
+    nums = [s] * len(family.ambient.signature)
+    row = dict.fromkeys(("name", "detail", "max_defect", "tol", "pass"), s)
+    skeleton = {
+        "surface": kind, "params": dict.fromkeys(family.params, s),
+        "point": [s, s], "chart": family.chart.kind, "g": [[s, s], [s, s]],
+        **dict.fromkeys(("K", "K_intrinsic", "H2", "sigma_sq", "R", "D_re",
+                         "D_im", "F_re", "F_im", "F_abs", "Hc_re", "Hc_im",
+                         "Hc_abs"), s),
+        "C": dict.fromkeys(("111", "112", "122", "222"), s),
+        **dict.fromkeys(("H", "e1", "e2", "sigma11", "sigma12", "sigma22"),
+                        {"re": nums, "im": nums}),
+        "checks": [row] * n_checks, "pass": s}
+    return json.dumps(skeleton, indent=2).replace('"%s"', s)
 
 
 def cmd_probe(cfg: RunConfig) -> int:
@@ -365,47 +389,29 @@ def cmd_probe(cfg: RunConfig) -> int:
     split, pg = split_geometry(lift, spec.ambient)
     checks = _identity_checks(spec, lift, split, pg, cfg)
     k_int = gauss_curvature_intrinsic(lift, spec.ambient)
-    e1, e2 = tangent_frame(lift, pg.g)
-
-    def normal(coords):  # the normal vector with (J e1, J e2) coordinates
-        return _vector_payload(coords[0] * apply_J(e1)
-                               + coords[1] * apply_J(e2))
-
     checks.append(_gauss_check(k_int, pg.K, "the probe point", cfg))
-    report = {
-        "surface": spec.kind,
-        "params": spec.params(),
-        "point": [a1, a2],
-        "chart": spec.chart.kind,
-        "g": [[float(pg.g[..., i, j]) for j in (0, 1)] for i in (0, 1)],
-        "K": float(pg.K),
-        "K_intrinsic": float(k_int),
-        "H2": float(pg.H2),
-        "sigma_sq": float(pg.sigma_sq),
-        "R": float(pg.R),
-        "D_re": float(np.real(pg.D)),
-        "D_im": float(np.imag(pg.D)),
-        "F_re": float(np.real(pg.F)),
-        "F_im": float(np.imag(pg.F)),
-        "F_abs": float(np.abs(pg.F)),
-        "Hc_re": float(np.real(pg.Hc)),
-        "Hc_im": float(np.imag(pg.Hc)),
-        "Hc_abs": float(np.abs(pg.Hc)),
-        "C": {"111": float(pg.C[..., 0, 0, 0]),
-              "112": float(pg.C[..., 0, 0, 1]),
-              "122": float(pg.C[..., 0, 1, 1]),
-              "222": float(pg.C[..., 1, 1, 1])},
-        "H": normal(0.5 * (pg.C[0, 0] + pg.C[1, 1])),
-        "e1": _vector_payload(e1),
-        "e2": _vector_payload(e2),
-        "sigma11": normal(pg.C[0, 0]),
-        "sigma12": normal(pg.C[0, 1]),
-        "sigma22": normal(pg.C[1, 1]),
-        "checks": checks,
-        "pass": all(c["pass"] for c in checks),
-    }
-    _emit(json.dumps(report, indent=2), cfg)
-    return 0 if report["pass"] else 1
+    passed = all(c["pass"] for c in checks)
+    e1, e2 = tangent_frame(lift, pg.g)
+    # H, sigma11, sigma12 and sigma22 from their (J e1, J e2) coordinates
+    C = pg.C
+    coords = np.stack([0.5 * (C[0, 0] + C[1, 1]), C[0, 0], C[0, 1], C[1, 1]])
+    normals = coords[:, :1] * apply_J(e1) + coords[:, 1:] * apply_J(e2)
+    vectors = np.stack([normals[0], e1, e2, *normals[1:]])
+    numbers = [*spec.params().values(), a1, a2, *pg.g.ravel().tolist(),
+               *(float(x) for x in (pg.K, k_int, pg.H2, pg.sigma_sq, pg.R,
+                                    pg.D.real, pg.D.imag, pg.F.real,
+                                    pg.F.imag, np.abs(pg.F), pg.Hc.real,
+                                    pg.Hc.imag, np.abs(pg.Hc))),
+               *C[(0, 0, 0, 1), (0, 0, 1, 1), (0, 1, 1, 1)].tolist(),
+               *np.stack([vectors.real, vectors.imag], 1).ravel().tolist()]
+    enc = json.encoder.encode_basestring_ascii  # json's rule for a str
+    rows = [text for c in checks for text in (
+        enc(c["name"]), enc(c["detail"]), _json_float(c["max_defect"]),
+        _json_float(c["tol"]), "true" if c["pass"] else "false")]
+    text = _probe_template(spec.kind, len(checks)) % (
+        *map(_json_float, numbers), *rows, "true" if passed else "false")
+    _emit(text, cfg)
+    return 0 if passed else 1
 
 
 def _certifiable_tiles(spec: SurfaceSpec, axis1, axis2):

@@ -7,8 +7,8 @@ flat real form interleaves real and imaginary parts, so six reals
 per-component signature eps in {+1, -1}^m, which is what distinguishes the
 round lift sphere (+,+,+) from the anti-De Sitter lift space (+,+,-).
 
-Jets hold a value and all chart partials up to second order (Jet2), or up
-to third (Jet3, whose lower orders run Jet2's code and so keep its bits),
+Jets hold a value and all chart partials up to second order (Jet2), or
+also d112 and d122 (Jet3, whose lower orders are Jet2's bit for bit),
 and propagate them through arithmetic exactly (up to round-off), so no
 numerical differentiation enters the package.  Complex conjugation is
 real-linear and therefore jet-compatible; holomorphic differentiation is
@@ -213,24 +213,22 @@ class Jet2:
 
 @dataclass(frozen=True)
 class Jet3(Jet2):
-    """Third-order jet: a Jet2 plus the four third partials.
-
+    """A Jet2 plus the mixed third partials d112 and d122, all that
+    Brioschi's E_vv, F_uv and G_uu read; no rule for them reads d111, d222.
     Field-wise operations are Jet2's own; the product, reciprocal and chain
     rules run Jet2's for the orders up to 2 and add the third order here.
     """
 
-    d111: np.ndarray
     d112: np.ndarray
     d122: np.ndarray
-    d222: np.ndarray
 
     @classmethod
     def variables(cls, a1, a2):
-        return tuple(cls(*j._fields(), *(np.zeros_like(j.v),) * 4)
+        return tuple(cls(*j._fields(), *(np.zeros_like(j.v),) * 2)
                      for j in Jet2.variables(a1, a2))
 
     def _fields(self):
-        return (*super()._fields(), self.d111, self.d112, self.d122, self.d222)
+        return (*super()._fields(), self.d112, self.d122)
 
     def __mul__(self, other):
         low = super().__mul__(other)
@@ -239,12 +237,10 @@ class Jet3(Jet2):
         a, b = self, other
         return Jet3(
             *low._fields(),
-            a.d111 * b.v + 3.0 * (a.d11 * b.d1 + a.d1 * b.d11) + a.v * b.d111,
             a.d112 * b.v + a.d11 * b.d2 + 2.0 * (a.d12 * b.d1 + a.d1 * b.d12)
             + a.d2 * b.d11 + a.v * b.d112,
             a.d122 * b.v + a.d22 * b.d1 + 2.0 * (a.d12 * b.d2 + a.d2 * b.d12)
             + a.d1 * b.d22 + a.v * b.d122,
-            a.d222 * b.v + 3.0 * (a.d22 * b.d2 + a.d2 * b.d22) + a.v * b.d222,
         )
 
     def reciprocal(self):
@@ -257,16 +253,14 @@ class Jet3(Jet2):
                            d1f, d2fv, d3fv)
 
     def _chain(self, low, d1f, d2f, d3f):
-        # the third partials of f(self), from f', f'' and f''' at self.v
+        # the mixed third partials of f(self), from f', f'', f''' at self.v
         a1, a2 = self.d1, self.d2
         return Jet3(
             *low._fields(),
-            d3f * a1 * a1 * a1 + 3.0 * d2f * self.d11 * a1 + d1f * self.d111,
             d3f * a1 * a1 * a2 + d2f * (2.0 * self.d12 * a1 + self.d11 * a2)
             + d1f * self.d112,
             d3f * a1 * a2 * a2 + d2f * (2.0 * self.d12 * a2 + self.d22 * a1)
             + d1f * self.d122,
-            d3f * a2 * a2 * a2 + 3.0 * d2f * self.d22 * a2 + d1f * self.d222,
         )
 
 

@@ -1,10 +1,10 @@
 """Each command builds and prints only what it reports.
 
 The split's certification (split_defects) runs only where a report prints
-it: on every tile of ``verify`` and once in ``probe``.  ``ellipse`` writes
-its sample table from a row template, so its bytes are checked here
-against the reference writers, and the ellipse normals take one cos and
-one sin call over the whole angle grid, which must round as the
+it: on every tile of ``verify`` and once in ``probe``.  ``ellipse`` and
+``probe`` write their reports from templates, so their bytes are checked
+here against the reference writers, and the ellipse normals take one cos
+and one sin call over the whole angle grid, which must round as the
 per-angle calls do.
 """
 
@@ -23,7 +23,7 @@ from lagsurf import ambient, catalog, cli, geom, scans
 from lagsurf.catalog import KINDS, SurfaceSpec, lift_at
 from lagsurf.cli import build_parser, main, resolve_config
 from lagsurf.geom import ellipse_samples, geometry_from_jet, point_geometry
-from lagsurf.numerics import real_pair
+from lagsurf.numerics import apply_J, real_pair
 from lagsurf.scans import grid_tiles
 
 # ---------------------------------------------------------------------------
@@ -117,6 +117,130 @@ def test_ellipse_report_renders_signed_zeros_and_extremes(fmt, monkeypatch,
     assert out == _reference_report(cfg, planted[0])
     assert ("-0.0" if fmt == "json" else ",-0,") in out
     assert "e-324" in out and "1e+22" in out
+
+
+# ---------------------------------------------------------------------------
+# the probe report's bytes
+
+PROBE_POINTS = [("1.0", "0.5"), ("0.4", "1.1")]
+
+
+def _record_probe(monkeypatch, plant=None) -> dict:
+    """Record what cmd_probe computes: its lift, geometry, intrinsic K and
+    check rows.  ``plant`` replaces the (split, geometry) it is given."""
+    seen = {}
+    gauss_row, identity_rows = cli._gauss_check, cli._identity_checks
+
+    def split_geometry(lift, space):
+        split, pg = geom.split_geometry(lift, space)
+        seen["lift"] = lift
+        seen["pg"] = plant(pg) if plant else pg
+        return split, seen["pg"]
+
+    def gauss_check(k_int, k, where, cfg):
+        seen["k_int"] = k_int
+        seen["gauss"] = gauss_row(k_int, k, where, cfg)
+        return seen["gauss"]
+
+    def identity_checks(*args):
+        rows = identity_rows(*args)
+        seen["rows"] = list(rows)  # cmd_probe appends gauss_routes to rows
+        return rows
+
+    monkeypatch.setattr(cli, "split_geometry", split_geometry)
+    monkeypatch.setattr(cli, "_gauss_check", gauss_check)
+    monkeypatch.setattr(cli, "_identity_checks", identity_checks)
+    return seen
+
+
+def _probe_reference(cfg, seen) -> tuple[str, bool]:
+    """The probe report as json.dumps(report, indent=2) writes it, each
+    value read out by float() and each normal vector built on its own."""
+    lift, pg, k_int = seen["lift"], seen["pg"], seen["k_int"]
+    checks = seen["rows"] + [seen["gauss"]]
+    e1, e2 = geom.tangent_frame(lift, pg.g)
+
+    def vector(vec):
+        return {"re": [float(x) for x in np.real(vec)],
+                "im": [float(x) for x in np.imag(vec)]}
+
+    def normal(coords):  # the normal vector with (J e1, J e2) coordinates
+        return vector(coords[0] * apply_J(e1) + coords[1] * apply_J(e2))
+
+    C = pg.C
+    report = {
+        "surface": cfg.spec.kind, "params": cfg.spec.params(),
+        "point": list(cfg.point), "chart": cfg.spec.chart.kind,
+        "g": [[float(pg.g[i, j]) for j in (0, 1)] for i in (0, 1)],
+        "K": float(pg.K), "K_intrinsic": float(k_int), "H2": float(pg.H2),
+        "sigma_sq": float(pg.sigma_sq), "R": float(pg.R),
+        "D_re": float(np.real(pg.D)), "D_im": float(np.imag(pg.D)),
+        "F_re": float(np.real(pg.F)), "F_im": float(np.imag(pg.F)),
+        "F_abs": float(np.abs(pg.F)),
+        "Hc_re": float(np.real(pg.Hc)), "Hc_im": float(np.imag(pg.Hc)),
+        "Hc_abs": float(np.abs(pg.Hc)),
+        "C": {"111": float(C[0, 0, 0]), "112": float(C[0, 0, 1]),
+              "122": float(C[0, 1, 1]), "222": float(C[1, 1, 1])},
+        "H": normal(0.5 * (C[0, 0] + C[1, 1])),
+        "e1": vector(e1), "e2": vector(e2),
+        "sigma11": normal(C[0, 0]), "sigma12": normal(C[0, 1]),
+        "sigma22": normal(C[1, 1]),
+        "checks": checks,
+        "pass": all(c["pass"] for c in checks),
+    }
+    return json.dumps(report, indent=2) + "\n", report["pass"]
+
+
+@pytest.mark.parametrize("point", PROBE_POINTS, ids="-".join)
+@pytest.mark.parametrize("surface", ELLIPSE_SURFACES)
+def test_probe_report_matches_json_dumps(surface, point, monkeypatch,
+                                         capsys):
+    seen = _record_probe(monkeypatch)
+    argv = ["probe", "--surface", surface, *point]
+    code = main(argv)
+    want, passed = _probe_reference(
+        resolve_config(build_parser().parse_args(argv)), seen)
+    assert code == (0 if passed else 1)
+    assert capsys.readouterr().out == want
+    # the circular families print their fit rows, the other its margin
+    names = [c["name"] for c in seen["rows"]]
+    circular = not surface.startswith("product-torus")
+    assert ("ellipse_fit" in names) == circular
+    assert ("non_circularity" in names) != circular
+
+
+def test_probe_report_renders_signed_zeros_and_extremes(monkeypatch,
+                                                        capsys):
+    # the catalog prints none of these, so they are planted in a real
+    # geometry and its intrinsic K, and two tolerances are set to extremes
+    def plant(pg):
+        g = pg.g.copy()
+        g[0, 1] = g[1, 0] = -0.0
+        C = pg.C.copy()
+        C[0, 0, 0], C[0, 0, 1], C[1, 1, 1] = -0.0, 5e-324, 1e22
+        C[0, 1, 1] = C[1, 0, 1] = -np.inf
+        return dataclasses.replace(
+            pg, g=g, C=C, K=np.float64(-0.0), H2=np.float64(5e-324),
+            sigma_sq=np.float64(1e22), R=np.float64(np.inf),
+            D=np.complex128(complex(-0.0, np.nan)),
+            F=np.complex128(complex(np.inf, -np.inf)),
+            Hc=np.complex128(complex(5e-324, -0.0)))
+
+    seen = _record_probe(monkeypatch, plant)
+    monkeypatch.setattr(cli, "gauss_curvature_intrinsic",
+                        lambda lift, space: np.float64(np.nan))
+    argv = ["probe", "--surface", "whitney-cp2(0.5)", "--tol",
+            "circularity=1e22", "--tol", "membership=5e-324", "0.4", "1.1"]
+    with np.errstate(all="ignore"):
+        code = main(argv)
+        want, passed = _probe_reference(
+            resolve_config(build_parser().parse_args(argv)), seen)
+    out = capsys.readouterr().out
+    assert code == 1 and not passed
+    assert out == want
+    for token in ("-0.0", "5e-324", "1e+22", "NaN", "Infinity",
+                  "-Infinity"):
+        assert token in out, token
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """No public name in src/ exists only for the tests, no dataclass field
 in src/ is left unread, no defaulted parameter in src/ is left at its
 default by every other caller, no src/ module imports a name it never
-uses, and every Python file of the project parses as Python 3.10, the
-requires-python floor.
+uses, every Python file of the project parses as Python 3.10, the
+requires-python floor, and importing the CLI loads no module but lagsurf's.
 
 A public function, class or constant must be the console-script entry
 point, or be used by other src/ code or by demos/ or bench/: loaded as a
@@ -16,8 +16,11 @@ own definition (recursion) does not count.
 from __future__ import annotations
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -331,3 +334,24 @@ def test_every_file_parses_at_the_python_floor():
         ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n",
                   feature_version=FLOOR)
     assert too_new_syntax() == []
+
+
+# ---------------------------------------------------------------------------
+# the import contract
+
+# what the CLI takes from the standard library and numpy, loaded first
+PRELOADED = "numpy, argparse, json, ast, dataclasses"
+LAGSURF = ("lagsurf", "lagsurf.ambient", "lagsurf.atlas", "lagsurf.catalog",
+           "lagsurf.cli", "lagsurf.geom", "lagsurf.numerics", "lagsurf.scans")
+
+
+def test_importing_the_cli_loads_only_lagsurf_modules():
+    # counted, not timed: each module the import adds is start-up work
+    # that every command pays
+    code = (f"import sys\nimport {PRELOADED}\nbefore = set(sys.modules)\n"
+            "import lagsurf.cli\n"
+            "print(*sorted(set(sys.modules) - before))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    assert proc.stdout.split() == sorted(("__future__",) + LAGSURF)
