@@ -19,11 +19,11 @@ for spec, point in ((SurfaceSpec("clifford-torus"), (0.4, 1.1)),
                     (SurfaceSpec("product-torus-c2", r1=1.0, r2=1.0),
                      (0.3, 0.7))):
     pg = point_geometry(spec, *point)
-    ellipse = ellipse_samples(pg, n_angles=12)
+    ellipse = ellipse_samples(pg)
+    thetas, normals = ellipse.samples(12)
     print(f"== {spec.label()} at {point}")
     print(f"{'theta':>8} {'n1':>10} {'n2':>10}")
-    for theta, (n1, n2) in zip(ellipse.theta.tolist(),
-                               ellipse.normals().tolist()):
+    for theta, (n1, n2) in zip(thetas.tolist(), normals.tolist()):
         print(f"{theta:>8.4f} {n1:>10.6f} {n2:>10.6f}")
     c1, c2 = ellipse.center.tolist()
     print(f"center: ({c1:.6f}, {c2:.6f})   "

@@ -100,6 +100,19 @@ def _parse_number(text: str) -> float:
     return value
 
 
+def _is_number(text: str) -> bool:
+    try:
+        _parse_number(text)
+    except ConfigError:
+        return False
+    return True
+
+
+# most points one --grid or --quad may ask for: verify takes about a
+# microsecond a point, so a run stays at seconds, never hours
+MAX_POINTS = 1 << 22
+
+
 def _parse_pair(text: str) -> tuple[int, int]:
     try:
         n1, n2 = (int(part) for part in text.lower().split("x"))
@@ -107,6 +120,9 @@ def _parse_pair(text: str) -> tuple[int, int]:
         raise ConfigError(f"expected N1xN2, got {text!r}") from None
     if n1 < 2 or n2 < 2:
         raise ConfigError("grid orders must be at least 2")
+    if n1 * n2 > MAX_POINTS:
+        raise ConfigError(f"{n1}x{n2} is {n1 * n2} points, over the cap of "
+                          f"{MAX_POINTS}")
     return n1, n2
 
 
@@ -281,7 +297,7 @@ def _check(name: str, detail: str, values, cfg: RunConfig,
             "tol": tol, "pass": bool(ok)}
 
 
-def _identity_values(spec, lift, split, pg, n_angles: int) -> dict:
+def _identity_values(spec, lift, split, pg) -> dict:
     """Each pointwise check's values at pg's points, in report order."""
     values = pg.defects | split_defects(lift, pg.space, split) | {
         "circularity_routes": circularity_route_gap(pg),
@@ -293,14 +309,14 @@ def _identity_values(spec, lift, split, pg, n_angles: int) -> dict:
     else:
         values |= {"circularity": scaled,
                    "radius_routes": radius_route_gap(pg),
-                   "ellipse_fit": ellipse_samples(pg, n_angles).fit_residual}
+                   "ellipse_fit": ellipse_samples(pg).fit_residual}
     return {name: values[name] for name in _DETAILS if name in values}
 
 
 def _identity_checks(spec, lift, split, pg, cfg: RunConfig) -> list[dict]:
     """The checks' rows over pg's points (probe's; verify's per tile)."""
     return [_check(name, _DETAILS[name], values, cfg) for name, values
-            in _identity_values(spec, lift, split, pg, cfg.angles).items()]
+            in _identity_values(spec, lift, split, pg).items()]
 
 
 def _gauss_check(k_int, k, where: str, cfg: RunConfig) -> dict:
@@ -471,10 +487,11 @@ def cmd_verify(cfg: RunConfig) -> int:
 def cmd_ellipse(cfg: RunConfig) -> int:
     spec = cfg.spec
     pg = point_geometry(spec, *cfg.point)
-    ellipse = ellipse_samples(pg, cfg.angles)
+    ellipse = ellipse_samples(pg)
+    theta, normals = ellipse.samples(cfg.angles)
     # (theta, normal1, normal2) per row of a template holding the constants;
     # the geometry's non-finite gate keeps NaN and Infinity out
-    samples = zip(ellipse.theta.tolist(), *ellipse.normals().T.tolist())
+    samples = zip(theta.tolist(), *normals.T.tolist())
     center = ellipse.center.tolist()
     fit = float(ellipse.fit_residual)
     if cfg.format == "csv":
@@ -511,23 +528,15 @@ def cmd_scan(cfg: RunConfig) -> int:
                           circ_tol=cfg.tolerance("circularity"),
                           minimal_tol=cfg.tolerance("minimality"))
     payload = {
-        "surface": spec.kind,
-        "params": spec.params(),
-        "grid": list(scan.grid),
-        "compact": scan.compact,
-        "K_min": scan.k_min,
-        "K_max": scan.k_max,
-        "argmin": list(scan.argmin),
-        "argmax": list(scan.argmax),
-        "argmin_z": scan.argmin_z,
-        "argmax_z": scan.argmax_z,
-        "R_min": scan.r_min,
-        "R_max": scan.r_max,
-        "D_max": scan.d_max,
-        "D_max_scaled": scan.d_max_scaled,
+        "surface": spec.kind, "params": spec.params(),
+        "grid": list(scan.grid), "compact": scan.compact,
+        "K_min": scan.k_min, "K_max": scan.k_max,
+        "argmin": list(scan.argmin), "argmax": list(scan.argmax),
+        "argmin_z": scan.argmin_z, "argmax_z": scan.argmax_z,
+        "R_min": scan.r_min, "R_max": scan.r_max,
+        "D_max": scan.d_max, "D_max_scaled": scan.d_max_scaled,
         "H_max": scan.h_max,
-        "circular": scan.circular,
-        "minimal": scan.minimal,
+        "circular": scan.circular, "minimal": scan.minimal,
         "pinching": pinching_report(scan).splitlines(),
     }
     _emit(json.dumps(payload, indent=2), cfg)
@@ -553,10 +562,9 @@ COMMANDS = {
     "list": Command(cmd_list, "enumerate the surface catalog",
                     ("json", "out")),
     "probe": Command(cmd_probe, "all pointwise invariants at one point",
-                     _SURFACE + ("angles", "tol", "out"), point=True),
+                     _SURFACE + ("tol", "out"), point=True),
     "verify": Command(cmd_verify, "run the named checks on a sample grid",
-                      _SURFACE + ("grid", "quad", "angles", "tol", "seed",
-                                  "out")),
+                      _SURFACE + ("grid", "quad", "tol", "seed", "out")),
     "ellipse": Command(cmd_ellipse, "sample the curvature ellipse at a point",
                        _SURFACE + ("angles", "format", "out"), point=True),
     "willmore": Command(cmd_willmore, "energy integral over a closed surface",
@@ -588,6 +596,9 @@ def build_parser() -> argparse.ArgumentParser:
         if command.point:
             p.add_argument("a1", help="first chart coordinate (pi allowed)")
             p.add_argument("a2", help="second chart coordinate (pi allowed)")
+            # argparse reads -0.5 as a number but -1e-3 and -pi/3 as flags;
+            # here a '-' token is a coordinate if _parse_number takes it
+            p._negative_number_matcher = SimpleNamespace(match=_is_number)
     return parser
 
 

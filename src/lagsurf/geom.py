@@ -20,8 +20,6 @@ from .ambient import AmbientSpace
 from .catalog import SurfaceSpec, lift_at
 from .numerics import TOLERANCES, Jet2, Jet3, component_major, real_pair
 
-# angles x points per group of the ellipse fit residual: 512 KB a temporary
-_ELLIPSE_BLOCK = 1 << 16
 # fewest angles that sample the ellipse, which is traced twice per turn
 MIN_ANGLES = 8
 
@@ -255,60 +253,47 @@ def radius(pg: PointGeometry) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CurvatureEllipse:
-    """The ellipse of curvature on a uniform angle grid, in (J e1, J e2)
-    coordinates.
+    """The ellipse of curvature in (J e1, J e2) coordinates.
 
     sigma(v, v) for the unit tangent v at angle theta is
-    ``center + cos(2 theta) half_diff + sin(2 theta) cross``: ``center`` is
-    the mean curvature vector H, ``half_diff`` is (sigma11 - sigma22) / 2
-    and ``cross`` is sigma12, each with the batch shape plus a trailing
-    axis of 2.  Angles theta and theta + pi give one normal: the ellipse is
-    traced twice per turn of v.  ``fit_residual`` is, pointwise,
-    max_theta | |sigma(v,v) - H| - R |, tiny exactly when the ellipse is
-    the circle of radius R.
+    ``center + cos(2 theta) half_diff + sin(2 theta) cross``: the mean
+    curvature vector H, (sigma11 - sigma22) / 2 and sigma12, each with the
+    batch shape plus a trailing axis of 2.  ``fit_residual`` is, pointwise,
+    max_theta | |sigma(v,v) - H| - R |: 0 exactly on the circle of radius R.
     """
 
-    theta: np.ndarray
     center: np.ndarray
     half_diff: np.ndarray
     cross: np.ndarray
     fit_residual: np.ndarray
 
-    def normals(self) -> np.ndarray:
-        """sigma(v, v) at every angle of ``theta``, angle axis first."""
+    def samples(self, n_angles: int) -> tuple[np.ndarray, np.ndarray]:
+        """n_angles uniform angles theta in [0, 2 pi) and sigma(v, v) at
+        each, angle axis first; theta + pi gives theta's normal again."""
+        if n_angles < MIN_ANGLES:
+            raise ValueError(
+                f"need n_angles >= {MIN_ANGLES} to see the ellipse")
+        theta = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
         # one call each over the angles: bitwise the per-angle calls
-        two_theta = (2.0 * self.theta).reshape((-1,) + (1,) * self.center.ndim)
+        two_theta = (2.0 * theta).reshape((-1,) + (1,) * self.center.ndim)
         cos2, sin2 = np.cos(two_theta), np.sin(two_theta)
-        return self.center + cos2 * self.half_diff + sin2 * self.cross
+        return theta, self.center + cos2 * self.half_diff + sin2 * self.cross
 
 
-def _fit_group(c, s, uu, uw, ww, R):
-    # |sigma(v,v) - H|^2 = c^2 |u|^2 + 2cs <u,w> + s^2 |w|^2 on a group of
-    # angles; it rounds below 0 where the ellipse is a segment (u || w)
-    dist = (c * c) * uu + (2.0 * c * s) * uw + (s * s) * ww
-    np.sqrt(np.maximum(dist, 0.0, out=dist), out=dist)
-    return np.max(np.abs(dist - R), axis=0)
-
-
-def ellipse_samples(pg: PointGeometry, n_angles: int) -> CurvatureEllipse:
-    """The ellipse of curvature at n_angles uniform angles, with its circle
-    fit residual from |u|^2, <u, w> and |w|^2 (u = half_diff, w = cross):
-    no normals, and a group of angles at a time, so memory is flat in them."""
-    if n_angles < MIN_ANGLES:
-        raise ValueError(f"need n_angles >= {MIN_ANGLES} to see the ellipse")
+def ellipse_samples(pg: PointGeometry) -> CurvatureEllipse:
+    """The ellipse of curvature of pg and its exact circle-fit residual: for
+    U, W the complex numbers of u = half_diff, w = cross, alpha = (U - iW)/2
+    and beta = (U + iW)/2, sigma(v,v) - H = alpha e^{2i theta} + beta
+    e^{-2i theta}, so |sigma(v,v) - H| runs over [b, a] for a = |alpha| +
+    |beta|, b = ||alpha| - |beta||, and the residual is max(a - R, R - b)."""
     # the (J e1, J e2) coordinates of sigma_ij are the cubic tensor C_ij
     c11, c12, c22 = pg.C[..., 0, 0, :], pg.C[..., 0, 1, :], pg.C[..., 1, 1, :]
     u, w = 0.5 * (c11 - c22), c12
-    theta = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
-    two_theta = (2.0 * theta).reshape((-1,) + (1,) * np.ndim(pg.R))
-    cos2, sin2 = np.cos(two_theta), np.sin(two_theta)
-    coeffs = _dot(u, u), _dot(u, w), _dot(w, w)
-    step = max(1, _ELLIPSE_BLOCK // max(1, np.size(pg.R)))
-    groups = (_fit_group(cos2[i:i + step], sin2[i:i + step], *coeffs, pg.R)
-              for i in range(0, n_angles, step))
-    return CurvatureEllipse(theta=theta, center=0.5 * (c11 + c22),
-                            half_diff=u, cross=w,
-                            fit_residual=functools.reduce(np.maximum, groups))
+    alpha = 0.5 * np.hypot(u[..., 0] + w[..., 1], u[..., 1] - w[..., 0])
+    beta = 0.5 * np.hypot(u[..., 0] - w[..., 1], u[..., 1] + w[..., 0])
+    fit = np.maximum(alpha + beta - pg.R, pg.R - np.abs(alpha - beta))
+    return CurvatureEllipse(center=0.5 * (c11 + c22), half_diff=u, cross=w,
+                            fit_residual=fit)
 
 
 def gauss_curvature_intrinsic(lift: Jet3, space: AmbientSpace) -> np.ndarray:

@@ -19,12 +19,13 @@ import numpy as np
 import pytest
 
 from helpers import certifiable
-from lagsurf import numerics, scans
+from lagsurf import cli, numerics, scans
 from lagsurf.ambient import split_defects
 from lagsurf.atlas import build_grid
 from lagsurf.catalog import FAMILIES, KINDS, SurfaceSpec
-from lagsurf.cli import (_DETAILS, TOLERANCES, ConfigError, _identity_checks,
-                         _identity_values, _parse_number, build_parser, main,
+from lagsurf.cli import (_DETAILS, MAX_POINTS, TOLERANCES, ConfigError,
+                         _identity_checks, _identity_values, _parse_number,
+                         _parse_pair, build_parser, main,
                          parse_surface_token, read_config_file,
                          resolve_config)
 from lagsurf.geom import MIN_ANGLES
@@ -305,6 +306,36 @@ def test_probe_accepts_pi_expressions(capsys):
     assert report["point"][0] == pytest.approx(math.pi / 3.0, rel=1e-15)
 
 
+# negative coordinates that argparse's own pattern reads as flags; it reads
+# '-0.5' as a number
+NEGATIVE_FORMS = ["-1e-3", "-pi/3", "-e", "-2*pi/7", "-(1+2)/10"]
+
+
+@pytest.mark.parametrize("position", [0, 1], ids=["a1", "a2"])
+@pytest.mark.parametrize("command, surface", [("probe", "eta-ch2"),
+                                              ("ellipse", "clifford-torus")])
+@pytest.mark.parametrize("token", NEGATIVE_FORMS)
+def test_negative_coordinate_parses_in_every_number_form(token, command,
+                                                         surface, position,
+                                                         capsys):
+    point = ["0.5", "0.5"]
+    point[position] = token
+    argv = [command, "--surface", surface]
+    code, out = run_cli(capsys, argv + point)
+    assert code == 0
+    assert json.loads(out)["point"][position] == _parse_number(token)
+    # the report of the same point given after '--'
+    assert run_cli(capsys, argv + ["--"] + point) == (0, out)
+
+
+@pytest.mark.parametrize("token", ["-x", "-pi/", "-1e"])
+def test_a_dash_token_that_is_no_number_stays_a_usage_error(token, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["probe", "--surface", "eta-ch2", token, "0.5"])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
 def _gauss_row(out):
     return next(row for row in json.loads(out)["checks"]
                 if row["name"] == "gauss_routes")
@@ -460,7 +491,7 @@ def test_every_check_is_named_by_its_tolerance(spec):
     lift, split, pg = certifiable(spec, 0.4, 1.1)
     defects = pg.defects | split_defects(lift, pg.space, split)
     assert set(defects) <= set(TOLERANCES)
-    values = _identity_values(spec, lift, split, pg, MIN_ANGLES)
+    values = _identity_values(spec, lift, split, pg)
     assert list(values) == [name for name in _DETAILS if name in values]
     assert set(list(values)[:len(defects)]) == set(defects)
 
@@ -591,9 +622,8 @@ def test_flag_overrides_config(tmp_path, capsys):
 _SURFACE_FLAGS = {"--surface", "--t", "--s", "--r1", "--r2"}
 FLAGS = {
     "list": {"--json"},
-    "probe": _SURFACE_FLAGS | {"--angles", "--tol"},
-    "verify": _SURFACE_FLAGS | {"--grid", "--quad", "--angles", "--tol",
-                                "--seed"},
+    "probe": _SURFACE_FLAGS | {"--tol"},
+    "verify": _SURFACE_FLAGS | {"--grid", "--quad", "--tol", "--seed"},
     "ellipse": _SURFACE_FLAGS | {"--angles", "--format"},
     "willmore": _SURFACE_FLAGS | {"--quad"},
     "scan": _SURFACE_FLAGS | {"--grid", "--tol"},
@@ -604,7 +634,7 @@ _SHARED = _SURFACE_FLAGS | {"--grid", "--quad", "--angles", "--tol", "--seed",
 _VALUE = {"--surface": "whitney-c2", "--grid": "8x8", "--quad": "8x16",
           "--tol": "circularity=1e-6", "--format": "csv"}
 UNREAD = [(command, flag) for command in FLAGS
-          for flag in sorted(_SHARED - FLAGS[command])]  # 29 pairs
+          for flag in sorted(_SHARED - FLAGS[command])]  # 31 pairs
 
 
 @pytest.mark.parametrize("command, flag", UNREAD)
@@ -682,12 +712,19 @@ def test_bad_flag_value_returns_2_with_one_error_line(argv, message, capsys):
 ], ids=lambda argv: argv[0])
 def test_too_few_angles_is_a_usage_error_on_every_surface(surface, argv,
                                                           capsys):
-    # the bound is ellipse_samples', whether or not the surface's report
-    # samples the ellipse (a non-circular one's probe and verify do not)
-    assert main(argv[:1] + ["--surface", surface] + argv[1:]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err == (
-        f"error: need n_angles >= {MIN_ANGLES} to see the ellipse\n")
+    # only ellipse samples the ellipse, and its bound holds on every
+    # surface; probe and verify take no --angles, whatever the count
+    argv = argv[:1] + ["--surface", surface] + argv[1:]
+    if argv[0] == "ellipse":
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            f"error: need n_angles >= {MIN_ANGLES} to see the ellipse\n")
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --angles" in capsys.readouterr().err
 
 
 def test_too_few_angles_in_config_file_is_a_usage_error(tmp_path, capsys):
@@ -700,6 +737,31 @@ def test_too_few_angles_in_config_file_is_a_usage_error(tmp_path, capsys):
     cfg.write_text(surface + f"angles = {MIN_ANGLES}\n")
     assert main(["ellipse", "--config", str(cfg), "0.4", "1.1"]) == 0
     capsys.readouterr()
+
+
+def test_grid_and_quad_sizes_are_capped(tmp_path, monkeypatch, capsys):
+    # the largest sizes in use and exactly MAX_POINTS pass; one point more
+    # exits 2 with one line while the options are read, before sampling
+    for text in ("512x512", "256x512", f"2x{MAX_POINTS // 2}"):
+        n1, n2 = _parse_pair(text)
+        assert n1 * n2 <= MAX_POINTS
+    n1 = next(k for k in range(2, 1000) if (MAX_POINTS + 1) % k == 0)
+    past = f"{n1}x{(MAX_POINTS + 1) // n1}"
+
+    def sampled(*args, **kwargs):
+        raise AssertionError("an oversized request reached the sampler")
+
+    monkeypatch.setattr(cli, "build_grid", sampled)
+    monkeypatch.setattr(cli, "willmore", sampled)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"surface = whitney-c2\nquad = {past}\n")
+    for argv in (["verify", "--surface", "whitney-c2", "--grid", past],
+                 ["willmore", "--config", str(cfg)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            f"error: {past} is {MAX_POINTS + 1} points, over the cap of "
+            f"{MAX_POINTS}\n")
 
 
 def test_negative_seed_in_config_file_names_the_option(tmp_path, capsys):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -262,19 +261,17 @@ def test_radius_gate_widens_with_the_tolerance_table(monkeypatch):
 
 def test_ellipse_samples_period_pi():
     pg = point_geometry(SurfaceSpec("whitney-cp2", t=0.8), 1.1, 0.6)
-    ellipse = ellipse_samples(pg, 16)
-    normals = ellipse.normals()
+    theta, normals = ellipse_samples(pg).samples(16)
     for k in range(8):
         delta = normals[k] - normals[k + 8]
         assert np.max(np.abs(delta)) < 1e-12
-        assert ellipse.theta[k + 8] == pytest.approx(
-            ellipse.theta[k] + np.pi, abs=1e-12)
+        assert theta[k + 8] == pytest.approx(theta[k] + np.pi, abs=1e-12)
 
 
 @pytest.mark.parametrize("spec", CIRCULAR_SPECS, ids=lambda s: s.label())
 def test_ellipse_fit_residual_circular(spec):
     pg = _grid_geometry(spec, n=7)
-    fit = ellipse_samples(pg, 32).fit_residual
+    fit = ellipse_samples(pg).fit_residual
     assert fit.shape == pg.R.shape
     assert np.max(fit) < 1e-8
 
@@ -284,7 +281,7 @@ def test_ellipse_fit_residual_degenerate_segment():
     # around |H| = 1/sqrt(2), so the circle-fit residual is exactly 0.5
     pg = point_geometry(SurfaceSpec("product-torus-c2", r1=1.0, r2=1.0),
                         0.0, 0.0)
-    fit = ellipse_samples(pg, 64).fit_residual
+    fit = ellipse_samples(pg).fit_residual
     assert fit == pytest.approx(0.5, abs=1e-10)
     assert fit > 0.3
 
@@ -337,8 +334,8 @@ def test_every_check_of_a_batch_is_its_tiles_concatenated(spec):
     a1, a2 = build_grid(spec.chart, 150, 131)
     geometry = certifiable(spec, *flat_grid(a1, a2))
     whole = geometry[2]
-    want = _identity_values(spec, *geometry, 64)
-    tiles = [(tile[2].K.shape, _identity_values(spec, *tile, 64))
+    want = _identity_values(spec, *geometry)
+    tiles = [(tile[2].K.shape, _identity_values(spec, *tile))
              for tile in (certifiable(spec, t1, t2)
                           for _, t1, t2 in grid_tiles(a1, a2))]
     assert len(tiles) > 1
@@ -369,24 +366,44 @@ def _one_broadcast_fit_residual(pg, n_angles):
                   axis=0)
 
 
-def _fit_route_bound(pg):
-    # 4 ulps at the normals route's scale: it adds H in and takes it off
-    # again, so its round-off grows with |H| as well as with R
-    return 4.0 * np.spacing(1.0 + pg.R + np.sqrt(pg.H2))
+# angle counts of the sampled route: odd, even, few and many
+SAMPLED_ANGLES = (8, 9, 16, 64, 200, 1001)
+
+
+def _semi_axes(pg):
+    """(a, a - b) of the ellipse from D and R, not from the fit: |D| is
+    a^2 - b^2 and 2 R^2 is a^2 + b^2, and a - b = |D| / (a + b) keeps its
+    digits next to a circle."""
+    half = 0.5 * np.abs(pg.D)
+    a = np.sqrt(pg.R ** 2 + half)
+    b = np.sqrt(np.maximum(pg.R ** 2 - half, 0.0))
+    gap = np.divide(2.0 * half, a + b, out=np.zeros_like(a), where=a > 0.0)
+    return a, gap
+
+
+def _assert_fit_bounds_the_sampled_route(pg):
+    # the sampled maximum can reach the exact one only by round-off, and
+    # trails it by at most 2 pi (a - b) / n: as a function of theta, the
+    # distance |alpha e^{4i theta} + beta| moves at most 4 min(|alpha|,
+    # |beta|) = 2 (a - b) per radian, and a sample lies within pi / n of
+    # the worst angle.  The round-off is 8 ulps at the scale of the
+    # sampled route, which adds H in and takes it off again.
+    fit = ellipse_samples(pg).fit_residual
+    a, a_minus_b = _semi_axes(pg)
+    round_off = 8.0 * np.spacing(1.0 + a + pg.R + np.sqrt(pg.H2))
+    assert fit.shape == pg.R.shape and np.all(np.isfinite(fit))
+    for n_angles in SAMPLED_ANGLES:
+        sampled = _one_broadcast_fit_residual(pg, n_angles)
+        assert sampled.shape == pg.R.shape
+        assert np.all(sampled <= fit + round_off), n_angles
+        assert np.all(fit - sampled
+                      <= 2.0 * np.pi * a_minus_b / n_angles + round_off)
 
 
 @pytest.mark.parametrize("spec", EVERY_KIND, ids=lambda s: s.label())
 def test_ellipse_fit_residual_matches_the_normals_route(spec):
-    # 4,096 points: 64 angles and more run in several groups, 200 and 1001
-    # with a ragged last one; a single point runs in one
-    grid = _grid_geometry(spec, n=64)
-    single = point_geometry(spec, 0.7, 1.3)
-    for pg in (grid, single):
-        for n_angles in (8, 9, 64, 200, 1001):
-            fit = ellipse_samples(pg, n_angles).fit_residual
-            want = _one_broadcast_fit_residual(pg, n_angles)
-            assert fit.shape == want.shape == pg.R.shape
-            assert np.all(np.abs(fit - want) <= _fit_route_bound(pg))
+    for pg in (_grid_geometry(spec, n=64), point_geometry(spec, 0.7, 1.3)):
+        _assert_fit_bounds_the_sampled_route(pg)
 
 
 def _hand_built_geometry(s11, s12, s22):
@@ -399,61 +416,46 @@ def _hand_built_geometry(s11, s12, s22):
 
 
 def test_ellipse_fit_residual_of_degenerate_ellipses():
-    # segments (w = lambda u, product-torus points) and points (u = w = 0).
-    # The quadratic form in |u|^2, <u, w> and |w|^2 vanishes at a segment's
-    # ends.  Next to them it keeps an absolute round-off of about
-    # eps (|u|^2 + |w|^2), which the square root divides by the distance d,
-    # or takes the root of where d is smaller: up to sqrt(eps) relative
-    # where a sampled angle meets an end, as lambda = tan(pi / 8) does on
-    # 64 angles.  At lambda = -1 the form rounds below 0 on 16 and 64
-    # angles, where an unclamped square root would warn and give NaN.
+    # segments (w = lambda u, product-torus points), points (u = w = 0)
+    # and general ellipses.  The closed form never squares a distance, so
+    # no angle meets a segment's end with a quadratic form's round-off,
+    # and no square root sees a value rounded below 0 (lambda = -1 did on
+    # 16 and 64 angles): it warns nowhere.
     rng = np.random.default_rng(7)
-    s11, s22 = rng.normal(size=(2, 1024, 2))
+    s11, s12, s22 = rng.normal(size=(3, 1024, 2))
     half_diff = 0.5 * (s11 - s22)
     cases = [_grid_geometry(SurfaceSpec("product-torus-c2", r1=r1, r2=r2),
                             n=64) for r1, r2 in ((1.0, 1.0), (1.0, 2.0))]
     cases += [_hand_built_geometry(s11, lam * half_diff, s22)
               for lam in (1.0, -1.0, 2.0, 0.5, 1e-3, np.tan(np.pi / 8))]
-    cases.append(_hand_built_geometry(s11, 0.0 * half_diff, s11))
+    cases += [_hand_built_geometry(s11, 0.0 * half_diff, s11),
+              _hand_built_geometry(s11, s12, s22)]
     for pg in cases:
-        u = 0.5 * (pg.C[..., 0, 0, :] - pg.C[..., 1, 1, :])
-        w = pg.C[..., 0, 1, :]
-        round_off = 8.0 * np.finfo(float).eps * np.sum(u * u + w * w, axis=-1)
-        for n_angles in (8, 16, 64, 200):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                fit = ellipse_samples(pg, n_angles).fit_residual
-            dist = _normals_route_distances(pg, n_angles)
-            want = np.max(np.abs(dist - pg.R), axis=0)
-            near_end = np.min(dist, axis=0) ** 2 + round_off
-            bound = _fit_route_bound(pg) + round_off / np.sqrt(
-                near_end + np.finfo(float).tiny)
-            assert np.all(np.isfinite(fit))
-            assert np.all(np.abs(fit - want) <= bound)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _assert_fit_bounds_the_sampled_route(pg)
 
 
-def test_ellipse_fit_residual_memory_is_flat_in_angles():
-    pg = _grid_geometry(SurfaceSpec("whitney-cp2", t=0.5), n=32)
-    ellipse_samples(pg, 8)  # first-call caches out of the count
-
-    def peak(n_angles):
-        tracemalloc.start()
-        try:
-            ellipse_samples(pg, n_angles)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    # the 448 extra angles' normals at once would take 448 x 1,024 x 16 B
-    # (7.3 MB); the residual's memory must not grow with angles x points
-    extra_normals = (512 - 64) * np.size(pg.R) * 16
-    assert peak(512) - peak(64) < 0.01 * extra_normals
+def test_ellipse_fit_residual_of_a_segment_is_its_radius():
+    # w = tan(pi / 8) u is a segment of half-length a = |u| / cos(pi / 8)
+    # with b = 0 and R = a / sqrt(2), so the residual is max(a - R, R) = R.
+    # A quadratic form sampled at 64 angles, one of them at its end, lost
+    # about 1e-8 of it there.
+    rng = np.random.default_rng(7)
+    s11, s22 = rng.normal(size=(2, 1024, 2))
+    lam = np.tan(np.pi / 8)
+    pg = _hand_built_geometry(s11, lam * 0.5 * (s11 - s22), s22)
+    u = 0.5 * (s11 - s22)
+    a = np.hypot(1.0, lam) * np.hypot(u[..., 0], u[..., 1])
+    want = np.maximum(a - pg.R, pg.R)
+    fit = ellipse_samples(pg).fit_residual
+    assert np.all(np.abs(fit - want) <= 4.0 * np.spacing(want))
 
 
 def test_ellipse_needs_enough_angles():
     pg = point_geometry(SurfaceSpec("clifford-torus"), 0.1, 0.1)
     with pytest.raises(ValueError, match="n_angles"):
-        ellipse_samples(pg, 4)
+        ellipse_samples(pg).samples(4)
 
 
 # ---------------------------------------------------------------------------

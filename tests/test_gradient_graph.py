@@ -133,7 +133,7 @@ def test_harmonic_gradient_graph_is_circular_and_minimal(seed):
     pg = geometry_from_jet(lift, C2)
     R = radius(pg)  # raises unless circular and its three routes agree
     assert np.max(radius_route_gap(pg)) <= TOLERANCES["radius_routes"]
-    assert np.max(ellipse_samples(pg, 64).fit_residual) <= ROUND_OFF
+    assert np.max(ellipse_samples(pg).fit_residual) <= ROUND_OFF
     assert np.max(np.sqrt(pg.H2)) <= TOLERANCES["minimality"]
     # c = 0 and H = 0: K = -|sigma|^2 / 2 <= 0 and R = sqrt(-K / 2)
     assert np.max(pg.K) <= 0.0

@@ -36,14 +36,15 @@ ANGLES = [8, 9, 64, 1000]
 
 def _reference_report(cfg, ellipse) -> str:
     """The report as the reference writers give it: json.dumps(indent=2),
-    or csv.writer with .17g cells, the normals by scalar cos and sin per
-    angle.  The values are finite: the geometry's non-finite gate rejects
-    a point whose metric, K, D, F or Hc is not, and every entry of C (so
-    of the center and the normals) enters K or D."""
-    thetas = ellipse.theta.tolist()
+    or csv.writer with .17g cells, at cfg.angles uniform angles, the
+    normals by scalar cos and sin per angle.  The values are finite: the
+    geometry's non-finite gate rejects a point whose metric, K, D, F or Hc
+    is not, and every entry of C (so of the center and the normals) enters
+    K or D."""
+    theta = np.linspace(0.0, 2.0 * np.pi, cfg.angles, endpoint=False)
+    thetas = theta.tolist()
     normals = [(ellipse.center + np.cos(2.0 * t) * ellipse.half_diff
-                + np.sin(2.0 * t) * ellipse.cross).tolist()
-               for t in ellipse.theta]
+                + np.sin(2.0 * t) * ellipse.cross).tolist() for t in theta]
     center = ellipse.center.tolist()
     fit = float(ellipse.fit_residual)
     if cfg.format == "csv":
@@ -79,7 +80,7 @@ def test_ellipse_report_matches_the_reference_writers(surface, angles, fmt,
     argv = _ellipse_argv(surface, angles, fmt)
     cfg = resolve_config(build_parser().parse_args(argv))
     want = _reference_report(
-        cfg, ellipse_samples(point_geometry(cfg.spec, *cfg.point), angles))
+        cfg, ellipse_samples(point_geometry(cfg.spec, *cfg.point)))
     assert main(argv) == 0
     assert capsys.readouterr().out == want
 
@@ -99,9 +100,9 @@ def test_ellipse_report_renders_signed_zeros_and_extremes(fmt, monkeypatch,
     # signed zeros, a subnormal, huge and tiny exponents
     planted = []
 
-    def samples(pg, n_angles):
+    def samples(pg):
         ellipse = dataclasses.replace(
-            ellipse_samples(pg, n_angles),
+            ellipse_samples(pg),
             center=np.array([-0.0, 1e-300]),
             half_diff=np.array([5e-324, 1e22]),
             cross=np.array([-0.0, -2.5e-17]),
@@ -244,15 +245,15 @@ def test_probe_report_renders_signed_zeros_and_extremes(monkeypatch,
 
 
 # ---------------------------------------------------------------------------
-# the trig assumption behind CurvatureEllipse.normals
+# the trig assumption behind CurvatureEllipse.samples
 
 
 @pytest.mark.parametrize("n", [8, 9, 16, 64, 1000, 4096])
 def test_angle_grid_trig_in_one_call_is_bitwise_the_scalar_calls(n):
-    # normals takes cos and sin of the whole grid at once; a platform whose
+    # samples takes cos and sin of the whole grid at once; a platform whose
     # vector loops round otherwise fails here, not in a report diff
     pg = point_geometry(SurfaceSpec("whitney-cp2", t=0.5), 0.4, 1.1)
-    two_theta = 2.0 * ellipse_samples(pg, n).theta
+    two_theta = 2.0 * ellipse_samples(pg).samples(n)[0]
     for f in (np.cos, np.sin):
         scalar = np.array([f(t) for t in two_theta])
         assert f(two_theta).tobytes() == scalar.tobytes(), f.__name__

@@ -55,7 +55,10 @@ def cli_cases() -> list[list[str]]:
               ["verify", "--surface", "whitney-cp2(7)"],
               ["verify", "--surface", "whitney-ch2(0.005)"],
               # next to the sphere chart's pole
-              ["probe", "--surface", "whitney-c2", "0.0005", "1.0"]]
+              ["probe", "--surface", "whitney-c2", "0.0005", "1.0"],
+              # negative coordinates that argparse alone reads as flags
+              ["probe", "--surface", "eta-ch2", "-1e-3", "0.5"],
+              ["ellipse", "--surface", "clifford-torus", "0.4", "-pi/3"]]
     for s in SURFACES:
         cases += [["probe", "--surface", s, *p] for p in POINTS]
         cases += [["ellipse", "--surface", s, "--format", fmt, *POINTS[1]]
