@@ -39,35 +39,6 @@ class ConfigError(ValueError):
     """The run configuration is malformed (unknown key, bad value)."""
 
 
-class RunConfig(SimpleNamespace):
-    """One subcommand's resolved options, plus ``spec`` and ``point``."""
-
-    def tolerance(self, name: str) -> float:
-        return self.tol.get(name, TOLERANCES[name])
-
-
-def parse_surface_token(token: str) -> tuple[str, dict[str, float]]:
-    """Split ``kind`` or ``kind(a,b)`` into a kind and keyword parameters."""
-    token = token.strip()
-    values: list[str] = []
-    if token.endswith(")"):
-        kind, _, tail = token.partition("(")
-        values = [part.strip() for part in tail[:-1].split(",")]
-        if "" in values and values != [""]:  # a bare kind() is allowed
-            raise ConfigError(f"empty parameter slot in surface {token!r}")
-        token, values = kind.strip(), [text for text in values if text]
-    token = next((k for k, f in FAMILIES.items() if token == f.alias), token)
-    if token not in FAMILIES:
-        raise ConfigError(
-            f"unknown surface {token!r}; choose one of {', '.join(KINDS)}")
-    names = FAMILIES[token].params
-    if len(values) > len(names):
-        raise ConfigError(
-            f"surface {token!r} takes at most {len(names)} parameters")
-    return token, {name: _parse_number(text)
-                   for name, text in zip(names, values)}
-
-
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 _OPERATORS = {ast.UAdd: operator.pos, ast.USub: operator.neg,
               ast.Add: operator.add, ast.Sub: operator.sub,
@@ -106,6 +77,33 @@ def _is_number(text: str) -> bool:
     except ConfigError:
         return False
     return True
+
+
+def parse_surface(text: str) -> SurfaceSpec:
+    """The surface that ``kind`` or ``kind(v1,v2)`` names, each parameter
+    not given at its default; a domain error keeps the spec's message."""
+    token = text.strip()
+    values: list[str] = []
+    if token.endswith(")"):
+        kind, _, tail = token.partition("(")
+        values = [part.strip() for part in tail[:-1].split(",")]
+        if "" in values and values != [""]:  # a bare kind() is allowed
+            raise ConfigError(f"empty parameter slot in surface {token!r}")
+        token, values = kind.strip(), [part for part in values if part]
+    token = next((k for k, f in FAMILIES.items() if token == f.alias), token)
+    if token not in FAMILIES:
+        raise ConfigError(
+            f"unknown surface {token!r}; choose one of {', '.join(KINDS)}")
+    family = FAMILIES[token]
+    if len(values) > len(family.params):
+        raise ConfigError(
+            f"surface {token!r} takes at most {len(family.params)} parameters")
+    params = dict(family.defaults) | {
+        name: _parse_number(part) for name, part in zip(family.params, values)}
+    try:
+        return SurfaceSpec(token, **params)
+    except ValueError as exc:
+        raise ConfigError(*exc.args) from None
 
 
 # most points one --grid or --quad may ask for: verify takes about a
@@ -173,11 +171,7 @@ class Option:
 
 
 OPTIONS = {
-    "surface": Option(str, None, "kind, or kind(v1,v2)"),
-    "t": Option(float, None, "family parameter t"),
-    "s": Option(float, None, "family parameter s"),
-    "r1": Option(float, None, "first circle radius"),
-    "r2": Option(float, None, "second circle radius"),
+    "surface": Option(parse_surface, None, "kind, or kind(v1,v2)"),
     "grid": Option(_parse_pair, "64x64", "sample grid", "N1xN2"),
     "quad": Option(_parse_pair, "128x256", "quadrature orders", "N1xN2"),
     "angles": Option(_parse_angles, "64", "ellipse sample count"),
@@ -188,7 +182,6 @@ OPTIONS = {
     "out": Option(str, None, "write the report to this path"),
     "json": Option(None, None, "emit the catalog as JSON"),
 }
-_SURFACE = ("surface", "t", "s", "r1", "r2")
 
 
 def _convert(name: str, text: str):
@@ -223,18 +216,10 @@ def read_config_file(path: str) -> list[tuple[str, object]]:
     return pairs
 
 
-def _surface_spec(values: dict) -> SurfaceSpec:
-    if values["surface"] is None:
-        raise ConfigError("no surface selected; pass --surface KIND")
-    kind, inline = parse_surface_token(values["surface"])
-    inline.update({f.name: values[f.name] for f in fields(SurfaceSpec)[1:]
-                   if values[f.name] is not None})  # every field after kind
-    return SurfaceSpec(kind, **(dict(FAMILIES[kind].defaults) | inline))
-
-
-def resolve_config(args: argparse.Namespace) -> RunConfig:
+def resolve_config(args: argparse.Namespace) -> SimpleNamespace:
     """The options the subcommand reads: the table default, then the config
-    file, then the flags.  Later values win; tolerances merge by name."""
+    file, then the flags.  Later values win; tolerances merge by name, over
+    the library's table.  The surface comes back as ``spec``."""
     command = COMMANDS[args.command]
     given = read_config_file(args.config) if args.config else []
     values = {}
@@ -252,10 +237,14 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             values[name] = (values[name] | value if OPTIONS[name].repeat
                             else value)
     if "surface" in values:
-        values["spec"] = _surface_spec(values)
+        values["spec"] = values.pop("surface")
+        if values["spec"] is None:
+            raise ConfigError("no surface selected; pass --surface KIND")
+    if "tol" in values:
+        values["tol"] = TOLERANCES | values["tol"]
     if command.point:
         values["point"] = (_parse_number(args.a1), _parse_number(args.a2))
-    return RunConfig(**values)
+    return SimpleNamespace(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -280,15 +269,15 @@ _DETAILS = {
         "min scaled |D| stays above tol: the ellipse is never a circle",
     "circularity": "max scaled |D| over the sample",
     "radius_routes": "R from the invariants matches both sigma routes",
-    "ellipse_fit": "sampled curve fits a circle in the normal plane",
+    "ellipse_fit": "both semi-axes of the ellipse equal R",
 }
 
 
-def _check(name: str, detail: str, values, cfg: RunConfig,
+def _check(name: str, detail: str, values, cfg: SimpleNamespace,
            tol_name: str | None = None) -> dict:
     """One report row: the worst of ``values`` (the max, the min for a
     margin), judged by the tolerance named tol_name or name."""
-    tol = cfg.tolerance(tol_name or name)
+    tol = cfg.tol[tol_name or name]
     margin = name in _MARGINS
     # np.min or np.max, without their wrapper's cost on a one-point value
     defect = float((np.minimum if margin else np.maximum).reduce(values, None))
@@ -313,13 +302,13 @@ def _identity_values(spec, lift, split, pg) -> dict:
     return {name: values[name] for name in _DETAILS if name in values}
 
 
-def _identity_checks(spec, lift, split, pg, cfg: RunConfig) -> list[dict]:
+def _identity_checks(spec, lift, split, pg, cfg) -> list[dict]:
     """The checks' rows over pg's points (probe's; verify's per tile)."""
     return [_check(name, _DETAILS[name], values, cfg) for name, values
             in _identity_values(spec, lift, split, pg).items()]
 
 
-def _gauss_check(k_int, k, where: str, cfg: RunConfig) -> dict:
+def _gauss_check(k_int, k, where: str, cfg: SimpleNamespace) -> dict:
     """Intrinsic-vs-extrinsic curvature agreement, |K_int - K| / (1 + |K|),
     at the points named by ``where``."""
     return _check("gauss_routes", f"metric-only curvature agrees at {where}",
@@ -335,7 +324,7 @@ def _willmore_payload(rep: WillmoreReport) -> dict:
 # subcommands
 
 
-def _emit(text: str, cfg: RunConfig) -> None:
+def _emit(text: str, cfg: SimpleNamespace) -> None:
     if cfg.out:
         try:
             with open(cfg.out, "w", encoding="utf-8") as handle:
@@ -351,7 +340,7 @@ def _emit(text: str, cfg: RunConfig) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def cmd_list(cfg: RunConfig) -> int:
+def cmd_list(cfg: SimpleNamespace) -> int:
     rows = [{"kind": kind,
              "ambient": family.ambient.model,
              "parameters": list(family.params),
@@ -398,7 +387,7 @@ def _probe_template(kind: str, n_checks: int) -> str:
     return json.dumps(skeleton, indent=2).replace('"%s"', s)
 
 
-def cmd_probe(cfg: RunConfig) -> int:
+def cmd_probe(cfg: SimpleNamespace) -> int:
     spec = cfg.spec
     a1, a2 = cfg.point
     lift = lift_at(spec, a1, a2, Jet3)  # one lift serves both K routes
@@ -437,7 +426,7 @@ def _certifiable_tiles(spec: SurfaceSpec, axis1, axis2):
         yield (lift, *split_geometry(lift, spec.ambient))
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: SimpleNamespace) -> int:
     spec = cfg.spec
     axis1, axis2 = build_grid(spec.chart, *cfg.grid)
     # each check's worst per tile, then its row over the tiles' worst
@@ -484,7 +473,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0 if report["pass"] else 1
 
 
-def cmd_ellipse(cfg: RunConfig) -> int:
+def cmd_ellipse(cfg: SimpleNamespace) -> int:
     spec = cfg.spec
     pg = point_geometry(spec, *cfg.point)
     ellipse = ellipse_samples(pg)
@@ -513,7 +502,7 @@ def cmd_ellipse(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_willmore(cfg: RunConfig) -> int:
+def cmd_willmore(cfg: SimpleNamespace) -> int:
     spec = cfg.spec
     rep = willmore(spec, orders=cfg.quad)
     payload = {"surface": spec.kind, "params": spec.params(),
@@ -522,11 +511,11 @@ def cmd_willmore(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_scan(cfg: RunConfig) -> int:
+def cmd_scan(cfg: SimpleNamespace) -> int:
     spec = cfg.spec
     scan = curvature_scan(spec, grid=cfg.grid,
-                          circ_tol=cfg.tolerance("circularity"),
-                          minimal_tol=cfg.tolerance("minimality"))
+                          circ_tol=cfg.tol["circularity"],
+                          minimal_tol=cfg.tol["minimality"])
     payload = {
         "surface": spec.kind, "params": spec.params(),
         "grid": list(scan.grid), "compact": scan.compact,
@@ -552,7 +541,7 @@ class Command:
     """A subcommand: handler, help line, the options it reads, and whether
     it takes a chart point (two positional coordinates)."""
 
-    run: Callable[[RunConfig], int]
+    run: Callable[[SimpleNamespace], int]
     help: str
     options: tuple[str, ...]
     point: bool = False
@@ -562,15 +551,15 @@ COMMANDS = {
     "list": Command(cmd_list, "enumerate the surface catalog",
                     ("json", "out")),
     "probe": Command(cmd_probe, "all pointwise invariants at one point",
-                     _SURFACE + ("tol", "out"), point=True),
+                     ("surface", "tol", "out"), point=True),
     "verify": Command(cmd_verify, "run the named checks on a sample grid",
-                      _SURFACE + ("grid", "quad", "tol", "seed", "out")),
+                      ("surface", "grid", "quad", "tol", "seed", "out")),
     "ellipse": Command(cmd_ellipse, "sample the curvature ellipse at a point",
-                       _SURFACE + ("angles", "format", "out"), point=True),
+                       ("surface", "angles", "format", "out"), point=True),
     "willmore": Command(cmd_willmore, "energy integral over a closed surface",
-                        _SURFACE + ("quad", "out")),
+                        ("surface", "quad", "out")),
     "scan": Command(cmd_scan, "grid extrema of K, R, |D|, |H|",
-                    _SURFACE + ("grid", "tol", "out")),
+                    ("surface", "grid", "tol", "out")),
 }
 
 
@@ -585,7 +574,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "with prescribed curvature-ellipse shape.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
+        # whole flag names only: a prefix would read --t as --tol
+        p = sub.add_parser(name, help=command.help, allow_abbrev=False)
         for key in command.options:
             opt = OPTIONS[key]
             shown = "" if opt.default is None else f" (default {opt.default})"
@@ -605,11 +595,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command].run(resolve_config(args))
+        cfg = resolve_config(args)
+        # what numpy would warn of (not what a caller ignores) is an error:
+        # past the library's own gates, double precision ran out
+        with np.errstate(**{kind: "raise" for kind, mode
+                            in np.geterr().items() if mode == "warn"}):
+            return COMMANDS[args.command].run(cfg)
     except ValueError as exc:
         # config, chart-domain, degenerate-point and unsupported-integral
         # errors are all ValueErrors
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except FloatingPointError as exc:
+        print(f"error: precision exhausted at {cfg.spec.label()}: {exc}",
+              file=sys.stderr)
         return 2
     except MemoryError:
         print("error: not enough memory for this grid or quadrature",

@@ -25,9 +25,8 @@ from lagsurf.atlas import build_grid
 from lagsurf.catalog import FAMILIES, KINDS, SurfaceSpec
 from lagsurf.cli import (_DETAILS, MAX_POINTS, TOLERANCES, ConfigError,
                          _identity_checks, _identity_values, _parse_number,
-                         _parse_pair, build_parser, main,
-                         parse_surface_token, read_config_file,
-                         resolve_config)
+                         _parse_pair, build_parser, main, parse_surface,
+                         read_config_file, resolve_config)
 from lagsurf.geom import MIN_ANGLES
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -58,21 +57,27 @@ def run_cli(capsys, argv):
 
 
 def test_parse_surface_token_forms():
-    assert parse_surface_token("clifford-torus") == ("clifford-torus", {})
-    kind, params = parse_surface_token("whitney-cp2(0.5)")
-    assert kind == "whitney-cp2" and params == {"t": 0.5}
-    kind, params = parse_surface_token("product-torus(1, 2)")
-    assert kind == "product-torus-c2" and params == {"r1": 1.0, "r2": 2.0}
+    assert parse_surface("clifford-torus") == SurfaceSpec("clifford-torus")
+    assert parse_surface("whitney-cp2(0.5)") == SurfaceSpec("whitney-cp2",
+                                                            t=0.5)
+    assert parse_surface(" product-torus(1, 2) ") == SurfaceSpec(
+        "product-torus-c2", r1=1.0, r2=2.0)
+    assert parse_surface("psi-ch2(pi/5)") == SurfaceSpec("psi-ch2",
+                                                         s=math.pi / 5.0)
     with pytest.raises(ConfigError, match="unknown surface"):
-        parse_surface_token("mystery-surface")
+        parse_surface("mystery-surface")
     # an unknown kind is named before its parameters are counted
     with pytest.raises(ConfigError, match="unknown surface 'moebius'"):
-        parse_surface_token("moebius(1)")
+        parse_surface("moebius(1)")
     with pytest.raises(ConfigError, match="at most"):
-        parse_surface_token("whitney-cp2(1,2,3)")
-    # a bare kind() takes the defaults
-    assert parse_surface_token("whitney-cp2()") == ("whitney-cp2", {})
-    assert parse_surface_token("whitney-cp2( )") == ("whitney-cp2", {})
+        parse_surface("whitney-cp2(1,2,3)")
+    # a bare kind() takes the defaults, the family's own where it has one
+    assert parse_surface("whitney-cp2()") == SurfaceSpec("whitney-cp2")
+    assert parse_surface("whitney-cp2( )") == SurfaceSpec("whitney-cp2")
+    assert parse_surface("whitney-ch2") == SurfaceSpec("whitney-ch2", t=0.5)
+    # the spec's domain error comes through with its own message
+    with pytest.raises(ConfigError, match=r"^whitney-ch2 needs t > 0;"):
+        parse_surface("whitney-ch2(0)")
 
 
 def test_a_family_alias_names_its_kind_only_on_the_command_line():
@@ -80,7 +85,7 @@ def test_a_family_alias_names_its_kind_only_on_the_command_line():
     assert aliased == {"product-torus": "product-torus-c2"}
     for alias, kind in aliased.items():
         assert alias not in FAMILIES
-        assert parse_surface_token(f"{alias}(1,2)")[0] == kind
+        assert parse_surface(f"{alias}(1,2)").kind == kind
         with pytest.raises(ValueError, match="unknown surface kind"):
             SurfaceSpec(alias)
 
@@ -91,7 +96,7 @@ def test_a_family_alias_names_its_kind_only_on_the_command_line():
 def test_empty_parameter_slot_is_a_usage_error(token, capsys):
     # once such a slot was dropped: (1,,2) ran as (1, 2), (,) as t = 0
     with pytest.raises(ConfigError, match="empty parameter slot"):
-        parse_surface_token(token)
+        parse_surface(token)
     assert main(["probe", "--surface", token, "0.4", "1.1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == (
@@ -104,8 +109,8 @@ def test_config_file_round_trip(tmp_path, capsys):
                    "grid = 8x8\nquad = 16x16\ntol = circularity=1e-6\n"
                    "seed = 3\n")
     assert read_config_file(str(cfg)) == [
-        ("surface", "clifford-torus"), ("grid", (8, 8)), ("quad", (16, 16)),
-        ("tol", {"circularity": 1e-6}), ("seed", 3)]
+        ("surface", SurfaceSpec("clifford-torus")), ("grid", (8, 8)),
+        ("quad", (16, 16)), ("tol", {"circularity": 1e-6}), ("seed", 3)]
     code, out = run_cli(capsys, ["verify", "--config", str(cfg)])
     report = json.loads(out)
     assert code == 0 and report["surface"] == "clifford-torus"
@@ -147,7 +152,7 @@ def test_config_file_rejects_unknown_key(tmp_path):
 
 
 def test_exit_code_usage_errors(capsys):
-    assert main(["verify", "--surface", "whitney-ch2", "--t", "0"]) == 2
+    assert main(["verify", "--surface", "whitney-ch2(0)"]) == 2
     assert main(["verify", "--surface", "no-such-kind"]) == 2
     assert main(["willmore", "--surface", "clifford-torus"]) == 2
     assert main(["willmore", "--surface", "eta-ch2"]) == 2
@@ -158,10 +163,11 @@ def test_exit_code_usage_errors(capsys):
 
 
 @pytest.mark.parametrize("argv, fragment", [
-    (["--surface", "whitney-cp2", "--t", "nan"], "needs a finite t, got nan"),
-    (["--surface", "whitney-cp2", "--t", "inf"], "needs a finite t, got inf"),
-    (["--surface", "psi-ch2", "--s=-inf"], "needs a finite s"),
-    (["--surface", "product-torus(1,2)", "--r2", "nan"], "finite r2"),
+    # the number grammar refuses these before the spec's finite check
+    (["--surface", "whitney-cp2(nan)"], "cannot parse number 'nan'"),
+    (["--surface", "whitney-cp2(inf)"], "cannot parse number 'inf'"),
+    (["--surface", "psi-ch2(-inf)"], "cannot parse number '-inf'"),
+    (["--surface", "product-torus(1,nan)"], "cannot parse number 'nan'"),
     (["--surface", "whitney-cp2(1e3)"],
      "whitney-cp2(1000): the closed-form lift overflows"),
     (["--surface", "whitney-ch2(1e3)"], "the closed-form lift overflows"),
@@ -177,6 +183,9 @@ def test_exit_code_non_finite_or_overflowing_parameter(argv, fragment,
     ["--surface", "eta-ch2", "1e200", "1"],
     ["--surface", "whitney-cp2(300)", "1", "1"],
     ["--surface", "product-torus(1e300,1)", "0.1", "0.2"],
+    # the lift is finite, but the metric's pairings leave the float range
+    ["--surface", "product-torus(1e-77,1e-78)", "0", "0"],
+    ["--surface", "product-torus(1e52,1e51)", "0", "0"],
 ])
 def test_exit_code_overflow_prints_one_line_and_no_warning(argv, capsys):
     with warnings.catch_warnings():
@@ -184,6 +193,16 @@ def test_exit_code_overflow_prints_one_line_and_no_warning(argv, capsys):
         assert main(["probe"] + argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_float_overflow_past_the_gates_is_a_domain_error(capsys):
+    # before, the overflow printed numpy's warnings and the run exited 1
+    assert main(["probe", "--surface", "product-torus(1e37,1e41)",
+                 "0", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: precision exhausted at "
+                          "product-torus-c2(1e+37,1e+41): overflow")
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-9", "abc"])
@@ -576,7 +595,7 @@ GRID_REPORTS = (
      for name, surface in GOLDEN_CONFIGS]
     + [("willmore", name, surface, ["--quad", "64x128"])
        for name, surface in GOLDEN_CONFIGS
-       if FAMILIES[parse_surface_token(surface)[0]].quadrature is not None])
+       if parse_surface(surface).family.quadrature is not None])
 
 
 @pytest.mark.parametrize("command, name, surface, size", GRID_REPORTS,
@@ -619,22 +638,24 @@ def test_flag_overrides_config(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # the option table: each subcommand accepts only the options it reads
 
-_SURFACE_FLAGS = {"--surface", "--t", "--s", "--r1", "--r2"}
 FLAGS = {
     "list": {"--json"},
-    "probe": _SURFACE_FLAGS | {"--tol"},
-    "verify": _SURFACE_FLAGS | {"--grid", "--quad", "--tol", "--seed"},
-    "ellipse": _SURFACE_FLAGS | {"--angles", "--format"},
-    "willmore": _SURFACE_FLAGS | {"--quad"},
-    "scan": _SURFACE_FLAGS | {"--grid", "--tol"},
+    "probe": {"--surface", "--tol"},
+    "verify": {"--surface", "--grid", "--quad", "--tol", "--seed"},
+    "ellipse": {"--surface", "--angles", "--format"},
+    "willmore": {"--surface", "--quad"},
+    "scan": {"--surface", "--grid", "--tol"},
 }
-# flags that some subcommand reads; every other subcommand rejects them
-_SHARED = _SURFACE_FLAGS | {"--grid", "--quad", "--angles", "--tol", "--seed",
-                            "--format"}
+# the family-parameter flags, gone: a parameter is given inline only
+_REMOVED = {"--t", "--s", "--r1", "--r2"}
+# flags that some subcommand reads; every other subcommand rejects them,
+# and every subcommand rejects the removed ones
+_SHARED = _REMOVED | {"--surface", "--grid", "--quad", "--angles", "--tol",
+                      "--seed", "--format"}
 _VALUE = {"--surface": "whitney-c2", "--grid": "8x8", "--quad": "8x16",
           "--tol": "circularity=1e-6", "--format": "csv"}
 UNREAD = [(command, flag) for command in FLAGS
-          for flag in sorted(_SHARED - FLAGS[command])]  # 31 pairs
+          for flag in sorted(_SHARED - FLAGS[command])]  # 51 pairs
 
 
 @pytest.mark.parametrize("command, flag", UNREAD)
@@ -686,9 +707,34 @@ def test_config_file_values_are_checked_whichever_subcommand_runs(
     assert capsys.readouterr().err == "error: expected N1xN2, got 'bogus'\n"
 
 
+@pytest.mark.parametrize("surface", ["nosuch(1,2,3)", "whitney-ch2(0)"])
+@pytest.mark.parametrize("command", FLAGS)
+def test_config_file_surface_is_checked_whichever_subcommand_runs(
+        command, surface, tmp_path, capsys):
+    # once the file's surface was kept as text, and list never parsed it
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"surface = {surface}\n")
+    point = ["0.4", "1.1"] if command in ("probe", "ellipse") else []
+    assert main([command, "--config", str(cfg)] + point) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    # the message --surface gives for the same value
+    assert main(["probe", "--surface", surface, "0.4", "1.1"]) == 2
+    assert capsys.readouterr().err == captured.err
+
+
+@pytest.mark.parametrize("key", ["t", "s", "r1", "r2"])
+def test_family_parameter_is_no_config_key(key, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"surface = whitney-cp2\n{key} = 0.5\n")
+    assert main(["verify", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {cfg}:2: unknown key {key!r}\n")
+
+
 @pytest.mark.parametrize("argv, message", [
-    (["verify", "--surface", "whitney-cp2", "--t", "abc"],
-     "bad value 'abc' for 't'"),
+    (["verify", "--surface", "whitney-cp2(abc)"],
+     "cannot parse number 'abc'"),
     (["verify", "--surface", "clifford-torus", "--grid", "1x"],
      "expected N1xN2, got '1x'"),
     (["verify", "--surface", "clifford-torus", "--seed", "1.5"],

@@ -40,6 +40,10 @@ SURFACES = ("whitney-c2", "whitney-cp2(0)", "whitney-cp2(0.5)",
 POINTS = (("1.0", "0.5"), ("0.4", "1.1"))
 # cases run at once, each in its own process
 JOBS = 2
+# argvs that stopped parsing on purpose, each a usage error (exit 2) now:
+# the family-parameter flags went, and a parameter is given inline
+USAGE_ERRORS = (("verify", "--surface", "whitney-cp2", "--t", "0.5",
+                 "--grid", "8x8"),)
 DEMOS = ("01_catalog_tour.py", "02_ellipse_of_curvature.py",
          "03_curvature_scan.py", "04_willmore_gallery.py",
          "05_clifford_pinching.py")
@@ -59,6 +63,7 @@ def cli_cases() -> list[list[str]]:
               # negative coordinates that argparse alone reads as flags
               ["probe", "--surface", "eta-ch2", "-1e-3", "0.5"],
               ["ellipse", "--surface", "clifford-torus", "0.4", "-pi/3"]]
+    cases += [list(argv) for argv in USAGE_ERRORS]
     for s in SURFACES:
         cases += [["probe", "--surface", s, *p] for p in POINTS]
         cases += [["ellipse", "--surface", s, "--format", fmt, *POINTS[1]]
