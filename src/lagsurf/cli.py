@@ -109,6 +109,11 @@ def parse_surface(text: str) -> SurfaceSpec:
 # most points one --grid or --quad may ask for: verify takes about a
 # microsecond a point, so a run stays at seconds, never hours
 MAX_POINTS = 1 << 22
+# highest --quad order: a sphere rule's Gauss-Legendre nodes solve a dense
+# eigenproblem of that order, which takes seconds and gigabytes past this
+_MAX_ORDER = math.isqrt(MAX_POINTS)
+# most angles ellipse may sample: its report takes about 200 bytes an angle
+_MAX_ANGLES = 1 << 16
 
 
 def _parse_pair(text: str) -> tuple[int, int]:
@@ -121,6 +126,14 @@ def _parse_pair(text: str) -> tuple[int, int]:
     if n1 * n2 > MAX_POINTS:
         raise ConfigError(f"{n1}x{n2} is {n1 * n2} points, over the cap of "
                           f"{MAX_POINTS}")
+    return n1, n2
+
+
+def _parse_orders(text: str) -> tuple[int, int]:
+    n1, n2 = _parse_pair(text)
+    if max(n1, n2) > _MAX_ORDER:
+        raise ConfigError(f"{n1}x{n2} has an order over the cap of "
+                          f"{_MAX_ORDER}")
     return n1, n2
 
 
@@ -140,9 +153,12 @@ def _parse_tol(text: str) -> dict[str, float]:
 
 
 def _parse_angles(text: str) -> int:
-    if int(text) < MIN_ANGLES:
+    count = int(text)
+    if count < MIN_ANGLES:
         raise ConfigError(f"need n_angles >= {MIN_ANGLES} to see the ellipse")
-    return int(text)
+    if count > _MAX_ANGLES:
+        raise ConfigError(f"{count} angles, over the cap of {_MAX_ANGLES}")
+    return count
 
 
 def _parse_seed(text: str) -> int:
@@ -173,7 +189,7 @@ class Option:
 OPTIONS = {
     "surface": Option(parse_surface, None, "kind, or kind(v1,v2)"),
     "grid": Option(_parse_pair, "64x64", "sample grid", "N1xN2"),
-    "quad": Option(_parse_pair, "128x256", "quadrature orders", "N1xN2"),
+    "quad": Option(_parse_orders, "128x256", "quadrature orders", "N1xN2"),
     "angles": Option(_parse_angles, "64", "ellipse sample count"),
     "tol": Option(_parse_tol, None, "override one named tolerance",
                   "NAME=VALUE", repeat=True),

@@ -171,20 +171,14 @@ class Jet2:
     __rmul__ = __mul__
 
     def reciprocal(self):
-        """Jet of 1/f.  Errors when the value vanishes anywhere."""
+        """Jet of 1/f, the chain rule through 1/x.  Errors when the value
+        vanishes anywhere."""
         if np.any(self.v == 0):
             raise ZeroDivisionError("jet division by a zero-valued jet")
         inv = 1.0 / self.v
         inv2 = inv * inv
-        inv3 = inv2 * inv
-        return Jet2(
-            inv,
-            -self.d1 * inv2,
-            -self.d2 * inv2,
-            2.0 * self.d1 * self.d1 * inv3 - self.d11 * inv2,
-            2.0 * self.d1 * self.d2 * inv3 - self.d12 * inv2,
-            2.0 * self.d2 * self.d2 * inv3 - self.d22 * inv2,
-        )
+        return self.compose_scalar(inv, -inv2, 2.0 * inv2 * inv,
+                                   -6.0 * inv2 * inv2)
 
     def __truediv__(self, other):
         if isinstance(other, Jet2):
@@ -205,9 +199,9 @@ class Jet2:
             fv,
             d1f * self.d1,
             d1f * self.d2,
-            d2fv * self.d1 * self.d1 + d1f * self.d11,
-            d2fv * self.d1 * self.d2 + d1f * self.d12,
-            d2fv * self.d2 * self.d2 + d1f * self.d22,
+            d2fv * (self.d1 * self.d1) + d1f * self.d11,
+            d2fv * (self.d1 * self.d2) + d1f * self.d12,
+            d2fv * (self.d2 * self.d2) + d1f * self.d22,
         )
 
 
@@ -215,8 +209,9 @@ class Jet2:
 class Jet3(Jet2):
     """A Jet2 plus the mixed third partials d112 and d122, all that
     Brioschi's E_vv, F_uv and G_uu read; no rule for them reads d111, d222.
-    Field-wise operations are Jet2's own; the product, reciprocal and chain
-    rules run Jet2's for the orders up to 2 and add the third order here.
+    Field-wise operations are Jet2's own; the product and chain rules run
+    Jet2's for the orders up to 2 and add the third order here.  The
+    reciprocal is Jet2's: the chain rule through 1/x.
     """
 
     d112: np.ndarray
@@ -243,23 +238,14 @@ class Jet3(Jet2):
             + a.d1 * b.d22 + a.v * b.d122,
         )
 
-    def reciprocal(self):
-        low = super().reciprocal()
-        inv2 = low.v * low.v
-        return self._chain(low, -inv2, 2.0 * inv2 * low.v, -6.0 * inv2 * inv2)
-
     def compose_scalar(self, fv, d1f, d2fv, d3fv):
-        return self._chain(super().compose_scalar(fv, d1f, d2fv, d3fv),
-                           d1f, d2fv, d3fv)
-
-    def _chain(self, low, d1f, d2f, d3f):
         # the mixed third partials of f(self), from f', f'', f''' at self.v
         a1, a2 = self.d1, self.d2
         return Jet3(
-            *low._fields(),
-            d3f * a1 * a1 * a2 + d2f * (2.0 * self.d12 * a1 + self.d11 * a2)
+            *super().compose_scalar(fv, d1f, d2fv, d3fv)._fields(),
+            d3fv * a1 * a1 * a2 + d2fv * (2.0 * self.d12 * a1 + self.d11 * a2)
             + d1f * self.d112,
-            d3f * a1 * a2 * a2 + d2f * (2.0 * self.d12 * a2 + self.d22 * a1)
+            d3fv * a1 * a2 * a2 + d2fv * (2.0 * self.d12 * a2 + self.d22 * a1)
             + d1f * self.d122,
         )
 

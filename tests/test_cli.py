@@ -23,10 +23,11 @@ from lagsurf import cli, numerics, scans
 from lagsurf.ambient import split_defects
 from lagsurf.atlas import build_grid
 from lagsurf.catalog import FAMILIES, KINDS, SurfaceSpec
-from lagsurf.cli import (_DETAILS, MAX_POINTS, TOLERANCES, ConfigError,
-                         _identity_checks, _identity_values, _parse_number,
-                         _parse_pair, build_parser, main, parse_surface,
-                         read_config_file, resolve_config)
+from lagsurf.cli import (_DETAILS, _MAX_ANGLES, _MAX_ORDER, MAX_POINTS,
+                         TOLERANCES, ConfigError, _identity_checks,
+                         _identity_values, _parse_angles, _parse_number,
+                         _parse_orders, _parse_pair, build_parser, main,
+                         parse_surface, read_config_file, resolve_config)
 from lagsurf.geom import MIN_ANGLES
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -808,6 +809,45 @@ def test_grid_and_quad_sizes_are_capped(tmp_path, monkeypatch, capsys):
         assert captured.out == "" and captured.err == (
             f"error: {past} is {MAX_POINTS + 1} points, over the cap of "
             f"{MAX_POINTS}\n")
+
+
+def test_quad_orders_and_angles_are_capped(tmp_path, monkeypatch, capsys):
+    # a sphere rule's order is a dense eigenproblem, and each angle is a
+    # report row: the caps pass, one more exits 2 with one line while the
+    # options are read, from a flag or a config file on any subcommand
+    assert _MAX_ORDER == math.isqrt(MAX_POINTS)
+    assert _parse_orders(f"{_MAX_ORDER}x2") == (_MAX_ORDER, 2)
+    assert _parse_angles(str(_MAX_ANGLES)) == _MAX_ANGLES
+    # --grid axes are linspace, so only their product is capped
+    assert _parse_pair(f"{_MAX_ORDER + 1}x2") == (_MAX_ORDER + 1, 2)
+
+    def sampled(*args, **kwargs):
+        raise AssertionError("an oversized request reached the sampler")
+
+    monkeypatch.setattr(cli, "willmore", sampled)
+    monkeypatch.setattr(cli, "point_geometry", sampled)
+    quad, angles = f"{_MAX_ORDER + 1}x2", str(_MAX_ANGLES + 1)
+    errors = {
+        "quad": f"error: {quad} has an order over the cap of {_MAX_ORDER}\n",
+        "angles": f"error: {angles} angles, over the cap of {_MAX_ANGLES}\n"}
+    runs = [(["willmore", "--surface", "whitney-c2", "--quad", quad],
+             errors["quad"]),
+            (["willmore", "--surface", "whitney-c2", "--quad", "2x2049"],
+             f"error: 2x2049 has an order over the cap of {_MAX_ORDER}\n"),
+            (["verify", "--surface", "whitney-c2", "--quad", quad],
+             errors["quad"]),
+            (["ellipse", "--surface", "clifford-torus", "--angles", angles,
+              "0.4", "1.1"], errors["angles"])]
+    for key, value in (("quad", quad), ("angles", angles)):
+        cfg = tmp_path / f"{key}.cfg"
+        cfg.write_text(f"surface = whitney-c2\n{key} = {value}\n")
+        runs += [([command, "--config", str(cfg)]
+                  + (["0.4", "1.1"] if command in ("probe", "ellipse")
+                     else []), errors[key]) for command in FLAGS]
+    for argv, error in runs:
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == error, argv
 
 
 def test_negative_seed_in_config_file_names_the_option(tmp_path, capsys):

@@ -1,7 +1,7 @@
 """The exit-code contract as a property: whatever the surface, its inline
 parameters, the chart point and the sizes, a command exits 0, 1 or 2, ends
 in no traceback and lets no RuntimeWarning escape, and an exit 2 prints
-exactly one stderr line."""
+exactly one stderr line.  A size over its cap always exits 2."""
 
 from __future__ import annotations
 
@@ -12,7 +12,8 @@ import warnings
 from hypothesis import given, settings, strategies as st
 
 from lagsurf.catalog import FAMILIES
-from lagsurf.cli import main
+from lagsurf.cli import _MAX_ANGLES, _MAX_ORDER, main
+from lagsurf.geom import MIN_ANGLES
 
 # every kind, and the command-line alias of the one that has it
 NAMES = {**{kind: kind for kind in FAMILIES},
@@ -34,7 +35,14 @@ _SMALL = st.floats(0.0, 6.0).map(repr)
 NUMBER = st.builds(lambda sign, text: sign + text,
                    st.sampled_from(["", "-", "+"]),
                    st.one_of(_EDGES, _SMALL, _MAGNITUDE))
-ORDERS = st.builds("{}x{}".format, st.integers(2, 8), st.integers(2, 8))
+# orders 2 to 8, and a first order one over its cap; angles from one under
+# the floor to 64, and one over the cap (nothing at a cap, which is slow)
+ORDERS = st.builds("{}x{}".format,
+                   st.integers(2, 9).map(lambda n: _MAX_ORDER + 1 if n == 9
+                                         else n),
+                   st.integers(2, 8))
+ANGLES = st.one_of(st.integers(MIN_ANGLES, 64),
+                   st.sampled_from([MIN_ANGLES - 1, _MAX_ANGLES + 1]))
 
 
 @st.composite
@@ -47,6 +55,8 @@ def argvs(draw):
     argv = [command, "--surface", surface]
     for flag in SIZES.get(command, ()):
         argv += [flag, draw(ORDERS)]
+    if command == "ellipse":
+        argv += ["--angles", str(draw(ANGLES))]
     if command in ("probe", "ellipse"):
         # inside the chart box and past it on either side, or any number
         for lo, hi in family.chart.bounds:
@@ -68,6 +78,10 @@ def test_every_command_keeps_the_exit_code_contract(argv):
             assert exc.code == 2, argv
             return
     assert code in (0, 1, 2), argv
+    sizes = dict(zip(argv[1::2], argv[2::2]))
+    if (int(sizes.get("--quad", "2x2").split("x")[0]) > _MAX_ORDER
+            or int(sizes.get("--angles", 8)) > _MAX_ANGLES):
+        assert code == 2, argv
     if code == 2:
         assert len(err.getvalue().splitlines()) == 1, (argv, err.getvalue())
         assert out.getvalue() == ""

@@ -199,3 +199,59 @@ def test_jet_stack_shapes():
     assert stacked.v.shape == (5, 3)
     assert stacked.v.dtype == complex
     assert stacked.d12.shape == (5, 3)
+
+
+def _quotient_rule(f):
+    # the reciprocal's partials written out by hand, as Jet2.reciprocal and
+    # Jet3.reciprocal once had them, field by field
+    inv = 1.0 / f.v
+    inv2 = inv * inv
+    inv3 = inv2 * inv
+    fields = (inv, -f.d1 * inv2, -f.d2 * inv2,
+              2.0 * f.d1 * f.d1 * inv3 - f.d11 * inv2,
+              2.0 * f.d1 * f.d2 * inv3 - f.d12 * inv2,
+              2.0 * f.d2 * f.d2 * inv3 - f.d22 * inv2)
+    if not isinstance(f, Jet3):
+        return fields
+    d1f, d2f, d3f = -inv2, 2.0 * inv2 * inv, -6.0 * inv2 * inv2
+    a1, a2 = f.d1, f.d2
+    return fields + (
+        d3f * a1 * a1 * a2 + d2f * (2.0 * f.d12 * a1 + f.d11 * a2)
+        + d1f * f.d112,
+        d3f * a1 * a2 * a2 + d2f * (2.0 * f.d12 * a2 + f.d22 * a1)
+        + d1f * f.d122)
+
+
+def _denominators(cls, a1, a2):
+    # jets whose first partials are neither 0 nor 1, so that the grouping
+    # of a second-order term can move its bits: a real jet, a complex jet
+    # with zero imaginary parts (like psi-ch2's |w|^2), and a complex one
+    j1, j2 = cls.variables(a1, a2)
+    sin, cos = jet_sin_cos(j1 * 0.7 - j2 * 1.3)
+    real = (j1 * j1) * j2 + sin * cos * 3.1 + 5.0
+    z = j1 * 0.9 + (j2 * 1.1 - 0.3) * 1j
+    w = z * z.conj()
+    return real, (w + w.conj()) * 0.5 + 0.25, z * z + (2.0 + 1.5j)
+
+
+@pytest.mark.parametrize("cls", [Jet2, Jet3])
+@pytest.mark.parametrize("where", ["batch", "point"])
+def test_jet_reciprocal_keeps_the_bits_of_the_quotient_rule(cls, where):
+    # the reciprocal is the chain rule through 1/x, with each second-order
+    # term grouped as f'' * (d_i * d_j): on real values that is the written
+    # out quotient rule bit for bit.  numpy's complex multiply need not
+    # commute bit for bit, so a truly complex jet agrees to round-off only
+    rng = np.random.default_rng(29)
+    a1, a2 = ((rng.uniform(-2.0, 2.0, 500), rng.uniform(-2.0, 2.0, 500))
+              if where == "batch" else (0.37, -1.21))
+    real, zero_imag, complex_ = _denominators(cls, a1, a2)
+    assert np.all(zero_imag.v.imag == 0.0) and np.any(complex_.v.imag != 0.0)
+    for f in (real, zero_imag):
+        got = f.reciprocal()
+        assert type(got) is cls
+        for field, want in zip(got._fields(), _quotient_rule(f),
+                               strict=True):
+            assert np.array_equal(field, want)
+    for field, want in zip(complex_.reciprocal()._fields(),
+                           _quotient_rule(complex_), strict=True):
+        assert np.allclose(field, want, rtol=1e-14, atol=0.0)

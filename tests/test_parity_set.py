@@ -21,9 +21,9 @@ parity = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(parity)
 
 
-def test_parity_set_has_its_106_cases():
+def test_parity_set_has_its_pinned_cases():
     cases = parity.cases()
-    assert len(cases) == len({tuple(case) for case in cases}) == 106
+    assert len(cases) == len({tuple(case) for case in cases}) == 108
     demos = [case for case in cases if case[0] != "lagsurf"]
     assert [len(case) for case in demos] == [1] * 5
     for (path,) in demos:

@@ -62,7 +62,11 @@ def cli_cases() -> list[list[str]]:
               ["probe", "--surface", "whitney-c2", "0.0005", "1.0"],
               # negative coordinates that argparse alone reads as flags
               ["probe", "--surface", "eta-ch2", "-1e-3", "0.5"],
-              ["ellipse", "--surface", "clifford-torus", "0.4", "-pi/3"]]
+              ["ellipse", "--surface", "clifford-torus", "0.4", "-pi/3"],
+              # one over a size cap, each refused as the options are read
+              ["willmore", "--surface", "whitney-c2", "--quad", "2049x2"],
+              ["ellipse", "--surface", "clifford-torus", "--angles", "65537",
+               "0.4", "1.1"]]
     cases += [list(argv) for argv in USAGE_ERRORS]
     for s in SURFACES:
         cases += [["probe", "--surface", s, *p] for p in POINTS]
