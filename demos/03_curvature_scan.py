@@ -31,7 +31,7 @@ print(f"{'surface':<20} {'K grid range':>24} {'closed form':>22} "
       f"{'z @max':>8} {'z @min':>8}")
 for spec, lo, hi in CASES:
     scan = curvature_scan(spec, grid=(96, 96))
-    print(f"{spec.label():<20} [{scan.k_min:>9.5f}, {scan.k_max:>9.5f}]   "
+    print(f"{spec.label():<20} [{scan.K_min:>9.5f}, {scan.K_max:>9.5f}]   "
           f"[{lo:>8.5f}, {hi:>9.5f}]   {scan.argmax_z:>8.4f} "
           f"{scan.argmin_z:>8.4f}")
 

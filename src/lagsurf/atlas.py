@@ -27,6 +27,7 @@ class SphereChart:
     """
 
     kind = "spherical"
+    n_coords = 3
     periodic = (False, True)
     # grids keep 2% of the colatitude span away from each pole
     bounds = ((0.02 * np.pi, np.pi - 0.02 * np.pi), (0.0, 2.0 * np.pi))
@@ -48,6 +49,7 @@ class PlanarChart:
     """Identity chart (x, y) on the plane."""
 
     kind = "planar"
+    n_coords = 2
     periodic = (False, False)
     bounds = ((-3.0, 3.0), (-3.0, 3.0))
 
@@ -63,6 +65,7 @@ class PolarAnnulusChart:
     """
 
     kind = "polar-annulus"
+    n_coords = 2
     periodic = (False, True)
     bounds = ((0.2, 5.0), (0.0, 2.0 * np.pi))
 
@@ -82,6 +85,7 @@ class TorusChart:
     """Angle chart (theta1, theta2) on the flat square torus [0, 2pi)^2."""
 
     kind = "torus"
+    n_coords = 2
     periodic = (True, True)
     bounds = ((0.0, 2.0 * np.pi), (0.0, 2.0 * np.pi))
 

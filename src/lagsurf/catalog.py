@@ -49,7 +49,6 @@ class Family:
     ambient: AmbientSpace
     chart: object
     evaluator: Callable[..., list[Jet2]]
-    n_coords: int
     note: str
     params: tuple[str, ...] = ()
     defaults: tuple[tuple[str, float], ...] = ()
@@ -204,7 +203,7 @@ def _product_torus_energy(spec):
 
 
 def _sphere(ambient, evaluator, note, k_range, **facts) -> Family:
-    return Family(ambient, SphereChart(), evaluator, 3, note, chi=2,
+    return Family(ambient, SphereChart(), evaluator, note, chi=2,
                   quadrature="sphere", k_range=k_range,
                   willmore=_sphere_energy, **facts)
 
@@ -233,20 +232,20 @@ FAMILIES: dict[str, Family] = {
         "real form; the second fundamental form vanishes",
         lambda spec: (1.0, 1.0)),
     "psi-ch2": Family(
-        CH2, PolarAnnulusChart(), _psi_ch2, 2,
+        CH2, PolarAnnulusChart(), _psi_ch2,
         "complete noncompact family on the punctured plane",
         params=("s",), domain=lambda spec: 0.0 <= spec.s < math.pi / 4.0,
         domain_error="psi-ch2 needs 0 <= s < pi/4; the denominator "
                      "loses positivity at s = pi/4"),
     "eta-ch2": Family(
-        CH2, PlanarChart(), _eta_ch2, 2,
+        CH2, PlanarChart(), _eta_ch2,
         "complete noncompact example on the plane"),
     "clifford-torus": Family(
-        CP2, TorusChart(), _clifford_torus, 2,
+        CP2, TorusChart(), _clifford_torus,
         "minimal flat torus; ellipse radius 1/sqrt(2) everywhere",
         chi=0, k_range=lambda spec: (0.0, 0.0), pinched=True),
     "product-torus-c2": Family(
-        C2, TorusChart(), _product_torus_c2, 2,
+        C2, TorusChart(), _product_torus_c2,
         "circle product; the ellipse degenerates to a segment",
         params=("r1", "r2"), domain=lambda spec: min(spec.r1, spec.r2) > 0.0,
         domain_error="product-torus-c2 needs positive radii r1, r2",
@@ -261,8 +260,8 @@ KINDS = tuple(FAMILIES)
 def evaluate_lift(spec: SurfaceSpec, coords) -> Jet2:
     """Jet of the (lifted) immersion from domain-coordinate jets."""
     family = spec.family
-    if len(coords) != family.n_coords:
-        raise ValueError(f"{spec.kind} expects {family.n_coords} domain "
+    if len(coords) != spec.chart.n_coords:
+        raise ValueError(f"{spec.kind} expects {spec.chart.n_coords} domain "
                          f"coordinates, got {len(coords)}")
     try:
         with np.errstate(over="raise", invalid="raise"):

@@ -31,7 +31,7 @@ from .geom import (MIN_ANGLES, circularity_route_gap, density_moduli_gap,
                    radius_route_gap, scaled_circularity, split_geometry,
                    tangent_frame)
 from .numerics import TOLERANCES, Jet3, apply_J
-from .scans import (WillmoreReport, curvature_scan, grid_tiles,
+from .scans import (ScanReport, WillmoreReport, curvature_scan, grid_tiles,
                     pinching_report, willmore)
 
 
@@ -289,15 +289,20 @@ _DETAILS = {
 }
 
 
+def _worst(name: str, values) -> float:
+    """The worst of a check's values: the max, the min for a margin."""
+    # np.min or np.max, without their wrapper's cost on a one-point value
+    reduce = (np.minimum if name in _MARGINS else np.maximum).reduce
+    return float(reduce(values, None))
+
+
 def _check(name: str, detail: str, values, cfg: SimpleNamespace,
            tol_name: str | None = None) -> dict:
-    """One report row: the worst of ``values`` (the max, the min for a
-    margin), judged by the tolerance named tol_name or name."""
+    """One report row: the worst of ``values``, judged by the tolerance
+    named tol_name or name."""
     tol = cfg.tol[tol_name or name]
-    margin = name in _MARGINS
-    # np.min or np.max, without their wrapper's cost on a one-point value
-    defect = float((np.minimum if margin else np.maximum).reduce(values, None))
-    ok = defect > tol if margin else defect <= tol
+    defect = _worst(name, values)
+    ok = defect > tol if name in _MARGINS else defect <= tol
     return {"name": name, "detail": detail, "max_defect": defect,
             "tol": tol, "pass": bool(ok)}
 
@@ -316,12 +321,6 @@ def _identity_values(spec, lift, split, pg) -> dict:
                    "radius_routes": radius_route_gap(pg),
                    "ellipse_fit": ellipse_samples(pg).fit_residual}
     return {name: values[name] for name in _DETAILS if name in values}
-
-
-def _identity_checks(spec, lift, split, pg, cfg) -> list[dict]:
-    """The checks' rows over pg's points (probe's; verify's per tile)."""
-    return [_check(name, _DETAILS[name], values, cfg) for name, values
-            in _identity_values(spec, lift, split, pg).items()]
 
 
 def _gauss_check(k_int, k, where: str, cfg: SimpleNamespace) -> dict:
@@ -408,7 +407,8 @@ def cmd_probe(cfg: SimpleNamespace) -> int:
     a1, a2 = cfg.point
     lift = lift_at(spec, a1, a2, Jet3)  # one lift serves both K routes
     split, pg = split_geometry(lift, spec.ambient)
-    checks = _identity_checks(spec, lift, split, pg, cfg)
+    checks = [_check(name, _DETAILS[name], values, cfg) for name, values
+              in _identity_values(spec, lift, split, pg).items()]
     k_int = gauss_curvature_intrinsic(lift, spec.ambient)
     checks.append(_gauss_check(k_int, pg.K, "the probe point", cfg))
     passed = all(c["pass"] for c in checks)
@@ -435,21 +435,16 @@ def cmd_probe(cfg: SimpleNamespace) -> int:
     return 0 if passed else 1
 
 
-def _certifiable_tiles(spec: SurfaceSpec, axis1, axis2):
-    """(lift, split, geometry) per tile, each held till the next is built."""
-    for _, a1, a2 in grid_tiles(axis1, axis2):
-        lift = lift_at(spec, a1, a2)
-        yield (lift, *split_geometry(lift, spec.ambient))
-
-
 def cmd_verify(cfg: SimpleNamespace) -> int:
     spec = cfg.spec
     axis1, axis2 = build_grid(spec.chart, *cfg.grid)
     # each check's worst per tile, then its row over the tiles' worst
     tiles, k_ends, r_ends = {}, [], []
-    for lift, split, pg in _certifiable_tiles(spec, axis1, axis2):
-        for row in _identity_checks(spec, lift, split, pg, cfg):
-            tiles.setdefault(row["name"], []).append(row["max_defect"])
+    for _, a1, a2 in grid_tiles(axis1, axis2):
+        lift = lift_at(spec, a1, a2)
+        split, pg = split_geometry(lift, spec.ambient)
+        for name, values in _identity_values(spec, lift, split, pg).items():
+            tiles.setdefault(name, []).append(_worst(name, values))
         k_ends += [np.min(pg.K), np.max(pg.K)]
         r_ends += [np.min(pg.R), np.max(pg.R)]
     checks = [_check(name, _DETAILS[name], worst, cfg)
@@ -532,18 +527,10 @@ def cmd_scan(cfg: SimpleNamespace) -> int:
     scan = curvature_scan(spec, grid=cfg.grid,
                           circ_tol=cfg.tol["circularity"],
                           minimal_tol=cfg.tol["minimality"])
-    payload = {
-        "surface": spec.kind, "params": spec.params(),
-        "grid": list(scan.grid), "compact": scan.compact,
-        "K_min": scan.k_min, "K_max": scan.k_max,
-        "argmin": list(scan.argmin), "argmax": list(scan.argmax),
-        "argmin_z": scan.argmin_z, "argmax_z": scan.argmax_z,
-        "R_min": scan.r_min, "R_max": scan.r_max,
-        "D_max": scan.d_max, "D_max_scaled": scan.d_max_scaled,
-        "H_max": scan.h_max,
-        "circular": scan.circular, "minimal": scan.minimal,
-        "pinching": pinching_report(scan).splitlines(),
-    }
+    payload = {"surface": spec.kind, "params": spec.params(),
+               **{f.name: getattr(scan, f.name)
+                  for f in fields(ScanReport)[1:]},  # every field after spec
+               "pinching": pinching_report(scan).splitlines()}
     _emit(json.dumps(payload, indent=2), cfg)
     return 0
 

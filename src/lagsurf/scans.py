@@ -71,17 +71,17 @@ class ScanReport:
     spec: SurfaceSpec
     grid: tuple[int, int]
     compact: bool
-    k_min: float
-    k_max: float
+    K_min: float
+    K_max: float
     argmin: tuple[float, float]
     argmax: tuple[float, float]
     argmin_z: float | None
     argmax_z: float | None
-    r_min: float
-    r_max: float
-    d_max: float
-    d_max_scaled: float
-    h_max: float
+    R_min: float
+    R_max: float
+    D_max: float
+    D_max_scaled: float
+    H_max: float
     circular: bool
     minimal: bool
 
@@ -121,14 +121,14 @@ def curvature_scan(spec: SurfaceSpec, grid=(64, 64),
 
     return ScanReport(
         spec=spec, grid=(n1, n2), compact=compact,
-        k_min=float(k[j_min]), k_max=float(k[j_max]),
+        K_min=float(k[j_min]), K_max=float(k[j_max]),
         argmin=(float(p1[0]), float(p2[0])),
         argmax=(float(p1[1]), float(p2[1])),
         argmin_z=None if z is None else float(z[0]),
         argmax_z=None if z is None else float(z[1]),
-        r_min=float(r_min), r_max=float(r_max),
-        d_max=float(d_max), d_max_scaled=d_max_scaled,
-        h_max=h_max,
+        R_min=float(r_min), R_max=float(r_max),
+        D_max=float(d_max), D_max_scaled=d_max_scaled,
+        H_max=h_max,
         circular=bool(d_max_scaled <= circ_tol),
         minimal=bool(h_max <= minimal_tol))
 
@@ -185,7 +185,7 @@ def pinching_hypothesis(scan: ScanReport) -> bool:
     """Whether the scanned surface satisfies: compact, circular ellipse,
     and radius >= 1/sqrt(2) grid-wide (up to round-off)."""
     return (scan.compact and scan.circular
-            and scan.r_min >= PINCH_THRESHOLD - _PINCH_SLACK)
+            and scan.R_min >= PINCH_THRESHOLD - _PINCH_SLACK)
 
 
 def pinching_report(scan: ScanReport) -> str:
@@ -201,16 +201,16 @@ def pinching_report(scan: ScanReport) -> str:
     lines = [
         f"surface: {scan.spec.label()}   grid: {scan.grid[0]}x{scan.grid[1]}",
         f"compact: {scan.compact}   circular: {scan.circular} "
-        f"(max scaled |D| = {scan.d_max_scaled:.3e})",
-        f"R range: [{scan.r_min:.9f}, {scan.r_max:.9f}]   "
+        f"(max scaled |D| = {scan.D_max_scaled:.3e})",
+        f"R range: [{scan.R_min:.9f}, {scan.R_max:.9f}]   "
         f"threshold 1/sqrt(2) = {PINCH_THRESHOLD:.9f}",
         f"pinching hypothesis (compact, circular, R >= threshold - "
         f"{_PINCH_SLACK:g}):"
         f" {'holds' if holds else 'fails'}",
-        f"minimal: {scan.minimal} (max |H| = {scan.h_max:.3e})   "
-        f"K range: [{scan.k_min:.9f}, {scan.k_max:.9f}]",
+        f"minimal: {scan.minimal} (max |H| = {scan.H_max:.3e})   "
+        f"K range: [{scan.K_min:.9f}, {scan.K_max:.9f}]",
     ]
-    if holds and scan.minimal and scan.k_max <= _PINCH_SLACK:
+    if holds and scan.minimal and scan.K_max <= _PINCH_SLACK:
         lines.append("flat minimal case: surface matches the pinched "
                      "classification target")
     agree = holds == expected

@@ -1,5 +1,5 @@
-"""A chart, a frame rotation, and small inverses and sizes that only the
-tests need, kept out of src/."""
+"""The golden surfaces, a chart, a frame rotation, and small inverses and
+sizes that only the tests need, kept out of src/."""
 
 from __future__ import annotations
 
@@ -12,6 +12,20 @@ from lagsurf.ambient import split_defects
 from lagsurf.catalog import lift_at
 from lagsurf.geom import PointGeometry, split_geometry, tangent_frame
 from lagsurf.numerics import Jet2
+
+# each golden report's file stem and the surface it was run on, and the
+# pinned grid, quadrature and seed of the verify goldens (tests/golden/*.json)
+GOLDEN_CONFIGS = [
+    ("whitney-c2", "whitney-c2"),
+    ("whitney-cp2-t05", "whitney-cp2(0.5)"),
+    ("whitney-ch2-t05", "whitney-ch2(0.5)"),
+    ("totally-geodesic-cp2", "totally-geodesic-cp2"),
+    ("psi-ch2-s03", "psi-ch2(0.3)"),
+    ("eta-ch2", "eta-ch2"),
+    ("clifford-torus", "clifford-torus"),
+    ("product-torus-1-2", "product-torus(1,2)"),
+]
+STANDARD = ["--grid", "64x64", "--quad", "128x256", "--seed", "0"]
 
 
 class StereographicChart:

@@ -143,7 +143,7 @@ def test_criterion_05_curvature_ranges_and_extrema():
     extrema_ok = True
     for spec, lo, hi in cases:
         scan = curvature_scan(spec, grid=(64, 64))
-        range_worst = max(range_worst, lo - scan.k_min, scan.k_max - hi, 0.0)
+        range_worst = max(range_worst, lo - scan.K_min, scan.K_max - hi, 0.0)
         phi, _ = build_grid(spec.chart, 64, 64)
         z = np.cos(np.unique(phi))
         nearest_to_axis = float(np.min(np.abs(z)))
@@ -176,10 +176,10 @@ def test_criterion_06_energy_equality_and_torus_value():
 
 def test_criterion_07_minimal_flat_torus_facts_and_pinching():
     scan = curvature_scan(SurfaceSpec("clifford-torus"), grid=(64, 64))
-    h_ok = scan.h_max < 1e-10
-    k_ok = max(abs(scan.k_min), abs(scan.k_max)) < 1e-8
-    r_ok = max(abs(scan.r_min - 1.0 / math.sqrt(2.0)),
-               abs(scan.r_max - 1.0 / math.sqrt(2.0))) < 1e-8
+    h_ok = scan.H_max < 1e-10
+    k_ok = max(abs(scan.K_min), abs(scan.K_max)) < 1e-8
+    r_ok = max(abs(scan.R_min - 1.0 / math.sqrt(2.0)),
+               abs(scan.R_max - 1.0 / math.sqrt(2.0))) < 1e-8
     members = CATALOG_CONFIGS + [SurfaceSpec("psi-ch2", s=0.0),
                                  SurfaceSpec("product-torus-c2",
                                              r1=1.0, r2=1.0)]
@@ -187,9 +187,9 @@ def test_criterion_07_minimal_flat_torus_facts_and_pinching():
                if pinching_hypothesis(curvature_scan(spec, grid=(32, 32)))]
     unique = holders == ["clifford-torus"]
     ok = h_ok and k_ok and r_ok and unique
-    assert _emit(7, ok, f"clifford-torus grid-wide: |H| {scan.h_max:.2e} "
-                 f"(<1e-10), |K| <= {max(abs(scan.k_min), abs(scan.k_max)):.2e}"
-                 f" (<1e-8), R = 1/sqrt(2) (+-{abs(scan.r_max - scan.r_min):.2e});"
+    assert _emit(7, ok, f"clifford-torus grid-wide: |H| {scan.H_max:.2e} "
+                 f"(<1e-10), |K| <= {max(abs(scan.K_min), abs(scan.K_max)):.2e}"
+                 f" (<1e-8), R = 1/sqrt(2) (+-{abs(scan.R_max - scan.R_min):.2e});"
                  f" pinching hypothesis holds exactly for {holders}")
 
 

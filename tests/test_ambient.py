@@ -9,7 +9,7 @@ import pytest
 
 from gram_reference import (frame_condition, gram, normal_vectors,
                             reference_split)
-from helpers import ambient_dim, flat_grid
+from helpers import GOLDEN_CONFIGS, ambient_dim, flat_grid
 from lagsurf.ambient import (C2, CH2, CP2, _norm, gram_condition,
                              horizontality_defect, lagrangian_defect,
                              membership_defect, second_form_split,
@@ -17,7 +17,7 @@ from lagsurf.ambient import (C2, CH2, CP2, _norm, gram_condition,
 from lagsurf.atlas import build_grid
 from lagsurf.catalog import SurfaceSpec, lift_at
 from lagsurf.geom import geometry_from_jet, tangent_frame
-from lagsurf.cli import TOLERANCES
+from lagsurf.cli import TOLERANCES, parse_surface
 from lagsurf.numerics import (GRAM_COND_LIMIT, DegeneratePointError, Jet2,
                               herm_pair, real_pair)
 
@@ -171,16 +171,7 @@ def test_split_gates_a_metric_that_is_not_positive_definite(space, d1, d2):
 # the closed-form split against the general 6x6 Gram solve
 
 # the surfaces of the CLI goldens in tests/golden
-GOLDEN_SPECS = [
-    SurfaceSpec("whitney-c2"),
-    SurfaceSpec("whitney-cp2", t=0.5),
-    SurfaceSpec("whitney-ch2", t=0.5),
-    SurfaceSpec("totally-geodesic-cp2"),
-    SurfaceSpec("psi-ch2", s=0.3),
-    SurfaceSpec("eta-ch2"),
-    SurfaceSpec("clifford-torus"),
-    SurfaceSpec("product-torus-c2", r1=1.0, r2=2.0),
-]
+GOLDEN_SPECS = [parse_surface(surface) for _, surface in GOLDEN_CONFIGS]
 
 
 def _lift_part_defects(position, fiber, lift, space):

@@ -58,6 +58,11 @@ def test_grid_is_deterministic():
     assert np.min(a[0]) >= 0.2
 
 
+def test_grid_of_fewer_than_two_orders_is_refused():
+    with pytest.raises(ValueError, match=r"grid needs n1, n2 >= 2"):
+        build_grid(SphereChart(), 1, 5)
+
+
 def test_random_points_seeded_and_interior():
     chart = SphereChart()
     p1, t1 = random_points(chart, 64, np.random.default_rng(0))

@@ -13,38 +13,25 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from helpers import certifiable
+from helpers import GOLDEN_CONFIGS, STANDARD, certifiable
 from lagsurf import cli, numerics, scans
 from lagsurf.ambient import split_defects
 from lagsurf.atlas import build_grid
 from lagsurf.catalog import FAMILIES, KINDS, SurfaceSpec
 from lagsurf.cli import (_DETAILS, _MAX_ANGLES, _MAX_ORDER, MAX_POINTS,
-                         TOLERANCES, ConfigError, _identity_checks,
-                         _identity_values, _parse_angles, _parse_number,
-                         _parse_orders, _parse_pair, build_parser, main,
-                         parse_surface, read_config_file, resolve_config)
+                         TOLERANCES, ConfigError, _check, _identity_values,
+                         _parse_angles, _parse_number, _parse_orders,
+                         _parse_pair, build_parser, main, parse_surface,
+                         read_config_file, resolve_config)
 from lagsurf.geom import MIN_ANGLES
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
-
-# argv fragments that produced each golden report (grid/quad/seed pinned)
-GOLDEN_CONFIGS = [
-    ("whitney-c2", "whitney-c2"),
-    ("whitney-cp2-t05", "whitney-cp2(0.5)"),
-    ("whitney-ch2-t05", "whitney-ch2(0.5)"),
-    ("totally-geodesic-cp2", "totally-geodesic-cp2"),
-    ("psi-ch2-s03", "psi-ch2(0.3)"),
-    ("eta-ch2", "eta-ch2"),
-    ("clifford-torus", "clifford-torus"),
-    ("product-torus-1-2", "product-torus(1,2)"),
-]
-STANDARD = ["--grid", "64x64", "--quad", "128x256", "--seed", "0"]
 
 
 def run_cli(capsys, argv):
@@ -146,6 +133,34 @@ def test_config_file_rejects_unknown_key(tmp_path):
     cfg.write_text("surfaze = clifford-torus\n")
     with pytest.raises(ConfigError, match="unknown key"):
         read_config_file(str(cfg))
+
+
+@pytest.mark.parametrize("line, error", [
+    ("grid 8x8", "{cfg}:3: expected key=value"),
+    ("grid = 1x5", "grid orders must be at least 2"),
+])
+def test_bad_config_line_exits_2_with_one_error_line(line, error, tmp_path,
+                                                     capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"surface = clifford-torus\n# grid sizes\n{line}\n")
+    assert main(["scan", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        f"error: {error.format(cfg=cfg)}\n")
+
+
+@pytest.mark.parametrize("where", [lambda tmp: tmp / "missing.cfg",
+                                   lambda tmp: tmp],
+                         ids=["missing", "directory"])
+def test_unreadable_config_exits_2_with_one_error_line(where, tmp_path,
+                                                       capsys):
+    path = str(where(tmp_path))
+    assert main(["scan", "--surface", "clifford-torus", "--config",
+                 path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read config {path!r}: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +437,17 @@ def test_scan_payload(capsys):
     assert any("holds" in line for line in payload["pinching"])
 
 
+def test_scan_report_keys_are_the_scan_record_fields(capsys):
+    # one source for the report's shape: ScanReport's fields after spec,
+    # between the surface and the pinching audit
+    code, out = run_cli(capsys, ["scan", "--surface", "whitney-c2",
+                                 "--grid", "8x8"])
+    names = [f.name for f in fields(scans.ScanReport)]
+    assert code == 0 and names[0] == "spec"
+    assert list(json.loads(out)) == ["surface", "params", *names[1:],
+                                     "pinching"]
+
+
 @pytest.mark.parametrize("tol_name, measure, flag", [
     ("circularity", "D_max_scaled", "circular"),
     ("minimality", "H_max", "minimal"),
@@ -489,7 +515,8 @@ def test_chunked_verify_matches_one_whole_grid_batch(surface, capsys):
     spec = cfg.spec
     axis1, axis2 = build_grid(spec.chart, *cfg.grid)
     lift, split, whole = certifiable(spec, axis1[:, None], axis2[None, :])
-    want = _identity_checks(spec, lift, split, whole, cfg)
+    want = [_check(name, _DETAILS[name], values, cfg) for name, values
+            in _identity_values(spec, lift, split, whole).items()]
     # every identity check comes first, in order, bitwise equal
     assert report["checks"][:len(want)] == want
     assert report["K_range"] == [float(np.min(whole.K)),
@@ -744,6 +771,8 @@ def test_family_parameter_is_no_config_key(key, tmp_path, capsys):
      "format must be 'json' or 'csv'"),
     (["verify", "--surface", "clifford-torus", "--seed", "-1"],
      "seed must be a non-negative integer, got '-1'"),
+    (["scan", "--surface", "clifford-torus", "--grid", "1x5"],
+     "grid orders must be at least 2"),
 ])
 def test_bad_flag_value_returns_2_with_one_error_line(argv, message, capsys):
     assert main(argv) == 2
@@ -889,6 +918,26 @@ def test_closed_reader_is_not_an_error():
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+def test_reader_leaving_mid_report_is_not_an_error():
+    # the reader takes 10 bytes of a report larger than the pipe's buffer
+    # and closes its end, as under `lagsurf ellipse ... | head -c 10`: a
+    # write fails with EPIPE midway, and what is still buffered is dropped
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lagsurf.cli", "ellipse", "--surface",
+         "clifford-torus", "--angles", str(_MAX_ANGLES), "0.4", "1.1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert head == b'{\n  "surfa'
+    assert (proc.returncode, err) == (0, b"")
 
 
 def test_parser_is_built_once():

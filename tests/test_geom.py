@@ -10,6 +10,7 @@ import pytest
 from gram_reference import REFERENCE_GAP, reference_gaps
 from helpers import certifiable, every_array, flat_grid, rotate_frame
 from lagsurf import geom
+from lagsurf.ambient import C2
 from lagsurf.atlas import build_grid, random_points
 from lagsurf.catalog import SurfaceSpec, lift_at
 from lagsurf.cli import _identity_values
@@ -18,7 +19,7 @@ from lagsurf.geom import (circularity_route_gap, density_moduli_gap,
                           geometry_from_jet, point_geometry,
                           product_identity_check, radius, radius_route_gap,
                           scaled_circularity)
-from lagsurf.numerics import TOLERANCES, Jet3
+from lagsurf.numerics import TOLERANCES, Jet2, Jet3
 from lagsurf.scans import grid_tiles
 
 CIRCULAR_SPECS = [
@@ -257,6 +258,16 @@ def test_radius_gate_widens_with_the_tolerance_table(monkeypatch):
     monkeypatch.setitem(TOLERANCES, "circularity", 10.0)
     monkeypatch.setitem(TOLERANCES, "radius_routes", 10.0)
     assert np.isfinite(radius(pg))
+
+
+def test_overflowing_jet_is_refused_by_the_non_finite_gate():
+    # an orthonormal frame whose one second partial overflows sigma's square
+    z = np.zeros(2, complex)
+    lift = Jet2(z, np.array([1.0, 0.0], complex),
+                np.array([0.0, 1.0], complex), np.array([1e160j, 0.0]), z, z)
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError, match="non-finite geometry field 'K'"):
+            geometry_from_jet(lift, C2)
 
 
 def test_ellipse_samples_period_pi():

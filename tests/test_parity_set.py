@@ -12,6 +12,7 @@ import pathlib
 
 import pytest
 
+from helpers import GOLDEN_CONFIGS, STANDARD
 from lagsurf.cli import build_parser
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -28,6 +29,12 @@ def test_parity_set_has_its_pinned_cases():
     assert [len(case) for case in demos] == [1] * 5
     for (path,) in demos:
         assert (ROOT / path).is_file(), path
+
+
+def test_parity_verify_goldens_are_the_tests_goldens():
+    # the set reruns each verify golden's surface at its pinned sizes
+    assert parity.GOLDEN == tuple(surface for _, surface in GOLDEN_CONFIGS)
+    assert parity.STANDARD == tuple(STANDARD)
 
 
 @pytest.mark.parametrize("argv", [argv for argv in parity.cli_cases()

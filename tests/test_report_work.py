@@ -128,9 +128,10 @@ PROBE_POINTS = [("1.0", "0.5"), ("0.4", "1.1")]
 
 def _record_probe(monkeypatch, plant=None) -> dict:
     """Record what cmd_probe computes: its lift, geometry, intrinsic K and
-    check rows.  ``plant`` replaces the (split, geometry) it is given."""
-    seen = {}
-    gauss_row, identity_rows = cli._gauss_check, cli._identity_checks
+    check rows, each row as the run's own configuration judged it, in
+    report order.  ``plant`` replaces the (split, geometry) it is given."""
+    seen = {"rows": []}
+    gauss_row, check_row = cli._gauss_check, cli._check
 
     def split_geometry(lift, space):
         split, pg = geom.split_geometry(lift, space)
@@ -140,17 +141,15 @@ def _record_probe(monkeypatch, plant=None) -> dict:
 
     def gauss_check(k_int, k, where, cfg):
         seen["k_int"] = k_int
-        seen["gauss"] = gauss_row(k_int, k, where, cfg)
-        return seen["gauss"]
+        return gauss_row(k_int, k, where, cfg)
 
-    def identity_checks(*args):
-        rows = identity_rows(*args)
-        seen["rows"] = list(rows)  # cmd_probe appends gauss_routes to rows
-        return rows
+    def check(*args, **kwargs):
+        seen["rows"].append(check_row(*args, **kwargs))
+        return seen["rows"][-1]
 
     monkeypatch.setattr(cli, "split_geometry", split_geometry)
     monkeypatch.setattr(cli, "_gauss_check", gauss_check)
-    monkeypatch.setattr(cli, "_identity_checks", identity_checks)
+    monkeypatch.setattr(cli, "_check", check)
     return seen
 
 
@@ -158,7 +157,7 @@ def _probe_reference(cfg, seen) -> tuple[str, bool]:
     """The probe report as json.dumps(report, indent=2) writes it, each
     value read out by float() and each normal vector built on its own."""
     lift, pg, k_int = seen["lift"], seen["pg"], seen["k_int"]
-    checks = seen["rows"] + [seen["gauss"]]
+    checks = seen["rows"]  # the identity checks, then gauss_routes
     e1, e2 = geom.tangent_frame(lift, pg.g)
 
     def vector(vec):

@@ -34,11 +34,11 @@ def test_curvature_ranges(spec, lo, hi):
     scan = curvature_scan(spec, grid=(64, 64))
     width = hi - lo
     # contained in the closed-form range ...
-    assert scan.k_min >= lo - 1e-9
-    assert scan.k_max <= hi + 1e-9
+    assert scan.K_min >= lo - 1e-9
+    assert scan.K_max <= hi + 1e-9
     # ... and the grid actually approaches both ends
-    assert scan.k_min <= lo + 0.02 * width
-    assert scan.k_max >= hi - 0.02 * width
+    assert scan.K_min <= lo + 0.02 * width
+    assert scan.K_max >= hi - 0.02 * width
 
 
 @pytest.mark.parametrize("spec", [
@@ -60,7 +60,7 @@ def test_flat_members_have_flat_scans():
                  SurfaceSpec("psi-ch2", s=0.0),
                  SurfaceSpec("product-torus-c2", r1=1.0, r2=2.0)):
         scan = curvature_scan(spec, grid=(32, 32))
-        assert max(abs(scan.k_min), abs(scan.k_max)) < 1e-9, spec.label()
+        assert max(abs(scan.K_min), abs(scan.K_max)) < 1e-9, spec.label()
 
 
 def test_scan_flags():
@@ -81,8 +81,8 @@ def test_scan_flags():
 
 def test_scan_radius_extrema():
     scan = curvature_scan(SurfaceSpec("clifford-torus"), grid=(32, 32))
-    assert scan.r_min == pytest.approx(PINCH_THRESHOLD, abs=1e-12)
-    assert scan.r_max == pytest.approx(PINCH_THRESHOLD, abs=1e-12)
+    assert scan.R_min == pytest.approx(PINCH_THRESHOLD, abs=1e-12)
+    assert scan.R_max == pytest.approx(PINCH_THRESHOLD, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -120,9 +120,9 @@ def test_chunked_scan_equals_whole_grid_batch(spec, grid):
     scan = curvature_scan(spec, grid=grid)
     heights = (None if scan.argmin_z is None
                else (scan.argmin_z, scan.argmax_z))
-    assert (scan.k_min, scan.k_max, scan.argmin, scan.argmax, heights,
-            scan.r_min, scan.r_max, scan.d_max, scan.d_max_scaled,
-            scan.h_max) == _whole_grid_scan(spec, grid)
+    assert (scan.K_min, scan.K_max, scan.argmin, scan.argmax, heights,
+            scan.R_min, scan.R_max, scan.D_max, scan.D_max_scaled,
+            scan.H_max) == _whole_grid_scan(spec, grid)
 
 
 @pytest.mark.parametrize("orders", CHUNKED_GRIDS, ids=str)
@@ -258,7 +258,7 @@ def test_pinching_needs_compactness():
     # the flat family member carries R = 1/sqrt(2) everywhere, yet fails
     # the hypothesis purely for lack of compactness
     scan = curvature_scan(SurfaceSpec("psi-ch2", s=0.0), grid=(32, 32))
-    assert scan.r_min >= PINCH_THRESHOLD - 1e-8
+    assert scan.R_min >= PINCH_THRESHOLD - 1e-8
     assert scan.circular and not scan.compact
     assert not pinching_hypothesis(scan)
 
