@@ -13,7 +13,7 @@ from .numerics import (DegeneratePointError, Jet2, Jet3, apply_J, herm_pair,
                        real_pair)
 from .scans import (ScanReport, UnsupportedDomainError, WillmoreReport,
                     curvature_scan, pinching_hypothesis, pinching_report,
-                    willmore)
+                    probe_report, verify_report, willmore)
 
 __version__ = "0.1.0"
 
@@ -49,6 +49,7 @@ __all__ = [
     "pinching_hypothesis",
     "pinching_report",
     "point_geometry",
+    "probe_report",
     "product_identity_check",
     "radius",
     "random_points",
@@ -57,5 +58,6 @@ __all__ = [
     "second_form_split",
     "sphere_quadrature",
     "torus_quadrature",
+    "verify_report",
     "__version__",
 ]

@@ -70,11 +70,10 @@ class FrameSplit:
     """What the geometry reads off the second derivatives of the lift.
 
     ``metric`` is the induced metric g_ij (``..., 2, 2``).  ``coeff``
-    (``..., 3, k``, complex) holds, for the pairs (11, 12, 22), the
-    coefficients of d_uv psi on the complex basis (d1, d2[, psi]): real
-    parts on (d1, d2) are tangent, imaginary parts on (J d1, J d2) are the
-    second fundamental form, and the psi coefficient is position + i *
-    fiber.  split_defects certifies them.
+    (``..., 3, 2``, complex) holds, for the pairs (11, 12, 22), the
+    coefficients of d_uv psi on (d1, d2): real parts are tangent, and
+    imaginary parts, on (J d1, J d2), are the second fundamental form.
+    split_defects certifies them, and forms the psi coefficient itself.
     """
 
     metric: np.ndarray
@@ -122,9 +121,8 @@ def second_form_split(lift: Jet2, space: AmbientSpace) -> FrameSplit:
     off-block terms that lagrangian_defect and horizontality_defect
     measure.  So with h = herm(d_uv psi, b), g^-1 h on (d1, d2) gives the
     tangent (real part) and normal (imaginary part, on J d1, J d2)
-    coefficients, and h / nu on psi (nu the model's lift norm) gives
-    position + i * fiber; each d_uv psi is split on its own, on arrays of
-    the batch shape.  Gates, in order: g positive definite, then
+    coefficients; each d_uv psi is split on its own, on arrays of the
+    batch shape.  Gates, in order: g positive definite, then
     gram_condition (off-block terms included) under GRAM_COND_LIMIT.
     Returned: g and the coefficients; split_defects certifies them.
     """
@@ -149,15 +147,12 @@ def second_form_split(lift: Jet2, space: AmbientSpace) -> FrameSplit:
             f"{GRAM_COND_LIMIT:.0e}; singular or non-immersed point")
 
     # one d_uv psi at a time into one buffer (see component_major)
-    basis = [d1, d2, psi] if space.is_lifted else [d1, d2]
-    coeff = np.empty((3, len(basis)) + np.shape(g11), dtype=complex)
+    coeff = np.empty((3, 2) + np.shape(g11), dtype=complex)
     for p, x in enumerate((lift.d11, lift.d12, lift.d22)):
-        h = [herm_pair(x, b, sig) for b in basis]
+        h1, h2 = herm_pair(x, d1, sig), herm_pair(x, d2, sig)
         # g^-1 (h1, h2) by the closed-form 2x2 inverse
-        coeff[p, 0] = (g22 * h[0] - g12 * h[1]) / det
-        coeff[p, 1] = (g11 * h[1] - g12 * h[0]) / det
-        if space.is_lifted:
-            coeff[p, 2] = h[2] / space.lift_norm
+        coeff[p, 0] = (g22 * h1 - g12 * h2) / det
+        coeff[p, 1] = (g11 * h2 - g12 * h1) / det
 
     metric = np.array([[g11, g12], [g12, g22]])
     return FrameSplit(metric=component_major(metric, 2),
@@ -171,7 +166,9 @@ def split_defects(lift: Jet2, space: AmbientSpace,
     split_residual (the whole reconstruction against d_uv psi, so it sees
     any neglected coupling), position_coeff (position against -g_uv / nu)
     and fiber_coeff (zero exactly where the lift is horizontal and
-    Lagrangian; these two are 0.0 over a flat target)."""
+    Lagrangian; these two are 0.0 over a flat target).  The coefficient
+    herm(d_uv psi, psi) / nu on psi (nu the model's lift norm), position +
+    i * fiber, is formed here, where it is read."""
     g_uv = [split.metric[..., i, j] for i, j in ((0, 0), (0, 1), (1, 1))]
     residual = position = fiber = 0.0
     for p, x in enumerate((lift.d11, lift.d12, lift.d22)):
@@ -179,11 +176,12 @@ def split_defects(lift: Jet2, space: AmbientSpace,
         gap = x - z[..., 0, None] * lift.d1
         gap -= z[..., 1, None] * lift.d2
         if space.is_lifted:
-            gap -= z[..., 2, None] * lift.v
+            on_psi = herm_pair(x, lift.v, space.sig) / space.lift_norm
+            gap -= on_psi[..., None] * lift.v
             gscale = 1.0 + np.abs(g_uv[p])
             position = np.maximum(position, np.abs(
-                z[..., 2].real + g_uv[p] / space.lift_norm) / gscale)
-            fiber = np.maximum(fiber, np.abs(z[..., 2].imag) / gscale)
+                on_psi.real + g_uv[p] / space.lift_norm) / gscale)
+            fiber = np.maximum(fiber, np.abs(on_psi.imag) / gscale)
         residual = np.maximum(residual, _norm(gap) / (1.0 + _norm(x)))
     return {"split_residual": residual, "position_coeff": position,
             "fiber_coeff": fiber}

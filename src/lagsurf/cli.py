@@ -22,17 +22,11 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .ambient import split_defects
-from .atlas import build_grid, random_points
-from .catalog import FAMILIES, KINDS, SurfaceSpec, lift_at
-from .geom import (MIN_ANGLES, circularity_route_gap, density_moduli_gap,
-                   ellipse_samples, gauss_curvature_intrinsic,
-                   geometry_from_jet, point_geometry, product_identity_check,
-                   radius_route_gap, scaled_circularity, split_geometry,
-                   tangent_frame)
-from .numerics import TOLERANCES, Jet3, apply_J
-from .scans import (ScanReport, WillmoreReport, curvature_scan, grid_tiles,
-                    pinching_report, willmore)
+from .catalog import FAMILIES, KINDS, SurfaceSpec
+from .geom import MIN_ANGLES, ellipse_samples, point_geometry
+from .numerics import TOLERANCES
+from .scans import (ScanReport, curvature_scan, pinching_report, probe_report,
+                    verify_report, willmore, willmore_fields)
 
 
 class ConfigError(ValueError):
@@ -264,78 +258,6 @@ def resolve_config(args: argparse.Namespace) -> SimpleNamespace:
 
 
 # ---------------------------------------------------------------------------
-# check construction
-
-# checks that pass by staying above their tolerance: a larger value is better
-_MARGINS = {"non_circularity"}
-
-# what each pointwise check's row says, by check name, in report order
-_DETAILS = {
-    "membership": "lift lies on the model quadric",
-    "horizontality": "lift tangents are horizontal",
-    "lagrangian": "tangent plane is Lagrangian",
-    "split_residual": "second derivatives recombine from the split",
-    "position_coeff": "position coefficient matches -g/nu",
-    "fiber_coeff": "no fiber component in second derivatives",
-    "c_symmetry": "cubic tensor is fully symmetric",
-    "circularity_routes": "|D| route agrees with the cubic-tensor expansion",
-    "density_moduli": "|Hc| = |H| and |F|^2 = c/2 + |H|^2 - 2K",
-    "product_identity": "F * conj(Hc) matches D up to the Im sign",
-    "non_circularity":
-        "min scaled |D| stays above tol: the ellipse is never a circle",
-    "circularity": "max scaled |D| over the sample",
-    "radius_routes": "R from the invariants matches both sigma routes",
-    "ellipse_fit": "both semi-axes of the ellipse equal R",
-}
-
-
-def _worst(name: str, values) -> float:
-    """The worst of a check's values: the max, the min for a margin."""
-    # np.min or np.max, without their wrapper's cost on a one-point value
-    reduce = (np.minimum if name in _MARGINS else np.maximum).reduce
-    return float(reduce(values, None))
-
-
-def _check(name: str, detail: str, values, cfg: SimpleNamespace,
-           tol_name: str | None = None) -> dict:
-    """One report row: the worst of ``values``, judged by the tolerance
-    named tol_name or name."""
-    tol = cfg.tol[tol_name or name]
-    defect = _worst(name, values)
-    ok = defect > tol if name in _MARGINS else defect <= tol
-    return {"name": name, "detail": detail, "max_defect": defect,
-            "tol": tol, "pass": bool(ok)}
-
-
-def _identity_values(spec, lift, split, pg) -> dict:
-    """Each pointwise check's values at pg's points, in report order."""
-    values = pg.defects | split_defects(lift, pg.space, split) | {
-        "circularity_routes": circularity_route_gap(pg),
-        "density_moduli": density_moduli_gap(pg),
-        "product_identity": product_identity_check(pg)}
-    scaled = scaled_circularity(pg)
-    if not spec.family.circular:
-        values["non_circularity"] = scaled
-    else:
-        values |= {"circularity": scaled,
-                   "radius_routes": radius_route_gap(pg),
-                   "ellipse_fit": ellipse_samples(pg).fit_residual}
-    return {name: values[name] for name in _DETAILS if name in values}
-
-
-def _gauss_check(k_int, k, where: str, cfg: SimpleNamespace) -> dict:
-    """Intrinsic-vs-extrinsic curvature agreement, |K_int - K| / (1 + |K|),
-    at the points named by ``where``."""
-    return _check("gauss_routes", f"metric-only curvature agrees at {where}",
-                  np.abs(k_int - k) / (1.0 + np.abs(k)), cfg)
-
-
-def _willmore_payload(rep: WillmoreReport) -> dict:
-    return {f.name: getattr(rep, f.name)
-            for f in fields(rep)[1:]}  # every field after spec
-
-
-# ---------------------------------------------------------------------------
 # subcommands
 
 
@@ -374,112 +296,15 @@ def cmd_list(cfg: SimpleNamespace) -> int:
     return 0
 
 
-def _json_float(x: float) -> str:
-    """x as json writes a float: its repr, or NaN, Infinity, -Infinity."""
-    if math.isfinite(x):
-        return float.__repr__(x)
-    return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
-
-
-@functools.cache
-def _probe_template(kind: str, n_checks: int) -> str:
-    """json.dumps(report, indent=2) of a probe report on this kind, with a
-    %s for each number and check field: json lays out a skeleton once per
-    kind and check count."""
-    family, s = FAMILIES[kind], "%s"
-    nums = [s] * len(family.ambient.signature)
-    row = dict.fromkeys(("name", "detail", "max_defect", "tol", "pass"), s)
-    skeleton = {
-        "surface": kind, "params": dict.fromkeys(family.params, s),
-        "point": [s, s], "chart": family.chart.kind, "g": [[s, s], [s, s]],
-        **dict.fromkeys(("K", "K_intrinsic", "H2", "sigma_sq", "R", "D_re",
-                         "D_im", "F_re", "F_im", "F_abs", "Hc_re", "Hc_im",
-                         "Hc_abs"), s),
-        "C": dict.fromkeys(("111", "112", "122", "222"), s),
-        **dict.fromkeys(("H", "e1", "e2", "sigma11", "sigma12", "sigma22"),
-                        {"re": nums, "im": nums}),
-        "checks": [row] * n_checks, "pass": s}
-    return json.dumps(skeleton, indent=2).replace('"%s"', s)
-
-
 def cmd_probe(cfg: SimpleNamespace) -> int:
-    spec = cfg.spec
-    a1, a2 = cfg.point
-    lift = lift_at(spec, a1, a2, Jet3)  # one lift serves both K routes
-    split, pg = split_geometry(lift, spec.ambient)
-    checks = [_check(name, _DETAILS[name], values, cfg) for name, values
-              in _identity_values(spec, lift, split, pg).items()]
-    k_int = gauss_curvature_intrinsic(lift, spec.ambient)
-    checks.append(_gauss_check(k_int, pg.K, "the probe point", cfg))
-    passed = all(c["pass"] for c in checks)
-    e1, e2 = tangent_frame(lift, pg.g)
-    # H, sigma11, sigma12 and sigma22 from their (J e1, J e2) coordinates
-    C = pg.C
-    coords = np.stack([0.5 * (C[0, 0] + C[1, 1]), C[0, 0], C[0, 1], C[1, 1]])
-    normals = coords[:, :1] * apply_J(e1) + coords[:, 1:] * apply_J(e2)
-    vectors = np.stack([normals[0], e1, e2, *normals[1:]])
-    numbers = [*spec.params().values(), a1, a2, *pg.g.ravel().tolist(),
-               *(float(x) for x in (pg.K, k_int, pg.H2, pg.sigma_sq, pg.R,
-                                    pg.D.real, pg.D.imag, pg.F.real,
-                                    pg.F.imag, np.abs(pg.F), pg.Hc.real,
-                                    pg.Hc.imag, np.abs(pg.Hc))),
-               *C[(0, 0, 0, 1), (0, 0, 1, 1), (0, 1, 1, 1)].tolist(),
-               *np.stack([vectors.real, vectors.imag], 1).ravel().tolist()]
-    enc = json.encoder.encode_basestring_ascii  # json's rule for a str
-    rows = [text for c in checks for text in (
-        enc(c["name"]), enc(c["detail"]), _json_float(c["max_defect"]),
-        _json_float(c["tol"]), "true" if c["pass"] else "false")]
-    text = _probe_template(spec.kind, len(checks)) % (
-        *map(_json_float, numbers), *rows, "true" if passed else "false")
-    _emit(text, cfg)
-    return 0 if passed else 1
+    report = probe_report(cfg.spec, *cfg.point, tol=cfg.tol)
+    _emit(json.dumps(report, indent=2), cfg)
+    return 0 if report["pass"] else 1
 
 
 def cmd_verify(cfg: SimpleNamespace) -> int:
-    spec = cfg.spec
-    axis1, axis2 = build_grid(spec.chart, *cfg.grid)
-    # each check's worst per tile, then its row over the tiles' worst
-    tiles, k_ends, r_ends = {}, [], []
-    for _, a1, a2 in grid_tiles(axis1, axis2):
-        lift = lift_at(spec, a1, a2)
-        split, pg = split_geometry(lift, spec.ambient)
-        for name, values in _identity_values(spec, lift, split, pg).items():
-            tiles.setdefault(name, []).append(_worst(name, values))
-        k_ends += [np.min(pg.K), np.max(pg.K)]
-        r_ends += [np.min(pg.R), np.max(pg.R)]
-    checks = [_check(name, _DETAILS[name], worst, cfg)
-              for name, worst in tiles.items()]
-    s1, s2 = random_points(spec.chart, 200, np.random.default_rng(cfg.seed))
-    lift = lift_at(spec, s1, s2, Jet3)
-    checks.append(_gauss_check(
-        gauss_curvature_intrinsic(lift, spec.ambient),
-        geometry_from_jet(lift, spec.ambient).K, "200 seeded points", cfg))
-
-    family = spec.family
-    k_lo, k_hi = float(min(k_ends)), float(max(k_ends))
-    if family.k_range is not None:
-        lo, hi = family.k_range(spec)
-        checks.append(_check("curvature_range",
-                             f"K stays inside [{lo:g}, {hi:g}]",
-                             [lo - k_lo, k_hi - hi, 0.0], cfg))
-
-    report = {
-        "surface": spec.kind,
-        "params": spec.params(),
-        "grid": list(cfg.grid),
-        "seed": cfg.seed,
-        "checks": checks,
-        "K_range": [k_lo, k_hi],
-        "R_range": [float(min(r_ends)), float(max(r_ends))],
-    }
-    if family.willmore is not None:
-        value, tol_name = family.willmore(spec)
-        rep = willmore(spec, orders=cfg.quad)
-        checks.append(_check(
-            "willmore", f"energy integral matches {value:.12g}",
-            abs(rep.w - value), cfg, tol_name=tol_name))
-        report["willmore"] = _willmore_payload(rep)
-    report["pass"] = all(c["pass"] for c in checks)
+    report = verify_report(cfg.spec, grid=cfg.grid, quad=cfg.quad,
+                           tol=cfg.tol, seed=cfg.seed)
     _emit(json.dumps(report, indent=2), cfg)
     return 0 if report["pass"] else 1
 
@@ -517,7 +342,7 @@ def cmd_willmore(cfg: SimpleNamespace) -> int:
     spec = cfg.spec
     rep = willmore(spec, orders=cfg.quad)
     payload = {"surface": spec.kind, "params": spec.params(),
-               **_willmore_payload(rep)}
+               **willmore_fields(rep)}
     _emit(json.dumps(payload, indent=2), cfg)
     return 0
 

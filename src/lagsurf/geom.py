@@ -32,9 +32,8 @@ class PointGeometry:
     the cubic coefficient real_pair(sigma(e_i, e_j), J e_k): sigma_ij in
     (J e1, J e2) coordinates, from which every invariant comes.  ``K`` is the
     ambient-identity route (curvature constant, |H|^2, |sigma|^2);
-    gauss_curvature_intrinsic is the other.  ``defects`` maps each check
-    name in TOLERANCES to its pointwise defect of the lift or of C
-    (c_symmetry: C of a Lagrangian immersion is fully symmetric).
+    gauss_curvature_intrinsic is the other.  ``defects`` maps each lift
+    defect's check name in TOLERANCES to its pointwise values.
     """
 
     space: AmbientSpace
@@ -56,11 +55,6 @@ def _dot(a, b):
 
 
 def _assemble(space, g, C, defects):
-    # index symmetry in the first two slots is structural; the swap of the
-    # second/third slot is the Lagrangian property and gets measured
-    c_symmetry = np.maximum(np.abs(C[..., 0, 0, 1] - C[..., 0, 1, 0]),
-                            np.abs(C[..., 1, 1, 0] - C[..., 1, 0, 1]))
-
     s11, s12, s22 = C[..., 0, 0, :], C[..., 0, 1, :], C[..., 1, 1, :]
     H = 0.5 * (s11 + s22)
     H2 = _dot(H, H)
@@ -86,7 +80,7 @@ def _assemble(space, g, C, defects):
 
     return PointGeometry(space=space, g=g, C=C,
                          H2=H2, sigma_sq=sigma_sq, K=K, D=D, F=F, Hc=Hc, R=R,
-                         defects=defects | {"c_symmetry": c_symmetry})
+                         defects=defects)
 
 
 def geometry_from_jet(lift: Jet2, space: AmbientSpace) -> PointGeometry:
@@ -160,6 +154,15 @@ def scaled_circularity(pg: PointGeometry) -> np.ndarray:
     when the ellipse of curvature is a circle (a point counts).
     """
     return np.abs(pg.D) / _sigma_scale(pg)
+
+
+def c_symmetry_gap(pg: PointGeometry) -> np.ndarray:
+    """Pointwise defect of C's symmetry in its last two slots: C of a
+    Lagrangian immersion is fully symmetric, and the first two slots'
+    symmetry is structural."""
+    C = pg.C
+    return np.maximum(np.abs(C[..., 0, 0, 1] - C[..., 0, 1, 0]),
+                      np.abs(C[..., 1, 1, 0] - C[..., 1, 0, 1]))
 
 
 def circularity_route_gap(pg: PointGeometry) -> np.ndarray:

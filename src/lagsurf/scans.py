@@ -1,5 +1,5 @@
-"""Grid scans and global functionals: curvature ranges, Willmore energy,
-radius pinching.
+"""Grid scans, global functionals and the check reports: curvature ranges,
+Willmore energy, radius pinching, and the rows of probe and verify.
 
 These audit the classification statements on the catalog: they never prove
 anything, they measure the hypotheses and conclusions on sampled grids and
@@ -9,14 +9,20 @@ report consistency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .atlas import build_grid, sphere_quadrature, torus_quadrature
-from .catalog import SurfaceSpec
-from .geom import point_geometry, scaled_circularity
-from .numerics import TOLERANCES
+from .ambient import split_defects
+from .atlas import (build_grid, random_points, sphere_quadrature,
+                    torus_quadrature)
+from .catalog import SurfaceSpec, lift_at
+from .geom import (c_symmetry_gap, circularity_route_gap, density_moduli_gap,
+                   ellipse_samples, gauss_curvature_intrinsic,
+                   geometry_from_jet, point_geometry, product_identity_check,
+                   radius_route_gap, scaled_circularity, split_geometry,
+                   tangent_frame)
+from .numerics import TOLERANCES, Jet3, apply_J
 
 PINCH_THRESHOLD = 1.0 / math.sqrt(2.0)
 # grid round-off allowed below the threshold, and above K = 0 for "flat"
@@ -181,6 +187,11 @@ def willmore(spec: SurfaceSpec, orders=(128, 256)) -> WillmoreReport:
                           orders=orders)
 
 
+def willmore_fields(rep: WillmoreReport) -> dict:
+    """Every field of rep after spec, by name, as the reports print them."""
+    return {f.name: getattr(rep, f.name) for f in fields(rep)[1:]}
+
+
 def pinching_hypothesis(scan: ScanReport) -> bool:
     """Whether the scanned surface satisfies: compact, circular ellipse,
     and radius >= 1/sqrt(2) grid-wide (up to round-off)."""
@@ -219,3 +230,150 @@ def pinching_report(scan: ScanReport) -> str:
                  + f" (this kind is {'' if expected else 'not '}expected "
                  f"to satisfy the hypothesis)")
     return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# the checks of probe and verify
+
+# checks that pass by staying above their tolerance: a larger value is better
+_MARGINS = {"non_circularity"}
+
+# what each pointwise check's row says, by check name, in report order
+_DETAILS = {
+    "membership": "lift lies on the model quadric",
+    "horizontality": "lift tangents are horizontal",
+    "lagrangian": "tangent plane is Lagrangian",
+    "split_residual": "second derivatives recombine from the split",
+    "position_coeff": "position coefficient matches -g/nu",
+    "fiber_coeff": "no fiber component in second derivatives",
+    "c_symmetry": "cubic tensor is fully symmetric",
+    "circularity_routes": "|D| route agrees with the cubic-tensor expansion",
+    "density_moduli": "|Hc| = |H| and |F|^2 = c/2 + |H|^2 - 2K",
+    "product_identity": "F * conj(Hc) matches D up to the Im sign",
+    "non_circularity":
+        "min scaled |D| stays above tol: the ellipse is never a circle",
+    "circularity": "max scaled |D| over the sample",
+    "radius_routes": "R from the invariants matches both sigma routes",
+    "ellipse_fit": "both semi-axes of the ellipse equal R",
+}
+
+
+def _worst(name: str, values) -> float:
+    """The worst of a check's values: the max, the min for a margin."""
+    # np.min or np.max, without their wrapper's cost on a one-point value
+    reduce = (np.minimum if name in _MARGINS else np.maximum).reduce
+    return float(reduce(values, None))
+
+
+def _check(name: str, detail: str, values, tol: dict,
+           tol_name: str | None = None) -> dict:
+    """One report row: the worst of ``values``, judged by the tolerance
+    named tol_name or name."""
+    limit = tol[tol_name or name]
+    defect = _worst(name, values)
+    ok = defect > limit if name in _MARGINS else defect <= limit
+    return {"name": name, "detail": detail, "max_defect": defect,
+            "tol": limit, "pass": bool(ok)}
+
+
+def _identity_values(spec, lift, split, pg) -> dict:
+    """Each pointwise check's values at pg's points, in report order."""
+    values = pg.defects | split_defects(lift, pg.space, split) | {
+        "c_symmetry": c_symmetry_gap(pg),
+        "circularity_routes": circularity_route_gap(pg),
+        "density_moduli": density_moduli_gap(pg),
+        "product_identity": product_identity_check(pg)}
+    scaled = scaled_circularity(pg)
+    if not spec.family.circular:
+        values["non_circularity"] = scaled
+    else:
+        values |= {"circularity": scaled,
+                   "radius_routes": radius_route_gap(pg),
+                   "ellipse_fit": ellipse_samples(pg).fit_residual}
+    return {name: values[name] for name in _DETAILS if name in values}
+
+
+def _gauss_check(k_int, k, where: str, tol: dict) -> dict:
+    """Intrinsic-vs-extrinsic curvature agreement, |K_int - K| / (1 + |K|),
+    at the points named by ``where``."""
+    return _check("gauss_routes", f"metric-only curvature agrees at {where}",
+                  np.abs(k_int - k) / (1.0 + np.abs(k)), tol)
+
+
+def probe_report(spec: SurfaceSpec, a1: float, a2: float,
+                 tol=TOLERANCES) -> dict:
+    """The probe report at the chart point (a1, a2): every pointwise
+    invariant, the frame and sigma as ambient vectors, and one row per
+    check; ``pass`` is whether every row passes."""
+    lift = lift_at(spec, a1, a2, Jet3)  # one lift serves both K routes
+    split, pg = split_geometry(lift, spec.ambient)
+    checks = [_check(name, _DETAILS[name], values, tol) for name, values
+              in _identity_values(spec, lift, split, pg).items()]
+    k_int = gauss_curvature_intrinsic(lift, spec.ambient)
+    checks.append(_gauss_check(k_int, pg.K, "the probe point", tol))
+    e1, e2 = tangent_frame(lift, pg.g)
+    # H, sigma11, sigma12 and sigma22 from their (J e1, J e2) coordinates
+    C = pg.C
+    coords = np.stack([0.5 * (C[0, 0] + C[1, 1]), C[0, 0], C[0, 1], C[1, 1]])
+    normals = coords[:, :1] * apply_J(e1) + coords[:, 1:] * apply_J(e2)
+    h, s11, s12, s22, v1, v2 = ({"re": v.real.tolist(), "im": v.imag.tolist()}
+                                for v in (*normals, e1, e2))
+    return {
+        "surface": spec.kind, "params": spec.params(), "point": [a1, a2],
+        "chart": spec.chart.kind, "g": pg.g.tolist(),
+        "K": float(pg.K), "K_intrinsic": float(k_int), "H2": float(pg.H2),
+        "sigma_sq": float(pg.sigma_sq), "R": float(pg.R),
+        "D_re": float(pg.D.real), "D_im": float(pg.D.imag),
+        "F_re": float(pg.F.real), "F_im": float(pg.F.imag),
+        "F_abs": float(np.abs(pg.F)), "Hc_re": float(pg.Hc.real),
+        "Hc_im": float(pg.Hc.imag), "Hc_abs": float(np.abs(pg.Hc)),
+        "C": {"111": float(C[0, 0, 0]), "112": float(C[0, 0, 1]),
+              "122": float(C[0, 1, 1]), "222": float(C[1, 1, 1])},
+        "H": h, "e1": v1, "e2": v2, "sigma11": s11, "sigma12": s12,
+        "sigma22": s22, "checks": checks,
+        "pass": all(c["pass"] for c in checks)}
+
+
+def verify_report(spec: SurfaceSpec, grid=(64, 64), quad=(128, 256),
+                  tol=TOLERANCES, seed: int = 0) -> dict:
+    """The verify report: each pointwise check's worst over the chart grid,
+    the two K routes at 200 points seeded by ``seed``, the K range and the
+    energy (quadrature orders ``quad``) where the family has closed forms."""
+    axis1, axis2 = build_grid(spec.chart, *grid)
+    # each check's worst per tile, then its row over the tiles' worst
+    tiles, k_ends, r_ends = {}, [], []
+    for _, a1, a2 in grid_tiles(axis1, axis2):
+        lift = lift_at(spec, a1, a2)
+        split, pg = split_geometry(lift, spec.ambient)
+        for name, values in _identity_values(spec, lift, split, pg).items():
+            tiles.setdefault(name, []).append(_worst(name, values))
+        k_ends += [np.min(pg.K), np.max(pg.K)]
+        r_ends += [np.min(pg.R), np.max(pg.R)]
+    checks = [_check(name, _DETAILS[name], worst, tol)
+              for name, worst in tiles.items()]
+    s1, s2 = random_points(spec.chart, 200, np.random.default_rng(seed))
+    lift = lift_at(spec, s1, s2, Jet3)
+    checks.append(_gauss_check(
+        gauss_curvature_intrinsic(lift, spec.ambient),
+        geometry_from_jet(lift, spec.ambient).K, "200 seeded points", tol))
+
+    family = spec.family
+    k_lo, k_hi = float(min(k_ends)), float(max(k_ends))
+    if family.k_range is not None:
+        lo, hi = family.k_range(spec)
+        checks.append(_check("curvature_range",
+                             f"K stays inside [{lo:g}, {hi:g}]",
+                             [lo - k_lo, k_hi - hi, 0.0], tol))
+    report = {"surface": spec.kind, "params": spec.params(),
+              "grid": list(grid), "seed": seed, "checks": checks,
+              "K_range": [k_lo, k_hi],
+              "R_range": [float(min(r_ends)), float(max(r_ends))]}
+    if family.willmore is not None:
+        value, tol_name = family.willmore(spec)
+        rep = willmore(spec, orders=quad)
+        checks.append(_check(
+            "willmore", f"energy integral matches {value:.12g}",
+            abs(rep.w - value), tol, tol_name=tol_name))
+        report["willmore"] = willmore_fields(rep)
+    report["pass"] = all(c["pass"] for c in checks)
+    return report

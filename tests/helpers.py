@@ -10,7 +10,8 @@ import numpy as np
 from lagsurf import geom
 from lagsurf.ambient import split_defects
 from lagsurf.catalog import lift_at
-from lagsurf.geom import PointGeometry, split_geometry, tangent_frame
+from lagsurf.geom import (PointGeometry, c_symmetry_gap, split_geometry,
+                          tangent_frame)
 from lagsurf.numerics import Jet2
 
 # each golden report's file stem and the surface it was run on, and the
@@ -75,7 +76,6 @@ def rotate_frame(pg: PointGeometry, alpha: float) -> PointGeometry:
     # every slot of C, the normal one too, is on the frame: J e'_k is
     # rot[k, c] J e_c
     C = np.einsum("ia,jb,kc,...abc->...ijk", rot, rot, rot, pg.C)
-    # _assemble measures c_symmetry again, on the rotated C
     return geom._assemble(pg.space, pg.g, C, pg.defects)
 
 
@@ -90,7 +90,8 @@ def certifiable(spec, a1, a2):
 def every_array(spec, a1, a2) -> dict[str, np.ndarray]:
     """Every array a report can read at the chart points (a1, a2), by name:
     the fields of the lift jet, of its geometry and of the frame split,
-    each defect (the split's certification too), and the tangent frame."""
+    each defect (the split's certification and C's symmetry too), and the
+    tangent frame."""
     lift, split, pg = certifiable(spec, a1, a2)
     arrays = {}
     for prefix, record in (("", pg), ("lift.", lift), ("split.", split)):
@@ -98,7 +99,8 @@ def every_array(spec, a1, a2) -> dict[str, np.ndarray]:
             value = getattr(record, field.name)
             if isinstance(value, (np.ndarray, np.generic)):
                 arrays[prefix + field.name] = value
-    defects = pg.defects | split_defects(lift, pg.space, split)
+    defects = pg.defects | split_defects(lift, pg.space, split) | {
+        "c_symmetry": c_symmetry_gap(pg)}
     arrays |= {f"defects.{name}": np.broadcast_to(values, np.shape(pg.K))
                for name, values in defects.items()}
     arrays["e1"], arrays["e2"] = tangent_frame(lift, pg.g)

@@ -18,7 +18,8 @@ from lagsurf.atlas import build_grid, random_points
 from lagsurf.ambient import second_form_split, split_defects
 from lagsurf.catalog import SurfaceSpec, evaluate_lift, lift_at
 from lagsurf.cli import main
-from lagsurf.geom import (circularity_route_gap, density_moduli_gap,
+from lagsurf.geom import (c_symmetry_gap, circularity_route_gap,
+                          density_moduli_gap,
                           gauss_curvature_intrinsic, geometry_from_jet,
                           point_geometry, product_identity_check,
                           radius_route_gap, scaled_circularity)
@@ -117,7 +118,7 @@ def test_criterion_04_identity_suite_at_random_points():
             route_worst = max(route_worst, np.max(radius_route_gap(pg)))
         moduli_worst = max(moduli_worst, np.max(density_moduli_gap(pg)))
         product_worst = max(product_worst, np.max(product_identity_check(pg)))
-        sym_worst = max(sym_worst, np.max(pg.defects["c_symmetry"]))
+        sym_worst = max(sym_worst, np.max(c_symmetry_gap(pg)))
     ok = (gauss_worst < 1e-4 and route_worst < 1e-8 and moduli_worst < 1e-8
           and product_worst < 1e-9 and sym_worst < 1e-10)
     assert _emit(4, ok, "identities at 200 random points per surface: "

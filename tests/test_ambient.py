@@ -19,7 +19,7 @@ from lagsurf.catalog import SurfaceSpec, lift_at
 from lagsurf.geom import geometry_from_jet, tangent_frame
 from lagsurf.cli import TOLERANCES, parse_surface
 from lagsurf.numerics import (GRAM_COND_LIMIT, DegeneratePointError, Jet2,
-                              herm_pair, real_pair)
+                              component_major, herm_pair, real_pair)
 
 ALL_SPECS = [
     SurfaceSpec("whitney-c2"),
@@ -109,13 +109,57 @@ def test_second_form_split_reconstructs(spec):
     assert np.max(defects["fiber_coeff"]) < 1e-10
     assert np.max(defects["position_coeff"]) < 1e-10
     assert split.metric.shape == lift.v.shape[:-1] + (2, 2)
-    # one coefficient per basis vector: (d1, d2), and psi when lifted
-    assert split.coeff.shape == lift.v.shape[:-1] + (3, 2 + (
-        1 if spec.ambient.is_lifted else 0))
+    # coefficients on (d1, d2) only, on every target: split_defects forms
+    # the one on psi
+    assert split.coeff.shape == lift.v.shape[:-1] + (3, 2)
     assert split.coeff.dtype == complex
     if not spec.ambient.is_lifted:
         assert defects["position_coeff"] == 0.0
         assert defects["fiber_coeff"] == 0.0
+
+
+def _stored_psi_column_defects(lift, space, split):
+    """split_defects as it read a (..., 3, 3) coefficient array whose psi
+    column herm(d_uv psi, psi) / nu the split stored in its one
+    component-major buffer, next to the (d1, d2) columns."""
+    nu = space.lift_norm
+    buf = np.empty((3, 3) + np.shape(split.metric[..., 0, 0]), dtype=complex)
+    for p, x in enumerate((lift.d11, lift.d12, lift.d22)):
+        buf[p, :2] = np.moveaxis(split.coeff[..., p, :], -1, 0)
+        buf[p, 2] = herm_pair(x, lift.v, space.sig) / nu
+    coeff = component_major(buf, 2)
+    g_uv = [split.metric[..., i, j] for i, j in ((0, 0), (0, 1), (1, 1))]
+    residual = position = fiber = 0.0
+    for p, x in enumerate((lift.d11, lift.d12, lift.d22)):
+        z = coeff[..., p, :]
+        gap = x - z[..., 0, None] * lift.d1
+        gap -= z[..., 1, None] * lift.d2
+        gap -= z[..., 2, None] * lift.v
+        gscale = 1.0 + np.abs(g_uv[p])
+        position = np.maximum(position, np.abs(
+            z[..., 2].real + g_uv[p] / nu) / gscale)
+        fiber = np.maximum(fiber, np.abs(z[..., 2].imag) / gscale)
+        residual = np.maximum(residual, _norm(gap) / (1.0 + _norm(x)))
+    return {"split_residual": residual, "position_coeff": position,
+            "fiber_coeff": fiber}
+
+
+@pytest.mark.parametrize("spec", [s for s in ALL_SPECS
+                                  if s.ambient.is_lifted],
+                         ids=lambda s: s.label())
+def test_psi_coefficient_formed_in_the_certification_keeps_its_bits(spec):
+    # the psi coefficient moved from the split's buffer into split_defects:
+    # every defect keeps the bits of the stored column, on a batch and at
+    # one point
+    a1, a2 = flat_grid(*build_grid(spec.chart, 9, 9))
+    for point in ((a1, a2), (a1[40], a2[40])):
+        lift = lift_at(spec, *point)
+        split = second_form_split(lift, spec.ambient)
+        got = split_defects(lift, spec.ambient, split)
+        want = _stored_psi_column_defects(lift, spec.ambient, split)
+        for name, values in want.items():
+            assert np.shape(got[name]) == np.shape(point[0]), name
+            assert np.array_equal(got[name], values), name
 
 
 def test_position_coefficient_sign():
@@ -336,7 +380,7 @@ def test_ambient_components_are_contiguous(spec, shape):
     m = ambient_dim(spec.ambient)
     assert stacked.d1.shape == shape + (3,)
     assert (lift.d1.shape, split.coeff.shape, e1.shape) == (
-        shape + (m,), shape + (3, m), shape + (m,))
+        shape + (m,), shape + (3, 2), shape + (m,))
     for k in range(3):
         assert stacked.d1[..., k].flags.c_contiguous
     for p in range(3):

@@ -23,12 +23,12 @@ from lagsurf import cli, numerics, scans
 from lagsurf.ambient import split_defects
 from lagsurf.atlas import build_grid
 from lagsurf.catalog import FAMILIES, KINDS, SurfaceSpec
-from lagsurf.cli import (_DETAILS, _MAX_ANGLES, _MAX_ORDER, MAX_POINTS,
-                         TOLERANCES, ConfigError, _check, _identity_values,
-                         _parse_angles, _parse_number, _parse_orders,
-                         _parse_pair, build_parser, main, parse_surface,
-                         read_config_file, resolve_config)
+from lagsurf.cli import (_MAX_ANGLES, _MAX_ORDER, MAX_POINTS, TOLERANCES,
+                         ConfigError, _parse_angles, _parse_number,
+                         _parse_orders, _parse_pair, build_parser, main,
+                         parse_surface, read_config_file, resolve_config)
 from lagsurf.geom import MIN_ANGLES
+from lagsurf.scans import _DETAILS, _check, _identity_values
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -515,7 +515,7 @@ def test_chunked_verify_matches_one_whole_grid_batch(surface, capsys):
     spec = cfg.spec
     axis1, axis2 = build_grid(spec.chart, *cfg.grid)
     lift, split, whole = certifiable(spec, axis1[:, None], axis2[None, :])
-    want = [_check(name, _DETAILS[name], values, cfg) for name, values
+    want = [_check(name, _DETAILS[name], values, cfg.tol) for name, values
             in _identity_values(spec, lift, split, whole).items()]
     # every identity check comes first, in order, bitwise equal
     assert report["checks"][:len(want)] == want
@@ -827,7 +827,8 @@ def test_grid_and_quad_sizes_are_capped(tmp_path, monkeypatch, capsys):
     def sampled(*args, **kwargs):
         raise AssertionError("an oversized request reached the sampler")
 
-    monkeypatch.setattr(cli, "build_grid", sampled)
+    monkeypatch.setattr(scans, "build_grid", sampled)
+    monkeypatch.setattr(scans, "willmore", sampled)
     monkeypatch.setattr(cli, "willmore", sampled)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"surface = whitney-c2\nquad = {past}\n")
@@ -854,6 +855,7 @@ def test_quad_orders_and_angles_are_capped(tmp_path, monkeypatch, capsys):
         raise AssertionError("an oversized request reached the sampler")
 
     monkeypatch.setattr(cli, "willmore", sampled)
+    monkeypatch.setattr(scans, "willmore", sampled)
     monkeypatch.setattr(cli, "point_geometry", sampled)
     quad, angles = f"{_MAX_ORDER + 1}x2", str(_MAX_ANGLES + 1)
     errors = {

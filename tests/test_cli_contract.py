@@ -1,19 +1,24 @@
 """The exit-code contract as a property: whatever the surface, its inline
 parameters, the chart point and the sizes, a command exits 0, 1 or 2, ends
 in no traceback and lets no RuntimeWarning escape, and an exit 2 prints
-exactly one stderr line.  A size over its cap always exits 2."""
+exactly one stderr line.  A size over its cap always exits 2.  What probe
+and verify print on exit 0 or 1 is the library's report, as json writes
+it."""
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 import warnings
 
 from hypothesis import given, settings, strategies as st
 
 from lagsurf.catalog import FAMILIES
-from lagsurf.cli import _MAX_ANGLES, _MAX_ORDER, main
+from lagsurf.cli import (_MAX_ANGLES, _MAX_ORDER, build_parser, main,
+                         resolve_config)
 from lagsurf.geom import MIN_ANGLES
+from lagsurf.scans import probe_report, verify_report
 
 # every kind, and the command-line alias of the one that has it
 NAMES = {**{kind: kind for kind in FAMILIES},
@@ -87,3 +92,13 @@ def test_every_command_keeps_the_exit_code_contract(argv):
         assert out.getvalue() == ""
     else:
         assert err.getvalue() == "", argv
+    if code in (0, 1) and argv[0] in ("probe", "verify"):
+        cfg = resolve_config(build_parser().parse_args(argv))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = (probe_report(cfg.spec, *cfg.point, tol=cfg.tol)
+                      if argv[0] == "probe" else
+                      verify_report(cfg.spec, grid=cfg.grid, quad=cfg.quad,
+                                    tol=cfg.tol, seed=cfg.seed))
+        assert out.getvalue() == json.dumps(report, indent=2) + "\n", argv
+        assert code == (0 if report["pass"] else 1), argv

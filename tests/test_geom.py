@@ -13,14 +13,13 @@ from lagsurf import geom
 from lagsurf.ambient import C2
 from lagsurf.atlas import build_grid, random_points
 from lagsurf.catalog import SurfaceSpec, lift_at
-from lagsurf.cli import _identity_values
 from lagsurf.geom import (circularity_route_gap, density_moduli_gap,
                           ellipse_samples, gauss_curvature_intrinsic,
                           geometry_from_jet, point_geometry,
                           product_identity_check, radius, radius_route_gap,
                           scaled_circularity)
 from lagsurf.numerics import TOLERANCES, Jet2, Jet3
-from lagsurf.scans import grid_tiles
+from lagsurf.scans import _identity_values, grid_tiles
 
 CIRCULAR_SPECS = [
     SurfaceSpec("whitney-c2"),

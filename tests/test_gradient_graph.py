@@ -22,9 +22,9 @@ from hypothesis import given, settings, strategies as st
 from gram_reference import REFERENCE_GAP, reference_gaps, reference_split
 from lagsurf.ambient import C2, second_form_split, split_defects
 from lagsurf.cli import TOLERANCES
-from lagsurf.geom import (circularity_route_gap, ellipse_samples,
-                          geometry_from_jet, radius, radius_route_gap,
-                          scaled_circularity)
+from lagsurf.geom import (c_symmetry_gap, circularity_route_gap,
+                          ellipse_samples, geometry_from_jet, radius,
+                          radius_route_gap, scaled_circularity)
 from lagsurf.numerics import Jet2
 
 DEGREE = 4
@@ -68,6 +68,7 @@ def test_gradient_graph_defects_sit_at_round_off(coeffs, seed):
     pg = geometry_from_jet(lift, C2)
     defects = pg.defects | split_defects(lift, C2,
                                          second_form_split(lift, C2))
+    defects["c_symmetry"] = c_symmetry_gap(pg)
     for name in ("lagrangian", "split_residual", "c_symmetry"):
         assert np.max(defects[name]) <= ROUND_OFF, name
     assert np.max(circularity_route_gap(pg)) <= ROUND_OFF

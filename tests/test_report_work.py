@@ -1,11 +1,13 @@
 """Each command builds and prints only what it reports.
 
-The split's certification (split_defects) runs only where a report prints
-it: on every tile of ``verify`` and once in ``probe``.  ``ellipse`` and
-``probe`` write their reports from templates, so their bytes are checked
-here against the reference writers, and the ellipse normals take one cos
-and one sin call over the whole angle grid, which must round as the
-per-angle calls do.
+The split's certification (split_defects, with the psi coefficient it
+forms) and C's symmetry gap run only where a report prints them: on every
+tile of ``verify`` and once in ``probe``.  ``ellipse`` writes its report
+from a template, so its bytes are checked here against the reference
+writers, and the ellipse normals take one cos and one sin call over the
+whole angle grid, which must round as the per-angle calls do.  ``probe``
+prints the library's report, whose values are checked here against each
+quantity read out on its own.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import sys
 import numpy as np
 import pytest
 
-from lagsurf import ambient, catalog, cli, geom, scans
+from lagsurf import ambient, catalog, cli, geom, numerics, scans
 from lagsurf.catalog import KINDS, SurfaceSpec, lift_at
 from lagsurf.cli import build_parser, main, resolve_config
 from lagsurf.geom import ellipse_samples, geometry_from_jet, point_geometry
@@ -131,7 +133,7 @@ def _record_probe(monkeypatch, plant=None) -> dict:
     check rows, each row as the run's own configuration judged it, in
     report order.  ``plant`` replaces the (split, geometry) it is given."""
     seen = {"rows": []}
-    gauss_row, check_row = cli._gauss_check, cli._check
+    gauss_row, check_row = scans._gauss_check, scans._check
 
     def split_geometry(lift, space):
         split, pg = geom.split_geometry(lift, space)
@@ -139,17 +141,17 @@ def _record_probe(monkeypatch, plant=None) -> dict:
         seen["pg"] = plant(pg) if plant else pg
         return split, seen["pg"]
 
-    def gauss_check(k_int, k, where, cfg):
+    def gauss_check(k_int, k, where, tol):
         seen["k_int"] = k_int
-        return gauss_row(k_int, k, where, cfg)
+        return gauss_row(k_int, k, where, tol)
 
     def check(*args, **kwargs):
         seen["rows"].append(check_row(*args, **kwargs))
         return seen["rows"][-1]
 
-    monkeypatch.setattr(cli, "split_geometry", split_geometry)
-    monkeypatch.setattr(cli, "_gauss_check", gauss_check)
-    monkeypatch.setattr(cli, "_check", check)
+    monkeypatch.setattr(scans, "split_geometry", split_geometry)
+    monkeypatch.setattr(scans, "_gauss_check", gauss_check)
+    monkeypatch.setattr(scans, "_check", check)
     return seen
 
 
@@ -227,7 +229,7 @@ def test_probe_report_renders_signed_zeros_and_extremes(monkeypatch,
             Hc=np.complex128(complex(5e-324, -0.0)))
 
     seen = _record_probe(monkeypatch, plant)
-    monkeypatch.setattr(cli, "gauss_curvature_intrinsic",
+    monkeypatch.setattr(scans, "gauss_curvature_intrinsic",
                         lambda lift, space: np.float64(np.nan))
     argv = ["probe", "--surface", "whitney-cp2(0.5)", "--tol",
             "circularity=1e22", "--tol", "membership=5e-324", "0.4", "1.1"]
@@ -262,6 +264,15 @@ def test_angle_grid_trig_in_one_call_is_bitwise_the_scalar_calls(n):
 # which commands certify the split
 
 
+def _rebind(monkeypatch, func, replacement) -> None:
+    """Point every lagsurf module name bound to func at the replacement."""
+    for key, module in list(sys.modules.items()):
+        if key == "lagsurf" or key.startswith("lagsurf."):
+            for attr, value in list(vars(module).items()):
+                if value is func:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
 def _count_calls(monkeypatch, func) -> list:
     """Count calls of func through every lagsurf module name bound to it."""
     calls = []
@@ -270,16 +281,35 @@ def _count_calls(monkeypatch, func) -> list:
         calls.append(None)
         return func(*args, **kwargs)
 
-    for key, module in list(sys.modules.items()):
-        if key == "lagsurf" or key.startswith("lagsurf."):
-            for attr, value in list(vars(module).items()):
-                if value is func:
-                    monkeypatch.setattr(module, attr, counted)
+    _rebind(monkeypatch, func, counted)
     return calls
 
 
+def _count_psi_pairings(monkeypatch) -> list:
+    """Count the pairings herm(d_uv psi, psi) of the latest lift that
+    lift_at returned: the psi coefficient, which only the split's
+    certification reads."""
+    latest, pairings = [], []
+    lift_at, herm_pair = catalog.lift_at, numerics.herm_pair
+
+    def lifted(*args, **kwargs):
+        latest[:] = [lift_at(*args, **kwargs)]
+        return latest[0]
+
+    def paired(a, b, sig):
+        if latest and b is latest[0].v and any(
+                a is x for x in (latest[0].d11, latest[0].d12,
+                                 latest[0].d22)):
+            pairings.append(None)
+        return herm_pair(a, b, sig)
+
+    _rebind(monkeypatch, lift_at, lifted)
+    _rebind(monkeypatch, herm_pair, paired)
+    return pairings
+
+
 def _count_tiles(monkeypatch) -> list:
-    """Count the tiles that scans and cli take from grid_tiles."""
+    """Count the tiles that scans takes from grid_tiles."""
     tiles = []
 
     def counted_tiles(axis1, axis2):
@@ -287,8 +317,7 @@ def _count_tiles(monkeypatch) -> list:
             tiles.append(None)
             yield tile
 
-    for module in (scans, cli):
-        monkeypatch.setattr(module, "grid_tiles", counted_tiles)
+    monkeypatch.setattr(scans, "grid_tiles", counted_tiles)
     return tiles
 
 
@@ -304,17 +333,21 @@ LIFT_DEFECTS = ("membership_defect", "horizontality_defect",
 ], ids=["scan", "willmore", "verify"])
 def test_grid_commands_certify_only_in_verify(argv, certified, monkeypatch,
                                               capsys):
-    # every tile pays the lift defects; only verify's pay the certification
-    # (psi-ch2 has no energy integral, so its tiles are all verify's own,
-    # and its one other geometry is the 200 seeded points of gauss_routes)
+    # every tile pays the lift defects; only verify's pay the certification,
+    # its three psi pairings and C's symmetry gap (psi-ch2 has no energy
+    # integral, so its tiles are all verify's own, and its one other
+    # geometry is the 200 seeded points of gauss_routes)
     certify = _count_calls(monkeypatch, ambient.split_defects)
+    symmetry = _count_calls(monkeypatch, geom.c_symmetry_gap)
+    psi = _count_psi_pairings(monkeypatch)
     lift = {name: _count_calls(monkeypatch, getattr(ambient, name))
             for name in LIFT_DEFECTS}
     tiles = _count_tiles(monkeypatch)
     assert main(argv) == 0
     capsys.readouterr()
     assert len(tiles) > 1
-    assert len(certify) == (len(tiles) if certified else 0)
+    assert len(certify) == len(symmetry) == (len(tiles) if certified else 0)
+    assert len(psi) == 3 * len(certify)
     for name, calls in lift.items():
         assert len(calls) == len(tiles) + certified, name
 
@@ -324,12 +357,15 @@ def test_grid_commands_certify_only_in_verify(argv, certified, monkeypatch,
 def test_point_commands_certify_only_in_probe(command, certifications,
                                               monkeypatch, capsys):
     certify = _count_calls(monkeypatch, ambient.split_defects)
+    symmetry = _count_calls(monkeypatch, geom.c_symmetry_gap)
+    psi = _count_psi_pairings(monkeypatch)
     lift = {name: _count_calls(monkeypatch, getattr(ambient, name))
             for name in LIFT_DEFECTS}
     argv = [command, "--surface", "whitney-cp2(0.5)", "0.4", "1.1"]
     assert main(argv) == 0
     capsys.readouterr()
-    assert len(certify) == certifications
+    assert len(certify) == len(symmetry) == certifications
+    assert len(psi) == 3 * certifications
     for name, calls in lift.items():
         assert len(calls) == 1, name
 
