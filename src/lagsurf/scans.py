@@ -334,8 +334,8 @@ def probe_report(spec: SurfaceSpec, a1: float, a2: float,
         "pass": all(c["pass"] for c in checks)}
 
 
-def verify_report(spec: SurfaceSpec, grid=(64, 64), quad=(128, 256),
-                  tol=TOLERANCES, seed: int = 0) -> dict:
+def verify_report(spec: SurfaceSpec, grid, quad, seed: int,
+                  tol=TOLERANCES) -> dict:
     """The verify report: each pointwise check's worst over the chart grid,
     the two K routes at 200 points seeded by ``seed``, the K range and the
     energy (quadrature orders ``quad``) where the family has closed forms."""

@@ -27,7 +27,7 @@ from lagsurf.cli import (_MAX_ANGLES, _MAX_ORDER, MAX_POINTS, TOLERANCES,
                          ConfigError, _parse_angles, _parse_number,
                          _parse_orders, _parse_pair, build_parser, main,
                          parse_surface, read_config_file, resolve_config)
-from lagsurf.geom import MIN_ANGLES
+from lagsurf.geom import MIN_ANGLES, c_symmetry_gap
 from lagsurf.scans import _DETAILS, _check, _identity_values
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -536,7 +536,8 @@ def test_every_check_is_named_by_its_tolerance(spec):
     # table fixes the report order, the pointwise defects first
     assert set(_DETAILS) <= set(TOLERANCES)
     lift, split, pg = certifiable(spec, 0.4, 1.1)
-    defects = pg.defects | split_defects(lift, pg.space, split)
+    defects = pg.defects | split_defects(lift, pg.space, split) | {
+        "c_symmetry": c_symmetry_gap(pg)}
     assert set(defects) <= set(TOLERANCES)
     values = _identity_values(spec, lift, split, pg)
     assert list(values) == [name for name in _DETAILS if name in values]

@@ -16,7 +16,7 @@ import pytest
 from lagsurf.ambient import second_form_split, split_defects
 from lagsurf.atlas import random_points
 from lagsurf.catalog import SurfaceSpec, lift_at
-from lagsurf.geom import geometry_from_jet
+from lagsurf.geom import c_symmetry_gap, geometry_from_jet
 from lagsurf.numerics import TOLERANCES, Jet2
 
 SPECS = [
@@ -78,8 +78,9 @@ def test_isometries_keep_invariants_and_defects(seed, spec):
         drift = np.abs(getattr(pg, name) - want) / (1.0 + np.abs(want))
         assert np.max(drift) <= DRIFT, name
     defects = pg.defects | split_defects(
-        moved, space, second_form_split(moved, space))
+        moved, space, second_form_split(moved, space)) | {
+        "c_symmetry": c_symmetry_gap(pg)}
     assert set(defects) == set(fixed.defects) | {
-        "split_residual", "position_coeff", "fiber_coeff"}
+        "split_residual", "position_coeff", "fiber_coeff", "c_symmetry"}
     for name, values in defects.items():
         assert np.max(values) <= TOLERANCES[name], name
